@@ -62,14 +62,27 @@ class KSparseVector:
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of ``|values|``, ascending.
 
-    Ties in magnitude resolve to the lower index (stable sort), so the
-    selection is deterministic.
+    Ties in magnitude resolve to the lower index, and NaN entries rank below
+    every number, lowest index first, so the selection is deterministic and
+    equals the first k of a stable sort by descending magnitude.  A partial
+    partition finds the k-th largest magnitude; every entry above it is
+    taken, then the lowest-index entries equal to it.
     """
     values = np.asarray(values)
     if not 0 <= k <= values.size:
         raise ValueError(f"k={k} out of range for {values.size} values")
-    order = np.argsort(-np.abs(values), kind="stable")
-    return np.sort(order[:k])
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    neg = np.abs(values)
+    np.negative(neg, out=neg)
+    kth = np.partition(neg, k - 1)[k - 1]
+    if np.isnan(kth):
+        # Fewer than k non-NaN entries: all of them, then the first NaNs.
+        nan = np.isnan(neg)
+        return np.flatnonzero(~nan | (np.cumsum(nan) <= k - (nan.size - np.count_nonzero(nan))))
+    idx = np.flatnonzero(neg <= kth)
+    above = neg[idx] < kth
+    return idx[above | (np.cumsum(~above) <= k - np.count_nonzero(above))]
 
 
 def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
@@ -125,8 +138,7 @@ def heavymix(sketch: CountSketch, k: int, lookup: ExactLookup, rng_seed: int) ->
     heavy = (est_sq >= l2_hat / k) & (est_sq > 0.0)
     heavy_idx = np.flatnonzero(heavy)
     if heavy_idx.size > k:
-        order = np.argsort(-np.abs(est[heavy_idx]), kind="stable")
-        chosen = heavy_idx[order[:k]]
+        chosen = heavy_idx[topk_indices(est[heavy_idx], k)]
     else:
         chosen = heavy_idx
         fill = k - heavy_idx.size

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -234,6 +235,12 @@ class QuadraticProblem:
     def d(self) -> int:
         return self.spectrum.size
 
+    @cached_property
+    def _noise_mean(self) -> np.ndarray:
+        # Computed on first use rather than per call: train_loss and
+        # full_gradient need it every round.
+        return self.noise.mean(axis=0)
+
     @property
     def n_train(self) -> int:
         return self.noise.shape[0]
@@ -248,13 +255,16 @@ class QuadraticProblem:
         return (self.spectrum * w - self.b)[None, :] + self.noise[idx]
 
     def gradient(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.spectrum * w - self.b + self.noise[idx].mean(axis=0)
+        # The batch's noise rows are copied and averaged before the (d,)
+        # temporaries of the deterministic part exist, which lowers the peak.
+        noise = self.noise[idx].mean(axis=0)
+        return self.spectrum * w - self.b + noise
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.spectrum * w - self.b + self.noise.mean(axis=0)
+        return self.spectrum * w - self.b + self._noise_mean
 
     def train_loss(self, w: np.ndarray) -> float:
-        return self._objective(w) + float(self.noise.mean(axis=0) @ w)
+        return self._objective(w) + float(self._noise_mean @ w)
 
     def test_metric(self, w: np.ndarray) -> float:
         """Suboptimality ``f(w) - f(w*)`` of the noiseless objective."""

@@ -31,6 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 MERSENNE_P = (1 << 61) - 1
+# Indices per block when a hash family is built: small enough that the
+# evaluation's (r, block) temporaries stay in cache and never grow with d.
+_BUILD_BLOCK = 1 << 12
 
 _HEADER = struct.Struct("<4sHQIIQ")
 _MAGIC = b"CSK1"
@@ -140,21 +143,37 @@ class HashFamily:
         self.config = config
         rng = np.random.Generator(np.random.Philox(key=config.seed))
         coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)
-        idx = np.arange(config.d, dtype=np.uint64)
         if config.d > MERSENNE_P:
             raise ValueError("dimension exceeds the hash field size")
-        bucket_vals = _poly_eval(coeffs[:, 0, :], idx)
-        sign_vals = _poly_eval(coeffs[:, 1, :], idx)
-        self.buckets = (bucket_vals % np.uint64(config.c)).astype(np.int64)
-        self.signs = 1.0 - 2.0 * (sign_vals & np.uint64(1)).astype(np.float64)
-        # Flattened (row, bucket) offsets so gathers against table.ravel()
-        # touch all rows in one indexing op.
-        self._flat = self.buckets + (np.arange(config.r, dtype=np.int64) * config.c)[:, None]
+        self.buckets = np.empty((config.r, config.d), dtype=np.int64)
+        self.signs = np.empty((config.r, config.d), dtype=np.float64)
+        for start in range(0, config.d, _BUILD_BLOCK):
+            idx = np.arange(start, min(start + _BUILD_BLOCK, config.d), dtype=np.uint64)
+            block = slice(start, start + idx.size)
+            self.buckets[:, block] = _poly_eval(coeffs[:, 0, :], idx) % np.uint64(config.c)
+            self.signs[:, block] = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
 
 
 @lru_cache(maxsize=32)
 def _family_for(config: SketchConfig) -> HashFamily:
     return HashFamily(config)
+
+
+@lru_cache(maxsize=32)
+def _median_network(r: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    # Compare-exchange steps of an odd-even transposition sort over r wires,
+    # pruned backwards to those that reach the median wire(s).  Each step is
+    # (lo_wire, hi_wire, need_min, need_max): the step writes min into
+    # lo_wire when need_min and max into hi_wire when need_max.
+    steps = [(i, i + 1) for rnd in range(r) for i in range(rnd % 2, r - 1, 2)]
+    needed = {r // 2, (r - 1) // 2}
+    kept = []
+    for lo, hi in reversed(steps):
+        need_min, need_max = lo in needed, hi in needed
+        if need_min or need_max:
+            kept.append((lo, hi, need_min, need_max))
+            needed |= {lo, hi}
+    return tuple(reversed(kept))
 
 
 class CountSketch:
@@ -191,18 +210,23 @@ class CountSketch:
         self.table[np.arange(cfg.r), fam.buckets[:, index]] += fam.signs[:, index] * weight
 
     def update_dense(self, vec: np.ndarray) -> None:
-        """Accumulate every nonzero coordinate of a dense length-d vector."""
+        """Accumulate every nonzero coordinate of a dense length-d vector.
+
+        One weighted ``bincount`` per row.  Each cell receives its addends in
+        index order, summed from +0.0, so the table is bit for bit what
+        accumulating the nonzeros one at a time in index order would give:
+        the zero coordinates add signed zeros, which change no such sum.
+        An all-zero vector leaves the table untouched, -0.0 cells included.
+        """
         cfg = self.config
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (cfg.d,):
             raise ValueError(f"expected vector of shape ({cfg.d},), got {vec.shape}")
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+        if not vec.any():
             return
         fam = self._family
-        flat = fam._flat[:, nz].ravel()
-        weights = (fam.signs[:, nz] * vec[nz]).ravel()
-        self.table += np.bincount(flat, weights=weights, minlength=cfg.r * cfg.c).reshape(cfg.r, cfg.c)
+        for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
+            row += np.bincount(buckets, weights=signs * vec, minlength=cfg.c)
 
     def point_estimate(self, index: int) -> float:
         """Median-of-rows estimate of the summarized value at ``index``."""
@@ -216,11 +240,34 @@ class CountSketch:
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
 
-        One gather per row, so cost is Theta(d * r).
+        One gather per row, then the median over rows by a compare-exchange
+        network of elementwise min/max, so cost is Theta(d * r^2) flops with
+        no sort.  The result is bit for bit ``np.median`` over the gathered
+        rows: an odd row count takes the middle value plus +0.0 and an even
+        one ``(0.0 + lower + upper) / 2``, the sum numpy's mean forms; any
+        NaN in a column makes its estimate NaN.
         """
         fam = self._family
-        vals = self.table.ravel()[fam._flat] * fam.signs
-        return np.median(vals, axis=0)
+        rows = []
+        for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
+            gathered = row[buckets]
+            gathered *= signs
+            rows.append(gathered)
+        spare = np.empty_like(rows[0])
+        for lo, hi, need_min, need_max in _median_network(len(rows)):
+            a, b = rows[lo], rows[hi]
+            if need_min:
+                rows[lo] = np.minimum(a, b, out=spare)
+                spare = a
+            if need_max:
+                rows[hi] = np.maximum(a, b, out=b)
+        m = len(rows) // 2
+        if len(rows) % 2:
+            return np.add(rows[m], 0.0, out=rows[m])
+        out = np.add(rows[m - 1], 0.0, out=rows[m - 1])
+        out += rows[m]
+        out /= 2.0
+        return out
 
     def l2_squared_estimate(self) -> float:
         """Median over rows of the row-wise sum of squared cells.

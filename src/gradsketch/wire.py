@@ -32,6 +32,7 @@ TAG_UPDATE_DOWN = 4
 
 _FRAME = struct.Struct("<BI")
 _COUNT = struct.Struct("<I")
+_INT64_MAX = (1 << 63) - 1
 
 
 class WireError(ValueError):
@@ -88,6 +89,11 @@ def encode_indices(indices: np.ndarray) -> bytes:
 
 
 def decode_indices(payload: bytes) -> np.ndarray:
+    """Inverse of :func:`encode_indices`; rejects what it would never emit.
+
+    A zero gap (a repeated index) or an index past the int64 range raises
+    :class:`WireError`.
+    """
     if len(payload) < _COUNT.size:
         raise WireError("index payload truncated")
     (count,) = _COUNT.unpack_from(payload, 0)
@@ -96,7 +102,11 @@ def decode_indices(payload: bytes) -> np.ndarray:
     value = 0
     for i in range(count):
         delta, pos = _decode_varint(payload, pos)
+        if i and not delta:
+            raise WireError(f"zero gap at index entry {i}: indices must be strictly increasing")
         value = delta if i == 0 else value + delta
+        if value > _INT64_MAX:
+            raise WireError(f"index entry {i} exceeds the int64 range")
         out[i] = value
     if pos != len(payload):
         raise WireError("trailing bytes after index payload")

@@ -1,5 +1,7 @@
 """Parameter-server simulation: channel metering, accounting, training runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,24 @@ class TestRunTraining:
         cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=5, lr=0.05)
         res = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
         assert res.metrics.summary["grad_dispersion"] == 0.0
+
+
+class TestGoldenDigests:
+    # sha256 of the metrics CSV of short sketched runs at large d, where the
+    # sketch kernels and the top-P*k selection dominate; recorded before
+    # those kernels were rewritten, so any drift in their output shows here.
+    GOLDEN = {
+        "empirical": "f2b3899ec68e23a32bc586e1ea5e30e2a6f36fae66c691fb3a95696693027957",
+        "theory": "def9d6414b4c182ec50e941fdfe893c13ab0af3b10f632d7f8ec29b0cd4b79fa",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN))
+    def test_large_d_sketched_run(self, mode, tmp_path):
+        d = 200_000
+        prob = QuadraticProblem(np.linspace(1.0, 3.0, d), 0.1, 16, seed=3)
+        extra = dict(lr=3e-4) if mode == "empirical" else dict(xi=1e4)
+        cfg = OptimizerConfig(mode=mode, algorithm="sketched", k=100, p=10, t_rounds=3, w_workers=4, **extra)
+        res = run_training(prob, cfg, SketchConfig(d=d, r=5, c=10_000, seed=2), batch_size=16, data_seed=3, rng_seed=4)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(str(path), res.metrics)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[mode]

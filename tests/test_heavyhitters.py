@@ -14,7 +14,7 @@ from gradsketch.heavyhitters import (
     topk_indices,
     zipf_vector,
 )
-from gradsketch.sketch import SketchConfig, size_for, sketch_vector
+from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
 
 
 class TestKSparseVector:
@@ -55,6 +55,40 @@ class TestTopkSelection:
         assert list(topk_indices(vals, 6)) == list(range(6))
         with pytest.raises(ValueError):
             topk_indices(vals, 7)
+
+
+def _stable_argsort_topk(values, k):
+    # The selection topk_indices must reproduce: the first k of a stable
+    # sort by descending magnitude, NaNs last.
+    return np.sort(np.argsort(-np.abs(values), kind="stable")[:k])
+
+
+class TestTopkOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_stable_argsort(self, data):
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf, np.nan])
+        values = np.array(data.draw(st.lists(special | st.floats(-3, 3), max_size=60)), dtype=np.float64)
+        edges = sorted({0, min(1, values.size), values.size})
+        k = data.draw(st.sampled_from(edges) | st.integers(0, values.size))
+        got = topk_indices(values, k)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _stable_argsort_topk(values, k))
+
+    def test_cases(self):
+        rng = np.random.default_rng(0)
+        ties = rng.integers(-3, 4, size=5000).astype(np.float64)
+        with_nans = ties.copy()
+        with_nans[rng.random(ties.size) < 0.9] = np.nan
+        zeros = np.where(rng.random(100) < 0.5, 0.0, -0.0)
+        for values in (ties, with_nans, zeros, rng.standard_normal(10_000)):
+            for k in {0, 1, 7, min(500, values.size), values.size // 2, values.size - 1, values.size}:
+                assert np.array_equal(topk_indices(values, k), _stable_argsort_topk(values, k))
+
+    def test_fills_with_lowest_index_nans(self):
+        values = np.array([np.nan, 1.0, np.nan, np.nan, -2.0])
+        assert list(topk_indices(values, 3)) == [0, 1, 4]
+        assert list(topk_indices(values, 4)) == [0, 1, 2, 4]
 
 
 class TestTopPkCandidates:
@@ -153,6 +187,24 @@ class TestHeavymix:
         g = np.random.default_rng(4).standard_normal(d)
         out = self._recover(g, d, SketchConfig(d=d, r=3, c=4, seed=0))
         assert np.array_equal(out.to_dense(), g)
+
+    def test_overflowing_heavy_set_keeps_lowest_index_ties(self):
+        # Tables of +-1 and +-2 cells make the estimates heavily tied and put
+        # more than k coordinates over the heavy threshold (all of them for
+        # the +-1 table); the k kept must be those a stable sort by
+        # descending magnitude keeps.
+        d, k = 64, 4
+        cases = [(seed, [-2.0, -1.0, 1.0, 2.0]) for seed in (1, 2, 3, 4, 5, 9)] + [(0, [-1.0, 1.0])]
+        for seed, cells in cases:
+            cfg = SketchConfig(d=d, r=5, c=4, seed=seed)
+            table = np.random.default_rng(seed).choice(cells, size=(cfg.r, cfg.c))
+            s = CountSketch(cfg, _table=table)
+            est = s.estimate_all()
+            heavy_idx = np.flatnonzero((est * est >= s.l2_squared_estimate() / k) & (est != 0.0))
+            assert heavy_idx.size > k
+            expected = heavy_idx[_stable_argsort_topk(est[heavy_idx], k)]
+            out = heavymix(s, k, lambda idx: idx.astype(np.float64), seed)
+            assert np.array_equal(out.indices, expected)
 
     def test_rejects_bad_k(self):
         s = sketch_vector(SketchConfig(d=8, r=3, c=4, seed=0), np.ones(8))

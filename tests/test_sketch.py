@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradsketch.sketch import (
+    _BUILD_BLOCK,
+    MERSENNE_P,
     ConfigMismatchError,
     CountSketch,
     HashFamily,
     SketchConfig,
+    _poly_eval,
     merge_all,
     size_for,
     sketch_vector,
@@ -18,6 +21,10 @@ from gradsketch.sketch import (
 def _dense(cfg, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(cfg.d) * scale
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConfig:
@@ -63,6 +70,16 @@ class TestHashFamily:
         fam = HashFamily(cfg)
         assert fam.buckets.min() >= 0 and fam.buckets.max() < cfg.c
         assert set(np.unique(fam.signs)) <= {-1.0, 1.0}
+
+    def test_blocked_build_matches_one_pass(self):
+        cfg = SketchConfig(d=3 * _BUILD_BLOCK + 5, r=3, c=11, seed=8)
+        fam = HashFamily(cfg)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        coeffs = rng.integers(0, MERSENNE_P, size=(cfg.r, 2, 4), dtype=np.uint64)
+        idx = np.arange(cfg.d, dtype=np.uint64)
+        buckets = (_poly_eval(coeffs[:, 0, :], idx) % np.uint64(cfg.c)).astype(np.int64)
+        signs = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
+        assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs)
 
     def test_seed_changes_hashes(self):
         a = HashFamily(SketchConfig(d=256, r=5, c=16, seed=1))
@@ -238,3 +255,83 @@ class TestSerialization:
         s = CountSketch(cfg)
         s.accumulate(2, 7.0)
         assert CountSketch.from_bytes(s.to_bytes()).point_estimate(2) == 7.0
+
+
+# Reference kernels: the plain formulations that update_dense and
+# estimate_all must reproduce bit for bit.
+
+
+def _flat_bincount_update(sketch, vec):
+    # Gather the nonzeros, then one bincount over flattened (row, bucket)
+    # offsets for all rows at once.
+    cfg, fam = sketch.config, sketch._family
+    nz = np.nonzero(vec)[0]
+    if nz.size == 0:
+        return
+    flat = (fam.buckets + (np.arange(cfg.r) * cfg.c)[:, None])[:, nz].ravel()
+    weights = (fam.signs[:, nz] * vec[nz]).ravel()
+    sketch.table += np.bincount(flat, weights=weights, minlength=cfg.r * cfg.c).reshape(cfg.r, cfg.c)
+
+
+def _numpy_median_estimates(sketch):
+    fam = sketch._family
+    return np.median(np.take_along_axis(sketch.table, fam.buckets, axis=1) * fam.signs, axis=0)
+
+
+class TestKernelOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), negate=st.booleans())
+    def test_update_dense_matches_flat_bincount(self, data, seed, negate):
+        cfg = SketchConfig(d=48, r=data.draw(st.integers(1, 6)), c=5, seed=seed)
+        finite = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        vectors = [np.array(data.draw(st.lists(finite, min_size=cfg.d, max_size=cfg.d))) for _ in range(2)]
+        new = CountSketch(cfg)
+        if negate:
+            # scale(-1) of an empty table leaves every cell at -0.0
+            new = new.scale(-1.0)
+        old = new.copy()
+        for vec in vectors:
+            new.update_dense(vec)
+            _flat_bincount_update(old, vec)
+            assert _same_bits(new.table, old.table)
+
+    def test_update_dense_cases(self):
+        cfg = SketchConfig(d=200, r=5, c=16, seed=7)
+        dense = _dense(cfg, 3)
+        sparse = np.where(np.arange(cfg.d) % 17 == 0, dense, 0.0)
+        for start in (CountSketch(cfg), sketch_vector(cfg, -dense).scale(-1.0), CountSketch(cfg).scale(-1.0)):
+            for vec in (dense, sparse, np.zeros(cfg.d), -np.zeros(cfg.d)):
+                new, old = start.copy(), start.copy()
+                new.update_dense(vec)
+                _flat_bincount_update(old, vec)
+                assert _same_bits(new.table, old.table)
+
+    def test_zero_vector_keeps_negative_zero_cells(self):
+        s = CountSketch(SketchConfig(d=16, r=3, c=4, seed=0)).scale(-1.0)
+        s.update_dense(np.zeros(16))
+        assert np.all(np.signbit(s.table))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_estimate_all_matches_numpy_median(self, data, r, seed):
+        cfg = SketchConfig(d=40, r=r, c=6, seed=seed)
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan])
+        cell = st.one_of(special, st.floats(-4, 4), st.integers(-2, 2).map(float))
+        cells = data.draw(st.lists(cell, min_size=r * cfg.c, max_size=r * cfg.c))
+        s = CountSketch(cfg, _table=np.array(cells).reshape(r, cfg.c))
+        assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+
+    def test_estimate_all_cases(self):
+        for r in range(1, 10):
+            cfg = SketchConfig(d=300, r=r, c=7, seed=r)
+            rng = np.random.default_rng(r)
+            # heavy ties and signed zeros, then a few NaN cells
+            table = rng.integers(-2, 3, size=(r, cfg.c)).astype(np.float64)
+            table[rng.random((r, cfg.c)) < 0.2] = -0.0
+            s = CountSketch(cfg, _table=table)
+            assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+            table[0, 0] = np.nan
+            est = s.estimate_all()
+            assert _same_bits(est, _numpy_median_estimates(s))
+            assert np.isnan(est[s._family.buckets[0] == 0]).all()
+            assert not np.isnan(est[s._family.buckets[0] != 0]).any()

@@ -82,6 +82,20 @@ class TestIndexCodec:
         with pytest.raises(WireError):
             decode_indices(b"\x01")
 
+    def test_rejects_zero_gap(self):
+        # count 2, first index 5, then a gap of 0: a repeated index
+        with pytest.raises(WireError):
+            decode_indices((2).to_bytes(4, "little") + b"\x05\x00")
+
+    def test_rejects_index_past_int64(self):
+        # 2**63 as one ten-byte varint, and as 2**62 plus a gap of 2**62
+        with pytest.raises(WireError):
+            decode_indices((1).to_bytes(4, "little") + b"\x80" * 9 + b"\x01")
+        with pytest.raises(WireError):
+            decode_indices((2).to_bytes(4, "little") + (b"\x80" * 8 + b"\x40") * 2)
+        top = np.array([2**63 - 1], dtype=np.int64)
+        assert np.array_equal(decode_indices(encode_indices(top)), top)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=100))
     def test_round_trip_property(self, values):
