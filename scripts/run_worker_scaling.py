@@ -54,6 +54,7 @@ def union_table(w_grid, args):
     print(f"{'W':<4}{'iid union':<12}{'sharded union':<15}{'min(kW, d)':<12}")
     blocks = max(w_grid)
     for w in w_grid:
+        config = OptimizerConfig(mode="empirical", algorithm="local-topk", k=args.union_k, w_workers=w)
         means = {}
         for label, heterogeneous in (("iid", False), ("sharded", True)):
             sizes = []
@@ -67,8 +68,7 @@ def union_table(w_grid, args):
                         width = args.union_d // blocks
                         g[i * width:(i + 1) * width] *= 10.0
                     grads.append(g)
-                _, union = local_topk_step(states, grads, 0.1, args.union_k)
-                sizes.append(union)
+                sizes.append(len(local_topk_step(states, grads, 0.1, config, None, 0)))
             means[label] = float(np.mean(sizes))
         cap = min(args.union_k * w, args.union_d)
         print(f"{w:<4}{means['iid']:<12.1f}{means['sharded']:<15.1f}{cap:<12}")

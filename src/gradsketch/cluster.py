@@ -9,8 +9,9 @@ upload, and the broadcast update; the index request is measured too but
 excluded from the factor by convention.
 
 ``run_training`` drives the optimizer rounds over a problem: draw a batch,
-split it contiguously across workers, run the mode-specific round through
-the channel, and record losses plus communication stats for every round.
+split it contiguously across workers, run the configured round function
+through the channel, and record losses plus communication stats for every
+round.
 Everything is deterministic given the data, sketch, and fill seeds.
 """
 
@@ -65,56 +66,56 @@ class MeteredChannel:
     def _tally_up(self, counter: dict[int, int], worker: int, amount: int) -> None:
         counter[worker] = counter.get(worker, 0) + amount
 
+    def _carry(self, tag: int, payload: bytes) -> tuple[int, bytes]:
+        """Frame ``payload`` under ``tag`` and unframe it as the receiver does,
+        which raises ``WireError`` on any other tag; returns (frame size, payload)."""
+        blob = wire.frame(tag, payload)
+        received_tag, received = wire.unframe(blob)
+        if received_tag != tag:
+            raise wire.WireError(f"expected a frame tagged {tag}, received tag {received_tag}")
+        return len(blob), received
+
     def up_sketch(self, sketch: CountSketch, worker: int) -> CountSketch:
-        blob = wire.frame(wire.TAG_SKETCH_UP, sketch.to_bytes())
-        _, payload = wire.unframe(blob)
+        size, payload = self._carry(wire.TAG_SKETCH_UP, sketch.to_bytes())
         decoded = CountSketch.from_bytes(payload)
-        self._tally_up(self.up_bytes, worker, len(blob))
+        self._tally_up(self.up_bytes, worker, size)
         self._tally_up(self.up_sketch_elems, worker, decoded.num_elements)
         return decoded
 
-    def request_indices(self, indices: np.ndarray, n_workers: int) -> np.ndarray:
-        del n_workers  # one broadcast regardless of recipients
-        blob = wire.frame(wire.TAG_EXACT_REQUEST, wire.encode_indices(indices))
-        _, payload = wire.unframe(blob)
+    def request_indices(self, indices: np.ndarray) -> np.ndarray:
+        size, payload = self._carry(wire.TAG_EXACT_REQUEST, wire.encode_indices(indices))
         decoded = wire.decode_indices(payload)
-        self.request_bytes += len(blob)
+        self.request_bytes += size
         self.request_elems += int(decoded.size)
         return decoded
 
     def up_values(self, values: np.ndarray, worker: int) -> np.ndarray:
-        blob = wire.frame(wire.TAG_EXACT_UP, wire.encode_values(values))
-        _, payload = wire.unframe(blob)
+        size, payload = self._carry(wire.TAG_EXACT_UP, wire.encode_values(values))
         decoded = wire.decode_values(payload)
-        self._tally_up(self.up_bytes, worker, len(blob))
+        self._tally_up(self.up_bytes, worker, size)
         self._tally_up(self.up_exact_elems, worker, int(decoded.size))
         return decoded
 
     def up_sparse(self, vec, worker: int):
-        blob = wire.frame(wire.TAG_UPDATE_DOWN, wire.encode_sparse(vec))
-        _, payload = wire.unframe(blob)
+        size, payload = self._carry(wire.TAG_SPARSE_UP, wire.encode_sparse(vec))
         decoded = wire.decode_sparse(payload, vec.d)
-        self._tally_up(self.up_bytes, worker, len(blob))
+        self._tally_up(self.up_bytes, worker, size)
         # sparse uploads are exact (index, value) entries; they play the role
         # of the exact-value round in the element accounting
         self._tally_up(self.up_exact_elems, worker, len(decoded))
         return decoded
 
-    def down_update(self, vec, n_workers: int):
-        del n_workers
-        blob = wire.frame(wire.TAG_UPDATE_DOWN, wire.encode_sparse(vec))
-        _, payload = wire.unframe(blob)
+    def down_update(self, vec):
+        size, payload = self._carry(wire.TAG_UPDATE_DOWN, wire.encode_sparse(vec))
         decoded = wire.decode_sparse(payload, vec.d)
-        self.down_bytes += len(blob)
+        self.down_bytes += size
         self.down_elems += len(decoded)
         return decoded
 
-    def down_values(self, values: np.ndarray, n_workers: int) -> np.ndarray:
-        del n_workers
-        blob = wire.frame(wire.TAG_EXACT_UP, wire.encode_values(values))
-        _, payload = wire.unframe(blob)
+    def down_values(self, values: np.ndarray) -> np.ndarray:
+        size, payload = self._carry(wire.TAG_VALUES_DOWN, wire.encode_values(values))
         decoded = wire.decode_values(payload)
-        self.down_bytes += len(blob)
+        self.down_bytes += size
         self.down_elems += int(decoded.size)
         return decoded
 
@@ -153,21 +154,21 @@ class RoundStats:
 
 def account_round(
     sketch_config: SketchConfig | None,
-    p: int,
-    k: int,
+    config: OptimizerConfig,
     d: int,
-    w_workers: int,
     channel: MeteredChannel,
 ) -> RoundStats:
     """Turn one round's channel tallies into RoundStats.
 
-    Enforces the protocol symmetry the accounting relies on: every worker
-    uploaded the same byte and element counts, and a sketched round's sketch
-    upload is exactly the configured table size.
+    Enforces the protocol the accounting relies on: every worker uploaded
+    the same byte and element counts, and a sketched round's uploads are
+    exactly the configured table size and exactly k (theory) or at most
+    ``min(P*k, d)`` plus the bias coordinates (empirical) exact values.
     """
-    per_worker_bytes = [channel.up_bytes.get(w, 0) for w in range(w_workers)]
-    sketch_elems = [channel.up_sketch_elems.get(w, 0) for w in range(w_workers)]
-    exact_elems = [channel.up_exact_elems.get(w, 0) for w in range(w_workers)]
+    workers = range(config.w_workers)
+    per_worker_bytes = [channel.up_bytes.get(w, 0) for w in workers]
+    sketch_elems = [channel.up_sketch_elems.get(w, 0) for w in workers]
+    exact_elems = [channel.up_exact_elems.get(w, 0) for w in workers]
     for name, counts in (("bytes", per_worker_bytes), ("sketch", sketch_elems), ("exact", exact_elems)):
         if len(set(counts)) > 1:
             raise RuntimeError(f"asymmetric per-worker upload {name} counts: {counts}")
@@ -175,11 +176,15 @@ def account_round(
         raise RuntimeError(
             f"sketch upload of {sketch_elems[0]} cells does not match configured {sketch_config.r}x{sketch_config.c}"
         )
-    if sketch_elems[0] and exact_elems[0] > p * k + d:
-        raise RuntimeError(f"exact upload of {exact_elems[0]} values exceeds the candidate budget")
+    if sketch_elems[0]:
+        if config.mode == "theory" and exact_elems[0] != config.k:
+            raise RuntimeError(f"exact upload of {exact_elems[0]} values, theory mode sends exactly k={config.k}")
+        budget = min(config.p * config.k, d) + len(config.bias_indices)
+        if config.mode == "empirical" and exact_elems[0] > budget:
+            raise RuntimeError(f"exact upload of {exact_elems[0]} values exceeds the candidate budget {budget}")
     return RoundStats(
         d=d,
-        w_workers=w_workers,
+        w_workers=config.w_workers,
         up_sketch_elems=sketch_elems[0],
         up_exact_elems=exact_elems[0],
         down_update_elems=channel.down_elems,
@@ -194,26 +199,6 @@ def partition_batch(batch: np.ndarray, w_workers: int) -> list[np.ndarray]:
     if w_workers < 1:
         raise ValueError(f"worker count must be positive, got {w_workers}")
     return np.array_split(np.asarray(batch), w_workers)
-
-
-def exact_lookup_round(vectors: list[np.ndarray], indices: np.ndarray, channel=None) -> np.ndarray:
-    """Fetch the worker-mean of ``vectors`` at ``indices`` through the channel.
-
-    One index request goes down, one value list per worker comes up, and the
-    server averages the replies.  This is the second communication round of
-    every sketched update.
-    """
-    channel = channel or MeteredChannel()
-    idx = np.asarray(indices, dtype=np.int64)
-    d = vectors[0].shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= d):
-        raise IndexError(f"lookup indices out of range for dimension {d}")
-    sent = channel.request_indices(idx, len(vectors))
-    total = None
-    for worker, vec in enumerate(vectors):
-        reply = channel.up_values(vec[sent], worker)
-        total = reply if total is None else total + reply
-    return total / len(vectors)
 
 
 @dataclass
@@ -314,6 +299,9 @@ def run_training(
     order_rng = np.random.default_rng(data_seed)
     fill_seeds = np.random.SeedSequence(rng_seed).generate_state(max(config.t_rounds, 1), dtype=np.uint64)
     averager = IterateAverage(config.xi) if config.mode == "theory" else None
+    # looked up by name on every run, so rebinding a module-level round name takes effect
+    round_fn = {"vanilla": vanilla_step, "true-topk": true_topk_step, "local-topk": local_topk_step,
+                "sketched": theory_round if config.mode == "theory" else empirical_round}[config.algorithm]
 
     metrics = RunMetrics(config_echo={})
     echo = _config_echo(problem, config, sketch_config, batch_size, data_seed, rng_seed)
@@ -338,31 +326,12 @@ def run_training(
         grads = [problem.gradient(st.w, shard) for st, shard in zip(states, shards)]
         mean_grad = sum(grads) / config.w_workers
         grad_sq_max = max(grad_sq_max, float(mean_grad @ mean_grad))
-        dispersion_sum += sum(float((g - mean_grad) @ (g - mean_grad)) for g in grads) / config.w_workers
+        dispersion_sum += sum(float(dev @ dev) for dev in (g - mean_grad for g in grads)) / config.w_workers
 
         if averager is not None:
             averager.add(t, states[0].w.copy())
         channel.start_round()
-        lr_t = lr_at(t, config)
-        union_size: int
-        if config.algorithm == "sketched":
-            if config.mode == "theory":
-                update = theory_round(states, grads, t, config, sketch_config, int(fill_seeds[t - 1]), channel)
-            else:
-                update = empirical_round(states, grads, lr_t, config, sketch_config, int(fill_seeds[t - 1]), channel)
-            support = update.indices
-            union_size = len(update)
-        elif config.algorithm == "vanilla":
-            vanilla_step(states, grads, lr_t, channel)
-            support = np.arange(d, dtype=np.int64)
-            union_size = d
-        elif config.algorithm == "true-topk":
-            update = true_topk_step(states, grads, lr_t, config.k, config.momentum, channel)
-            support = update.indices
-            union_size = len(update)
-        else:
-            update, union_size = local_topk_step(states, grads, lr_t, config.k, config.momentum, channel)
-            support = update.indices
+        update = round_fn(states, grads, lr_at(t, config), config, sketch_config, int(fill_seeds[t - 1]), channel)
 
         for other in states[1:]:
             if not np.array_equal(states[0].w, other.w):
@@ -371,9 +340,9 @@ def run_training(
         loss = problem.train_loss(states[0].w)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"round {t}: non-finite train loss {loss!r}")
-        stats = account_round(sketch_config, config.p, config.k, d, config.w_workers, channel)
-        supports.append(np.array(support, dtype=np.int64))
-        union_total += union_size
+        stats = account_round(sketch_config, config, d, channel)
+        supports.append(np.array(update.indices, dtype=np.int64))
+        union_total += len(update)
         bytes_up_total += stats.bytes_up * config.w_workers
         bytes_down_total += stats.bytes_down * config.w_workers
         bytes_request_total += stats.bytes_request * config.w_workers
@@ -382,15 +351,15 @@ def run_training(
                 t=t,
                 train_loss=loss,
                 test_metric=problem.test_metric(states[0].w),
-                support_size=int(support.size),
-                union_size=int(union_size),
+                support_size=len(update),
+                union_size=len(update),
                 up_sketch_elems=stats.up_sketch_elems,
                 up_exact_elems=stats.up_exact_elems,
                 down_update_elems=stats.down_update_elems,
                 bytes_up=stats.bytes_up,
                 bytes_down=stats.bytes_down,
                 bytes_request=stats.bytes_request,
-                support_hash=support_fingerprint(support),
+                support_hash=support_fingerprint(update.indices),
             )
         )
 

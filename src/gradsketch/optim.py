@@ -14,14 +14,18 @@ operator swapped: exact top-k of the mean accumulated vector (true top-k),
 per-worker top-k with support union (local top-k), or no compression at all
 (vanilla).
 
-All communication flows through an injectable channel so the cluster layer
-can serialize and meter every message; with no channel the rounds run as
-pure in-process math.
+Every round function has one signature, ``(states, grads, lr_t, config,
+sketch_config, rng_seed, channel=None)``, mutates the worker states in place
+and returns the broadcast update as a ``KSparseVector`` (vanilla's on full
+support).  All communication flows through the injectable channel so the
+cluster layer can serialize and meter every message; with no channel the
+rounds run as pure in-process math.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -35,23 +39,10 @@ ALGORITHMS = ("sketched", "vanilla", "true-topk", "local-topk")
 class _NullChannel:
     """Pass-through used when rounds run without a metering transport."""
 
-    def up_sketch(self, sketch, worker):
-        return sketch
+    def _deliver(self, message, *_):
+        return message
 
-    def request_indices(self, indices, n_workers):
-        return indices
-
-    def up_values(self, values, worker):
-        return values
-
-    def up_sparse(self, vec, worker):
-        return vec
-
-    def down_update(self, vec, n_workers):
-        return vec
-
-    def down_values(self, values, n_workers):
-        return values
+    up_sketch = request_indices = up_values = up_sparse = down_update = down_values = _deliver
 
 
 def rho_for(beta: float) -> float:
@@ -155,10 +146,6 @@ class OptimizerConfig:
         if sorted(times) != times or len(set(times)) != len(times):
             raise ValueError("lr schedule breakpoints must be strictly increasing in t")
 
-    @property
-    def uncompressed_bias(self) -> bool:
-        return bool(self.bias_indices)
-
     def validate_for_dimension(self, d: int) -> None:
         """Dimension-dependent checks deferred until the problem is known."""
         if self.k > d:
@@ -178,26 +165,20 @@ class OptimizerConfig:
 
 @dataclass
 class WorkerState:
-    """Per-worker replica: parameters plus whatever the mode accumulates.
+    """Per-worker replica: parameters, momentum buffer, error accumulator.
 
-    ``error`` is the theory-mode accumulator, ``momentum``/``accum`` the
-    empirical-mode buffers.  All replicas hold the full parameter vector and
+    Theory mode accumulates step-scaled gradients into ``accum`` and leaves
+    ``momentum`` unused.  All replicas hold the full parameter vector and
     must remain bit-identical across workers at round boundaries.
     """
 
     w: np.ndarray
-    error: np.ndarray = field(default=None)  # type: ignore[assignment]
-    momentum: np.ndarray = field(default=None)  # type: ignore[assignment]
-    accum: np.ndarray = field(default=None)  # type: ignore[assignment]
+    momentum: np.ndarray = field(init=False)
+    accum: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d = self.w.shape[0]
-        if self.error is None:
-            self.error = np.zeros(d)
-        if self.momentum is None:
-            self.momentum = np.zeros(d)
-        if self.accum is None:
-            self.accum = np.zeros(d)
+        self.momentum = np.zeros(self.w.shape[0])
+        self.accum = np.zeros(self.w.shape[0])
 
 
 def make_states(w0: np.ndarray, n_workers: int) -> list[WorkerState]:
@@ -227,69 +208,81 @@ class IterateAverage:
         return self.weighted_sum / self.total_weight
 
 
-def _mean_lookup(vectors: list[np.ndarray], channel, n_workers: int):
-    """Exact second-round oracle: request indices, average worker replies."""
+def exact_mean(vectors: list[np.ndarray], channel, indices: np.ndarray | None = None) -> np.ndarray:
+    """Worker mean of ``vectors`` through ``channel``: at ``indices`` after one
+    index request (the exact second round), else of whole dense uploads.
+    Replies sum in worker order from the first one, so ``-0.0`` survives."""
+    if indices is not None:
+        indices = channel.request_indices(indices)
+    total = None
+    for worker, vec in enumerate(vectors):
+        reply = channel.up_values(vec if indices is None else vec[indices], worker)
+        total = reply if total is None else total + reply
+    return total / len(vectors)
 
-    def lookup(indices: np.ndarray) -> np.ndarray:
-        idx = channel.request_indices(indices, n_workers)
-        total = None
-        for worker, vec in enumerate(vectors):
-            reply = channel.up_values(vec[idx], worker)
-            total = reply if total is None else total + reply
-        return total / n_workers
 
-    return lookup
+def _accumulate(
+    states: list[WorkerState], grads: list[np.ndarray], momentum: float = 0.0, eta: float | None = None
+) -> None:
+    """Error accumulation in place: the analyzed recursion adds ``eta * g``;
+    the other rounds run momentum first and scale by the step at apply time."""
+    for st, g in zip(states, grads):
+        if eta is not None:
+            st.accum += eta * g
+        else:
+            st.momentum *= momentum
+            st.momentum += g
+            st.accum += st.momentum
+
+
+def _apply(states: list[WorkerState], update: KSparseVector, lr_t: float, masks) -> None:
+    """Step every replica by ``lr_t * update``, then zero each worker's
+    momentum and accumulator on its own mask (momentum factor masking)."""
+    for st, mask in zip(states, masks):
+        st.w[update.indices] -= lr_t * update.values
+        st.momentum[mask] = 0.0
+        st.accum[mask] = 0.0
+
+
+def _merged_sketch(vectors: list[np.ndarray], sketch_config: SketchConfig, channel):
+    """Sketch and upload every worker's vector; merge to the worker mean."""
+    received = [channel.up_sketch(sketch_vector(sketch_config, vec), worker) for worker, vec in enumerate(vectors)]
+    return merge_all(received).scale(1.0 / len(vectors))
 
 
 def theory_round(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    t: int,
-    config: OptimizerConfig,
-    sketch_config: SketchConfig,
-    rng_seed: int,
-    channel=None,
+    states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
+    sketch_config: SketchConfig, rng_seed: int, channel=None,
 ) -> KSparseVector:
     """One analyzed-mode round; mutates states in place, returns the update.
 
-    Per worker: fold the step size into the gradient, add the error
-    accumulator, sketch, and send.  The server merges to the worker mean,
-    extracts k coordinates, fetches their exact mean values, and broadcasts.
-    Every worker applies the update and subtracts the full global update
-    from its accumulator.
+    Per worker: fold the step size ``lr_t`` into the gradient, add it to the
+    error accumulator, sketch, and send.  The server merges to the worker
+    mean, extracts k coordinates, fetches their exact mean values, and
+    broadcasts.  Every worker applies the update unscaled and subtracts the
+    full global update from its accumulator.
     """
     channel = channel or _NullChannel()
-    n = len(states)
-    eta = lr_theory(t, config.xi, config.mu_scale)
-    accumulated = [eta * g + st.error for st, g in zip(states, grads)]
-    received = [
-        channel.up_sketch(sketch_vector(sketch_config, acc), worker)
-        for worker, acc in enumerate(accumulated)
-    ]
-    merged = merge_all(received).scale(1.0 / n)
-    update = heavymix(merged, config.k, _mean_lookup(accumulated, channel, n), rng_seed)
-    update = channel.down_update(update, n)
-    for st, acc in zip(states, accumulated):
+    _accumulate(states, grads, eta=lr_t)
+    accums = [st.accum for st in states]
+    merged = _merged_sketch(accums, sketch_config, channel)
+    update = heavymix(merged, config.k, lambda indices: exact_mean(accums, channel, indices), rng_seed)
+    update = channel.down_update(update)
+    for st in states:
         st.w[update.indices] -= update.values
-        st.error = acc
-        st.error[update.indices] -= update.values
+        st.accum[update.indices] -= update.values
     return update
 
 
 def empirical_round(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    lr_t: float,
-    config: OptimizerConfig,
-    sketch_config: SketchConfig,
-    rng_seed: int,
-    channel=None,
+    states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
+    sketch_config: SketchConfig, rng_seed: int, channel=None,
 ) -> KSparseVector:
     """One practical-mode round; mutates states in place, returns the update.
 
     Momentum and error accumulation run per worker on raw gradients; the
-    sketch summarizes the accumulator (bias coordinates excluded when the
-    uncompressed-bias path is on).  The server takes the top ``min(P*k, d)``
+    sketch summarizes the accumulator (bias coordinates excluded when
+    ``bias_indices`` is set).  The server takes the top ``min(P*k, d)``
     estimated coordinates, fetches exact mean values, keeps the k largest,
     and broadcasts; bias coordinates ride along exactly every round.  The
     update is applied scaled by ``lr_t`` and the accumulators are zeroed on
@@ -297,70 +290,47 @@ def empirical_round(
     """
     del rng_seed  # candidate selection is deterministic in this mode
     channel = channel or _NullChannel()
-    n = len(states)
-    d = sketch_config.d
     bias = np.asarray(config.bias_indices, dtype=np.int64)
-    for st, g in zip(states, grads):
-        st.momentum = config.momentum * st.momentum + g
-        st.accum = st.accum + st.momentum
+    _accumulate(states, grads, config.momentum)
+    compressible = [st.accum for st in states]
     if bias.size:
-        compressible = []
-        for st in states:
-            vec = st.accum.copy()
+        compressible = [vec.copy() for vec in compressible]
+        for vec in compressible:
             vec[bias] = 0.0
-            compressible.append(vec)
-    else:
-        compressible = [st.accum for st in states]
-    received = [
-        channel.up_sketch(sketch_vector(sketch_config, vec), worker)
-        for worker, vec in enumerate(compressible)
-    ]
-    merged = merge_all(received).scale(1.0 / n)
-    candidates = top_pk_candidates(merged, config.p, config.k)
+    candidates = top_pk_candidates(_merged_sketch(compressible, sketch_config, channel), config.p, config.k)
     if bias.size:
         candidates = candidates[~np.isin(candidates, bias)]
-    lookup = _mean_lookup(compressible, channel, n)
-    exact = lookup(candidates)
+    exact = exact_mean(compressible, channel, candidates)
     keep = topk_indices(exact, min(config.k, exact.size))
     support = candidates[keep]
     values = exact[keep]
     if bias.size:
         # bias values live in the raw accumulators; the compressible copies
         # had them zeroed out before sketching
-        bias_mean = _mean_lookup([st.accum for st in states], channel, n)(bias)
         support = np.concatenate([support, bias])
-        values = np.concatenate([values, bias_mean])
+        values = np.concatenate([values, exact_mean([st.accum for st in states], channel, bias)])
         order = np.argsort(support)
         support, values = support[order], values[order]
-    update = channel.down_update(KSparseVector(d=d, indices=support, values=values), n)
-    for st in states:
-        st.w[update.indices] -= lr_t * update.values
-        st.momentum[update.indices] = 0.0
-        st.accum[update.indices] = 0.0
+    update = channel.down_update(KSparseVector(d=sketch_config.d, indices=support, values=values))
+    _apply(states, update, lr_t, repeat(update.indices))
     return update
 
 
-def vanilla_step(states: list[WorkerState], grads: list[np.ndarray], lr_t: float, channel=None) -> np.ndarray:
-    """Uncompressed data-parallel SGD step; returns the mean gradient."""
+def vanilla_step(
+    states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
+    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
+) -> KSparseVector:
+    """Uncompressed data-parallel SGD step; returns the mean gradient on full support."""
     channel = channel or _NullChannel()
-    n = len(states)
-    total = None
-    for worker, g in enumerate(grads):
-        reply = channel.up_values(g, worker)
-        total = reply if total is None else total + reply
-    mean_grad = channel.down_values(total / n, n)
+    mean_grad = channel.down_values(exact_mean(grads, channel))
     for st in states:
         st.w -= lr_t * mean_grad
-    return mean_grad
+    return KSparseVector(d=mean_grad.size, indices=np.arange(mean_grad.size), values=mean_grad)
 
 
 def true_topk_step(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    lr_t: float,
-    k: int,
-    momentum: float = 0.0,
-    channel=None,
+    states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
+    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
 ) -> KSparseVector:
     """Error-feedback step whose compressor is exact top-k of the mean accumulator.
 
@@ -368,35 +338,19 @@ def true_topk_step(
     it densely; this baseline bounds what any k-sparse selection could do.
     """
     channel = channel or _NullChannel()
-    n = len(states)
-    d = states[0].w.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    total = None
-    for worker, (st, g) in enumerate(zip(states, grads)):
-        st.momentum = momentum * st.momentum + g
-        st.accum = st.accum + st.momentum
-        reply = channel.up_values(st.accum, worker)
-        total = reply if total is None else total + reply
-    mean_accum = total / n
-    support = topk_indices(mean_accum, k)
-    update = channel.down_update(KSparseVector(d=d, indices=support, values=mean_accum[support]), n)
-    for st in states:
-        st.w[update.indices] -= lr_t * update.values
-        st.momentum[update.indices] = 0.0
-        st.accum[update.indices] = 0.0
+    _accumulate(states, grads, config.momentum)
+    mean_accum = exact_mean([st.accum for st in states], channel)
+    support = topk_indices(mean_accum, config.k)
+    update = channel.down_update(KSparseVector(d=mean_accum.size, indices=support, values=mean_accum[support]))
+    _apply(states, update, lr_t, repeat(update.indices))
     return update
 
 
 def local_topk_step(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    lr_t: float,
-    k: int,
-    momentum: float = 0.0,
-    channel=None,
-) -> tuple[KSparseVector, int]:
-    """Per-worker exact top-k with union support; returns (update, union size).
+    states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
+    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
+) -> KSparseVector:
+    """Per-worker exact top-k with union support.
 
     Each worker uploads the top k entries of its own accumulator and zeroes
     only what it sent (per-worker error feedback).  The server averages the
@@ -404,25 +358,16 @@ def local_topk_step(
     ``min(k * W, d)`` elements on the way back down.
     """
     channel = channel or _NullChannel()
-    n = len(states)
     d = states[0].w.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    _accumulate(states, grads, config.momentum)
+    own_supports = [topk_indices(st.accum, config.k) for st in states]
     summed = np.zeros(d)
-    own_supports = []
-    for worker, (st, g) in enumerate(zip(states, grads)):
-        st.momentum = momentum * st.momentum + g
-        st.accum = st.accum + st.momentum
-        own = topk_indices(st.accum, k)
+    for worker, (st, own) in enumerate(zip(states, own_supports)):
         sent = channel.up_sparse(KSparseVector(d=d, indices=own, values=st.accum[own]), worker)
         summed[sent.indices] += sent.values
-        own_supports.append(own)
     # contributions can cancel to exactly zero in the sum; the union still
     # reflects every coordinate that was transmitted
     union = np.unique(np.concatenate(own_supports))
-    update = channel.down_update(KSparseVector(d=d, indices=union, values=summed[union] / n), n)
-    for st, own in zip(states, own_supports):
-        st.w[update.indices] -= lr_t * update.values
-        st.momentum[own] = 0.0
-        st.accum[own] = 0.0
-    return update, int(union.size)
+    update = channel.down_update(KSparseVector(d=d, indices=union, values=summed[union] / len(states)))
+    _apply(states, update, lr_t, own_supports)
+    return update

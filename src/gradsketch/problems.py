@@ -299,9 +299,6 @@ class _ErmProblem:
         del seed  # classifiers start at the origin for reproducibility
         return np.zeros(self.d)
 
-    def gradient(self, w, idx):
-        return self.per_sample_gradients(w, idx).mean(axis=0)
-
     def test_metric(self, w: np.ndarray) -> float:
         return classification_error(w, self.test)
 

@@ -194,10 +194,6 @@ class CountSketch:
         else:
             self.table = _table
 
-    def zero_like(self) -> "CountSketch":
-        """Fresh empty sketch sharing this sketch's config and hash family."""
-        return CountSketch(self.config, _family=self._family)
-
     def copy(self) -> "CountSketch":
         return CountSketch(self.config, _family=self._family, _table=self.table.copy())
 

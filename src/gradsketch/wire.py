@@ -6,15 +6,16 @@ and the payload.  Payload layouts:
 * ``SKETCH_UP``: a serialized count sketch (see ``sketch.to_bytes``).
 * ``EXACT_REQUEST``: u32 count, then the sorted indices delta-encoded as
   unsigned LEB128 varints (first value absolute, the rest gaps).
-* ``EXACT_UP``: u32 count followed by that many float64 values.  Also used
-  whenever a dense value segment is transmitted (uncompressed baselines).
+* ``EXACT_UP``: u32 count followed by that many float64 values (a worker's
+  exact-value reply, or its dense vector in the uncompressed baselines).
 * ``UPDATE_DOWN``: u32 count followed by (u64 index, f64 value) pairs with
-  strictly increasing indices.  This is the sparse-vector codec; the local
-  top-k baseline reuses it for its sparse worker uploads.
+  strictly increasing indices.  This is the sparse-vector codec.
+* ``SPARSE_UP`` / ``VALUES_DOWN``: the ``UPDATE_DOWN`` / ``EXACT_UP`` layouts
+  for local top-k's sparse worker uploads and vanilla's dense broadcast.
 
 All integers are little-endian.  Encoding then decoding any message must
-reproduce it bit for bit; the transport layer round-trips every message so a
-format bug cannot hide.
+reproduce it bit for bit; the transport layer round-trips every message and
+checks the tag it receives, so a format or routing bug cannot hide.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ TAG_SKETCH_UP = 1
 TAG_EXACT_REQUEST = 2
 TAG_EXACT_UP = 3
 TAG_UPDATE_DOWN = 4
+TAG_SPARSE_UP = 5
+TAG_VALUES_DOWN = 6
 
 _FRAME = struct.Struct("<BI")
 _COUNT = struct.Struct("<I")

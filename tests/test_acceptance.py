@@ -164,8 +164,8 @@ class TestAcceptance:
             halves = np.array_split(batch, 2)
             gs = [prob.gradient(sketched[i].w, halves[i]) for i in range(2)]
             gv = [prob.gradient(vanilla[i].w, halves[i]) for i in range(2)]
-            theory_round(sketched, gs, t, cfg, skc, int(fills[t - 1]), None)
-            vanilla_step(vanilla, gv, lr_theory(t, cfg.xi), None)
+            theory_round(sketched, gs, lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), None)
+            vanilla_step(vanilla, gv, lr_theory(t, cfg.xi), cfg, None, 0, None)
             worst = max(worst, float(np.max(np.abs(sketched[0].w - vanilla[0].w))))
         _report(
             "AC5 no-compression equivalence",
@@ -276,8 +276,8 @@ class TestAcceptance:
                     if heterogeneous:
                         g[i * (d // 16):(i + 1) * (d // 16)] *= 10.0
                     grads.append(g)
-                _, union = local_topk_step(states, grads, 0.1, k)
-                sizes[w] = union
+                cfg = OptimizerConfig(mode="empirical", algorithm="local-topk", k=k, w_workers=w)
+                sizes[w] = len(local_topk_step(states, grads, 0.1, cfg, None, 0))
             return sizes
 
         details = []
@@ -320,11 +320,11 @@ class TestAcceptance:
         worst = 0.0
         for t in range(1, 501):
             g = rng.standard_normal(d)
-            update = theory_round(states, [g], t, cfg, skc, int(fills[t - 1]), None)
+            update = theory_round(states, [g], lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), None)
             applied += update.to_dense()
             scaled += lr_theory(t, cfg.xi) * g
             worst = max(
-                worst, float(np.max(np.abs(states[0].error + applied - scaled)))
+                worst, float(np.max(np.abs(states[0].accum + applied - scaled)))
             )
         _report(
             "AC9 conservation",

@@ -128,14 +128,14 @@ class TestTheoryRound:
         states = make_states(np.zeros(4), 2)
         g1 = np.array([4.0, 2.0, 0.0, 0.0])
         g2 = np.array([0.0, 2.0, 0.0, 0.0])
-        update = theory_round(states, [g1, g2], 1, cfg, skc, rng_seed=0)
+        update = theory_round(states, [g1, g2], lr_theory(1, 10.0), cfg, skc, rng_seed=0)
         eta = 1.0 / 11.0
         assert list(update.indices) == [0, 1]
         assert np.array_equal(update.values, np.array([2 * eta, 2 * eta]))
         for stt in states:
             assert np.array_equal(stt.w, np.array([-2 * eta, -2 * eta, 0.0, 0.0]))
-        assert np.array_equal(states[0].error, np.array([2 * eta, 0.0, 0.0, 0.0]))
-        assert np.array_equal(states[1].error, np.array([-2 * eta, 0.0, 0.0, 0.0]))
+        assert np.array_equal(states[0].accum, np.array([2 * eta, 0.0, 0.0, 0.0]))
+        assert np.array_equal(states[1].accum, np.array([-2 * eta, 0.0, 0.0, 0.0]))
 
     def test_nothing_lost_over_many_rounds(self):
         # With one worker the error accumulator must equal the scaled
@@ -151,11 +151,11 @@ class TestTheoryRound:
         applied = np.zeros(d)
         for t in range(1, 61):
             g = rng.standard_normal(d)
-            update = theory_round(states, [g], t, cfg, skc, rng_seed=1000 + t)
+            update = theory_round(states, [g], lr_theory(t, xi), cfg, skc, rng_seed=1000 + t)
             assert len(update) == k
             scaled_grads += lr_theory(t, xi) * g
             applied += update.to_dense()
-        assert np.allclose(states[0].error, scaled_grads - applied, rtol=0.0, atol=1e-12)
+        assert np.allclose(states[0].accum, scaled_grads - applied, rtol=0.0, atol=1e-12)
         assert np.allclose(states[0].w, -applied, rtol=0.0, atol=1e-12)
 
     def test_zero_gradients_change_nothing(self):
@@ -164,12 +164,12 @@ class TestTheoryRound:
         skc = SketchConfig(d=16, r=9, c=48, seed=5)
         states = make_states(np.ones(16), 2)
         zero = np.zeros(16)
-        update = theory_round(states, [zero, zero], 1, cfg, skc, rng_seed=7)
+        update = theory_round(states, [zero, zero], lr_theory(1, 40.0), cfg, skc, rng_seed=7)
         assert len(update) == 2
         assert np.all(update.values == 0.0)
         for stt in states:
             assert np.array_equal(stt.w, np.ones(16))
-            assert np.all(stt.error == 0.0)
+            assert np.all(stt.accum == 0.0)
 
     def test_duplicating_a_worker_is_invisible(self):
         # Two workers fed identical gradients must reproduce the single
@@ -186,8 +186,8 @@ class TestTheoryRound:
         rng = np.random.default_rng(4)
         for t in range(1, 6):
             g = rng.standard_normal(d)
-            u1 = theory_round(solo, [g], t, solo_cfg, skc, rng_seed=t)
-            u2 = theory_round(duo, [g, g.copy()], t, duo_cfg, skc, rng_seed=t)
+            u1 = theory_round(solo, [g], lr_theory(t, xi), solo_cfg, skc, rng_seed=t)
+            u2 = theory_round(duo, [g, g.copy()], lr_theory(t, xi), duo_cfg, skc, rng_seed=t)
             assert np.array_equal(u1.indices, u2.indices)
             assert np.array_equal(u1.values, u2.values)
         assert np.array_equal(solo[0].w, duo[0].w)
@@ -230,7 +230,7 @@ class TestEmpiricalRound:
         for t in range(10):
             grads = [rng.standard_normal(d) for _ in range(workers)]
             ue = empirical_round(sketched, grads, 0.05, cfg, skc, rng_seed=t)
-            ut = true_topk_step(exact, grads, 0.05, k, momentum=0.3)
+            ut = true_topk_step(exact, grads, 0.05, cfg, None, t)
             assert np.array_equal(ue.indices, ut.indices)
             assert np.array_equal(ue.values, ut.values)
         for se, sx in zip(sketched, exact):
@@ -272,13 +272,18 @@ class TestEmpiricalRound:
         assert {0, 7} <= set(update.indices.tolist())
 
 
+def _baseline(algorithm, k=1):
+    return OptimizerConfig(mode="empirical", algorithm=algorithm, k=k)
+
+
 class TestBaselines:
     def test_vanilla_step_applies_mean_gradient(self):
         states = make_states(np.zeros(3), 2)
         g1 = np.array([2.0, 0.0, -4.0])
         g2 = np.array([0.0, 2.0, 0.0])
-        mean = vanilla_step(states, [g1, g2], 0.5)
-        assert np.array_equal(mean, np.array([1.0, 1.0, -2.0]))
+        mean = vanilla_step(states, [g1, g2], 0.5, _baseline("vanilla"), None, 0)
+        assert list(mean.indices) == [0, 1, 2]
+        assert np.array_equal(mean.values, np.array([1.0, 1.0, -2.0]))
         for stt in states:
             assert np.array_equal(stt.w, np.array([-0.5, -0.5, 1.0]))
 
@@ -289,8 +294,8 @@ class TestBaselines:
         rng = np.random.default_rng(21)
         for _ in range(5):
             grads = [rng.standard_normal(d) for _ in range(workers)]
-            vanilla_step(dense, grads, 0.1)
-            update = true_topk_step(full, grads, 0.1, k=d)
+            vanilla_step(dense, grads, 0.1, _baseline("vanilla"), None, 0)
+            update = true_topk_step(full, grads, 0.1, _baseline("true-topk", k=d), None, 0)
             assert len(update) == d
         for a, b in zip(dense, full):
             assert np.array_equal(a.w, b.w)
@@ -300,16 +305,16 @@ class TestBaselines:
     def test_true_topk_rejects_bad_k(self):
         states = make_states(np.zeros(4), 1)
         with pytest.raises(ValueError):
-            true_topk_step(states, [np.ones(4)], 0.1, k=0)
+            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=0), None, 0)
         with pytest.raises(ValueError):
-            true_topk_step(states, [np.ones(4)], 0.1, k=5)
+            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=5), None, 0)
 
     def test_local_topk_disjoint_blocks_union(self):
         states = make_states(np.zeros(8), 2)
         g1 = np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         g2 = np.array([0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 0.0, 0.0])
-        update, union = local_topk_step(states, [g1, g2], 0.1, k=2)
-        assert union == 4
+        update = local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0)
+        assert len(update) == 4
         assert list(update.indices) == [0, 1, 4, 5]
         # contributions are averaged over all workers, senders or not
         assert np.array_equal(update.values, np.array([2.5, 2.0, 1.5, 1.0]))
@@ -318,7 +323,7 @@ class TestBaselines:
         states = make_states(np.zeros(8), 2)
         g1 = np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         g2 = np.array([0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 0.0, 0.0])
-        local_topk_step(states, [g1, g2], 0.1, k=2)
+        local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0)
         assert np.all(states[0].accum[[0, 1]] == 0.0)
         assert np.all(states[1].accum[[4, 5]] == 0.0)
         # every worker still applies the full union update to its replica
@@ -326,10 +331,11 @@ class TestBaselines:
 
     def test_local_topk_keeps_cancelled_coordinates_in_union(self):
         states = make_states(np.zeros(4), 2)
-        update, union = local_topk_step(
-            states, [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])], 0.1, k=1
+        update = local_topk_step(
+            states, [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])], 0.1,
+            _baseline("local-topk", k=1), None, 0,
         )
-        assert union == 1
+        assert len(update) == 1
         assert list(update.indices) == [0]
         assert update.values[0] == 0.0
 
@@ -345,9 +351,8 @@ class TestBaselines:
         rng = np.random.default_rng(seed)
         states = make_states(np.zeros(d), workers)
         grads = [rng.standard_normal(d) for _ in range(workers)]
-        update, union = local_topk_step(states, grads, 0.1, k=k)
-        assert k <= union <= min(k * workers, d)
-        assert len(update) == union
+        update = local_topk_step(states, grads, 0.1, _baseline("local-topk", k=k), None, 0)
+        assert k <= len(update) <= min(k * workers, d)
         ws = [stt.w for stt in states]
         for other in ws[1:]:
             assert np.array_equal(ws[0], other)
