@@ -77,7 +77,7 @@ class MeteredChannel:
 
     def up_sketch(self, sketch: CountSketch, worker: int) -> CountSketch:
         size, payload = self._carry(wire.TAG_SKETCH_UP, sketch.to_bytes())
-        decoded = CountSketch.from_bytes(payload)
+        decoded = wire.decode_sketch(payload, sketch.config)
         self._tally_up(self.up_bytes, worker, size)
         self._tally_up(self.up_sketch_elems, worker, decoded.num_elements)
         return decoded
@@ -261,6 +261,28 @@ def config_compression_factor(config: OptimizerConfig, sketch_config, d: int, me
     return 2.0 * d / (config.k + union)
 
 
+def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
+    """Squared norm of the worker-mean gradient, and the workers' mean
+    squared distance from it.
+
+    Uses two length-d buffers but the operations, in their order, of
+    ``mean = sum(grads) / W`` (whose sum starts from 0) and of
+    ``sum((g - mean) @ (g - mean) for g in grads) / W``, so the values keep
+    their bits.
+    """
+    mean = np.add(0.0, grads[0])
+    for g in grads[1:]:
+        mean += g
+    mean /= len(grads)
+    mean_sq = float(mean @ mean)
+    dev = np.empty_like(mean)
+    dispersion = 0
+    for g in grads:
+        np.subtract(g, mean, out=dev)
+        dispersion += float(dev @ dev)
+    return mean_sq, dispersion / len(grads)
+
+
 def run_training(
     problem,
     config: OptimizerConfig,
@@ -324,9 +346,9 @@ def run_training(
         batch = order_rng.choice(problem.n_train, size=batch_size, replace=False)
         shards = partition_batch(batch, config.w_workers)
         grads = [problem.gradient(st.w, shard) for st, shard in zip(states, shards)]
-        mean_grad = sum(grads) / config.w_workers
-        grad_sq_max = max(grad_sq_max, float(mean_grad @ mean_grad))
-        dispersion_sum += sum(float(dev @ dev) for dev in (g - mean_grad for g in grads)) / config.w_workers
+        mean_sq, dispersion = _gradient_statistics(grads)
+        grad_sq_max = max(grad_sq_max, mean_sq)
+        dispersion_sum += dispersion
 
         if averager is not None:
             averager.add(t, states[0].w.copy())

@@ -246,7 +246,9 @@ class QuadraticProblem:
         return self.noise.shape[0]
 
     def _objective(self, w: np.ndarray) -> float:
-        return float(0.5 * (w * self.spectrum) @ w - self.b @ w)
+        half = w * self.spectrum
+        half *= 0.5
+        return float(half @ w - self.b @ w)
 
     def initial_point(self, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).standard_normal(self.d)
@@ -255,10 +257,21 @@ class QuadraticProblem:
         return (self.spectrum * w - self.b)[None, :] + self.noise[idx]
 
     def gradient(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # The batch's noise rows are copied and averaged before the (d,)
-        # temporaries of the deterministic part exist, which lowers the peak.
-        noise = self.noise[idx].mean(axis=0)
-        return self.spectrum * w - self.b + noise
+        # The batch's noise rows are summed one after another into one buffer
+        # and divided by the count, the operations noise[idx].mean(axis=0)
+        # makes, without copying the rows.  At d = 1 numpy sums the column
+        # pairwise instead, so there (and for a single row) it takes the mean.
+        if self.d == 1 or len(idx) < 2:
+            noise = self.noise[idx].mean(axis=0)
+        else:
+            noise = np.add(self.noise[idx[0]], self.noise[idx[1]])
+            for i in idx[2:]:
+                noise += self.noise[i]
+            noise /= len(idx)
+        out = self.spectrum * w
+        out -= self.b
+        out += noise
+        return out
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.spectrum * w - self.b + self._noise_mean

@@ -34,6 +34,9 @@ MERSENNE_P = (1 << 61) - 1
 # Indices per block when a hash family is built: small enough that the
 # evaluation's (r, block) temporaries stay in cache and never grow with d.
 _BUILD_BLOCK = 1 << 12
+# Indices per block of estimate_all: the r gathered rows of a block stay in
+# cache through the whole median network.
+_ESTIMATE_BLOCK = 1 << 14
 
 _HEADER = struct.Struct("<4sHQIIQ")
 _MAGIC = b"CSK1"
@@ -118,15 +121,35 @@ def _mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(s >= p, s - p, s)
 
 
+def _mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # _mulmod_p61 for a < 2**61 - 1 and x < 2**32: with x one 32-bit limb,
+    # hi = (a >> 32) * x < 2**61 and lo = (a & 0xFFFFFFFF) * x < 2**64, and
+    # folding both with 2**61 = 1 (mod p) leaves a sum below 2**63.
+    p = np.uint64(MERSENNE_P)
+    hi = (a >> np.uint64(32)) * x
+    lo = (a & np.uint64(0xFFFFFFFF)) * x
+    s = hi >> np.uint64(29)
+    hi &= np.uint64((1 << 29) - 1)
+    hi <<= np.uint64(32)
+    s += hi
+    s += lo >> np.uint64(61)
+    lo &= p
+    s += lo
+    s = (s >> np.uint64(61)) + (s & p)
+    return np.subtract(s, p, out=s, where=s >= p)
+
+
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Horner evaluation of per-row degree-3 polynomials mod 2**61 - 1.
     # coeffs: (rows, 4) uint64, highest degree first; x: (n,) uint64.
     p = np.uint64(MERSENNE_P)
     rows = coeffs.shape[0]
+    mulmod = _mulmod_p61_short if x.size and int(x.max()) < 1 << 32 else _mulmod_p61
     acc = np.broadcast_to(coeffs[:, 0][:, None], (rows, x.shape[0])).copy()
     for deg in range(1, coeffs.shape[1]):
-        acc = _mulmod_p61(acc, x[None, :]) + coeffs[:, deg][:, None]
-        acc = np.where(acc >= p, acc - p, acc)
+        acc = mulmod(acc, x[None, :])
+        acc += coeffs[:, deg][:, None]
+        np.subtract(acc, p, out=acc, where=acc >= p)
     return acc
 
 
@@ -208,8 +231,9 @@ class CountSketch:
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
-        One weighted ``bincount`` per row.  Each cell receives its addends in
-        index order, summed from +0.0, so the table is bit for bit what
+        One weighted ``bincount`` per row, its weights written into one
+        length-d buffer reused by every row.  Each cell receives its addends
+        in index order, summed from +0.0, so the table is bit for bit what
         accumulating the nonzeros one at a time in index order would give:
         the zero coordinates add signed zeros, which change no such sum.
         An all-zero vector leaves the table untouched, -0.0 cells included.
@@ -221,8 +245,9 @@ class CountSketch:
         if not vec.any():
             return
         fam = self._family
+        weights = np.empty(cfg.d)
         for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
-            row += np.bincount(buckets, weights=signs * vec, minlength=cfg.c)
+            row += np.bincount(buckets, weights=np.multiply(signs, vec, out=weights), minlength=cfg.c)
 
     def point_estimate(self, index: int) -> float:
         """Median-of-rows estimate of the summarized value at ``index``."""
@@ -236,33 +261,42 @@ class CountSketch:
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
 
-        One gather per row, then the median over rows by a compare-exchange
-        network of elementwise min/max, so cost is Theta(d * r^2) flops with
-        no sort.  The result is bit for bit ``np.median`` over the gathered
-        rows: an odd row count takes the middle value plus +0.0 and an even
-        one ``(0.0 + lower + upper) / 2``, the sum numpy's mean forms; any
-        NaN in a column makes its estimate NaN.
+        Works through the indices in blocks of ``_ESTIMATE_BLOCK``, written
+        into one preallocated output: per block, one gather per row, then the
+        median over rows by a compare-exchange network of elementwise
+        min/max, so cost is Theta(d * r^2) flops with no sort and the block's
+        r gathered rows stay in cache.  Every step is elementwise, so the
+        result is bit for bit ``np.median`` over the gathered rows: an odd
+        row count takes the middle value plus +0.0 and an even one
+        ``(0.0 + lower + upper) / 2``, the sum numpy's mean forms; any NaN in
+        a column makes its estimate NaN.
         """
-        fam = self._family
-        rows = []
-        for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
-            gathered = row[buckets]
-            gathered *= signs
-            rows.append(gathered)
-        spare = np.empty_like(rows[0])
-        for lo, hi, need_min, need_max in _median_network(len(rows)):
-            a, b = rows[lo], rows[hi]
-            if need_min:
-                rows[lo] = np.minimum(a, b, out=spare)
-                spare = a
-            if need_max:
-                rows[hi] = np.maximum(a, b, out=b)
-        m = len(rows) // 2
-        if len(rows) % 2:
-            return np.add(rows[m], 0.0, out=rows[m])
-        out = np.add(rows[m - 1], 0.0, out=rows[m - 1])
-        out += rows[m]
-        out /= 2.0
+        cfg, fam = self.config, self._family
+        network = _median_network(cfg.r)
+        m = cfg.r // 2
+        out = np.empty(cfg.d)
+        for start in range(0, cfg.d, _ESTIMATE_BLOCK):
+            block = slice(start, start + _ESTIMATE_BLOCK)
+            rows = []
+            for row, buckets, signs in zip(self.table, fam.buckets[:, block], fam.signs[:, block]):
+                gathered = row[buckets]
+                gathered *= signs
+                rows.append(gathered)
+            spare = np.empty_like(rows[0])
+            for lo, hi, need_min, need_max in network:
+                a, b = rows[lo], rows[hi]
+                if need_min:
+                    rows[lo] = np.minimum(a, b, out=spare)
+                    spare = a
+                if need_max:
+                    rows[hi] = np.maximum(a, b, out=b)
+            dest = out[block]
+            if cfg.r % 2:
+                np.add(rows[m], 0.0, out=dest)
+            else:
+                np.add(rows[m - 1], 0.0, out=dest)
+                dest += rows[m]
+                dest /= 2.0
         return out
 
     def l2_squared_estimate(self) -> float:
@@ -299,7 +333,11 @@ class CountSketch:
         return header + self.table.astype("<f8", copy=False).tobytes(order="C")
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CountSketch":
+    def from_bytes(cls, data: bytes, config: SketchConfig | None = None) -> "CountSketch":
+        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on a malformed
+        payload, and :class:`ConfigMismatchError` when ``config`` is given
+        and the payload carries another (checked before any hash family for
+        the payload's config is built)."""
         if len(data) < _HEADER.size:
             raise ValueError(f"sketch payload truncated: {len(data)} bytes")
         magic, version, d, r, c, seed = _HEADER.unpack_from(data, 0)
@@ -310,9 +348,11 @@ class CountSketch:
         expected = _HEADER.size + 8 * r * c
         if len(data) != expected:
             raise ValueError(f"sketch payload has {len(data)} bytes, expected {expected}")
-        config = SketchConfig(d=d, r=r, c=c, seed=seed)
+        found = SketchConfig(d=d, r=r, c=c, seed=seed)
+        if config is not None and found != config:
+            raise ConfigMismatchError(f"sketch payload carries config {found}, expected {config}")
         table = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(r, c).copy()
-        return cls(config, _table=table)
+        return cls(found, _table=table)
 
     @property
     def num_elements(self) -> int:

@@ -3,7 +3,7 @@
 Every message is framed as a 1-byte tag, a little-endian u32 payload length,
 and the payload.  Payload layouts:
 
-* ``SKETCH_UP``: a serialized count sketch (see ``sketch.to_bytes``).
+* ``SKETCH_UP``: a serialized count sketch (see ``CountSketch.to_bytes``).
 * ``EXACT_REQUEST``: u32 count, then the sorted indices delta-encoded as
   unsigned LEB128 varints (first value absolute, the rest gaps).
 * ``EXACT_UP``: u32 count followed by that many float64 values (a worker's
@@ -25,6 +25,7 @@ import struct
 import numpy as np
 
 from gradsketch.heavyhitters import KSparseVector
+from gradsketch.sketch import CountSketch, SketchConfig
 
 TAG_SKETCH_UP = 1
 TAG_EXACT_REQUEST = 2
@@ -52,6 +53,8 @@ def unframe(data: bytes) -> tuple[int, bytes]:
     if len(data) < _FRAME.size:
         raise WireError(f"frame truncated at {len(data)} bytes")
     tag, length = _FRAME.unpack_from(data, 0)
+    if not tag:
+        raise WireError("tag 0 is never sent")
     payload = data[_FRAME.size:]
     if len(payload) != length:
         raise WireError(f"frame advertises {length} payload bytes, found {len(payload)}")
@@ -74,6 +77,8 @@ def _decode_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if shift and not byte:
+                raise WireError("overlong varint: its last byte is zero")
             return result, pos
         shift += 7
 
@@ -94,13 +99,16 @@ def encode_indices(indices: np.ndarray) -> bytes:
 def decode_indices(payload: bytes) -> np.ndarray:
     """Inverse of :func:`encode_indices`; rejects what it would never emit.
 
-    A zero gap (a repeated index) or an index past the int64 range raises
+    A zero gap (a repeated index), an index past the int64 range, an
+    overlong varint, or a count larger than the bytes that follow raises
     :class:`WireError`.
     """
     if len(payload) < _COUNT.size:
         raise WireError("index payload truncated")
     (count,) = _COUNT.unpack_from(payload, 0)
     pos = _COUNT.size
+    if count > len(payload) - pos:
+        raise WireError(f"index payload advertises {count} entries in {len(payload) - pos} bytes")
     out = np.empty(count, dtype=np.int64)
     value = 0
     for i in range(count):
@@ -142,6 +150,9 @@ def encode_sparse(vec: KSparseVector) -> bytes:
 
 
 def decode_sparse(payload: bytes, d: int) -> KSparseVector:
+    """Inverse of :func:`encode_sparse` for dimension ``d``; an index at or
+    past ``d`` or the int64 range, or a non-increasing index, raises
+    :class:`WireError`."""
     if len(payload) < _COUNT.size:
         raise WireError("sparse payload truncated")
     (count,) = _COUNT.unpack_from(payload, 0)
@@ -149,4 +160,23 @@ def decode_sparse(payload: bytes, d: int) -> KSparseVector:
     if len(body) != _PAIR.itemsize * count:
         raise WireError(f"sparse payload advertises {count} entries, found {len(body)} bytes")
     pairs = np.frombuffer(body, dtype=_PAIR)
-    return KSparseVector(d=d, indices=pairs["index"].astype(np.int64), values=pairs["value"].astype(np.float64))
+    # an index past int64 turns negative here, which KSparseVector rejects
+    # as out of range or out of order like any other bad index
+    indices, values = pairs["index"].astype(np.int64), pairs["value"].astype(np.float64)
+    try:
+        return KSparseVector(d=d, indices=indices, values=values)
+    except ValueError as exc:
+        raise WireError(f"bad sparse payload: {exc}") from exc
+
+
+def decode_sketch(payload: bytes, config: SketchConfig) -> CountSketch:
+    """Inverse of ``CountSketch.to_bytes`` for a sketch of ``config``.
+
+    Any malformed payload, or one that carries another config, raises
+    :class:`WireError`; the config is checked before a hash family for it
+    could be built.
+    """
+    try:
+        return CountSketch.from_bytes(payload, config)
+    except ValueError as exc:
+        raise WireError(f"bad sketch payload: {exc}") from exc

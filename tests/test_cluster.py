@@ -359,6 +359,26 @@ class TestRunTraining:
         res = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
         assert res.metrics.summary["grad_dispersion"] == 0.0
 
+    @pytest.mark.parametrize("w_workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("algorithm", ["vanilla", "sketched"])
+    def test_gradient_statistics_keep_their_bits(self, w_workers, algorithm, monkeypatch):
+        # reference: the plain expressions the in-place statistics replaced
+        prob = quadratic(d=300, noise=0.5)
+        grads = []
+        gradient = prob.gradient
+        monkeypatch.setattr(prob, "gradient", lambda w, idx: grads.append(gradient(w, idx)) or grads[-1].copy())
+        cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=5, p=4, t_rounds=6, w_workers=w_workers, lr=0.1)
+        sketch = SketchConfig(d=300, r=3, c=40, seed=2) if algorithm == "sketched" else None
+        summary = run_training(prob, cfg, sketch, batch_size=12, data_seed=2, rng_seed=3).metrics.summary
+        grad_sq_max = dispersion_sum = 0.0
+        for t in range(cfg.t_rounds):
+            rnd = grads[t * w_workers:(t + 1) * w_workers]
+            mean_grad = sum(rnd) / w_workers
+            grad_sq_max = max(grad_sq_max, float(mean_grad @ mean_grad))
+            dispersion_sum += sum(float((g - mean_grad) @ (g - mean_grad)) for g in rnd) / w_workers
+        assert summary["grad_sq_max"] == grad_sq_max
+        assert summary["grad_dispersion"] == dispersion_sum / cfg.t_rounds
+
 
 class TestGoldenDigests:
     # sha256 of the metrics CSV of short sketched runs at large d, where the

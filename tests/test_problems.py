@@ -116,6 +116,22 @@ class TestQuadratic:
         worker_mean = np.mean([p.gradient(w, s) for s in shards], axis=0)
         np.testing.assert_allclose(worker_mean, p.gradient(w, batch), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 300])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_gradient_and_objective_keep_their_bits(self, d, sigma):
+        # references: the plain expressions the in-place code replaced
+        p = QuadraticProblem(np.linspace(0.5, 2.0, d), noise_sigma=sigma, n_samples=24, seed=d)
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal(d)
+        w[0] = -0.0
+        for size in range(1, p.n_train + 1):
+            idx = rng.choice(p.n_train, size=size, replace=False)
+            want = p.spectrum * w - p.b + p.noise[idx].mean(axis=0)
+            assert p.gradient(w, idx).tobytes() == want.tobytes()
+        want = float(0.5 * (w * p.spectrum) @ w - p.b @ w)
+        assert p.train_loss(w) == want + float(p.noise.mean(axis=0) @ w)
+        assert p.test_metric(w) == want - p._f_star
+
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, -1.0]), 0.0, 4, 0)

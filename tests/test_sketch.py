@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from gradsketch.sketch import (
     _BUILD_BLOCK,
+    _ESTIMATE_BLOCK,
     MERSENNE_P,
     ConfigMismatchError,
     CountSketch,
     HashFamily,
     SketchConfig,
+    _mulmod_p61,
+    _mulmod_p61_short,
     _poly_eval,
     merge_all,
     size_for,
@@ -80,6 +83,25 @@ class TestHashFamily:
         buckets = (_poly_eval(coeffs[:, 0, :], idx) % np.uint64(cfg.c)).astype(np.int64)
         signs = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
         assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1)), min_size=1, max_size=16),
+        x=st.lists(st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)), min_size=1, max_size=16),
+    )
+    def test_short_mulmod_matches_full(self, a, x):
+        a, x = np.array(a, dtype=np.uint64)[:, None], np.array(x, dtype=np.uint64)[None, :]
+        short = _mulmod_p61_short(a, x)
+        assert _same_bits(short, _mulmod_p61(a, x))
+        assert short.tolist() == [[ai * xi % MERSENNE_P for xi in x[0].tolist()] for ai in a[:, 0].tolist()]
+
+    def test_poly_eval_on_both_sides_of_32_bits(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        coeffs = rng.integers(0, MERSENNE_P, size=(3, 4), dtype=np.uint64)
+        for xs in ([0, 1, 2**32 - 1], [5, 2**32], [2**32 - 1, 2**32, MERSENNE_P - 1]):
+            got = _poly_eval(coeffs, np.array(xs, dtype=np.uint64))
+            for row, (c3, c2, c1, c0) in zip(got.tolist(), coeffs.tolist()):
+                assert row == [(((c3 * x + c2) * x + c1) * x + c0) % MERSENNE_P for x in xs]
 
     def test_seed_changes_hashes(self):
         a = HashFamily(SketchConfig(d=256, r=5, c=16, seed=1))
@@ -335,3 +357,14 @@ class TestKernelOracles:
             assert _same_bits(est, _numpy_median_estimates(s))
             assert np.isnan(est[s._family.buckets[0] == 0]).all()
             assert not np.isnan(est[s._family.buckets[0] != 0]).any()
+
+    @pytest.mark.parametrize("d", [_ESTIMATE_BLOCK - 1, _ESTIMATE_BLOCK, _ESTIMATE_BLOCK + 1, 3 * _ESTIMATE_BLOCK + 5])
+    def test_estimate_all_across_block_edges(self, d):
+        special = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+        for r in range(1, 10):
+            cfg = SketchConfig(d=d, r=r, c=9, seed=r)
+            rng = np.random.default_rng(r)
+            table = np.where(rng.random((r, cfg.c)) < 0.5, rng.choice(special, (r, cfg.c)), rng.standard_normal((r, cfg.c)))
+            s = CountSketch(cfg, _table=table)
+            with np.errstate(invalid="ignore"):  # inf + -inf in both medians
+                assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))

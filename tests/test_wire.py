@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradsketch.cluster import MeteredChannel
 from gradsketch.heavyhitters import KSparseVector
+from gradsketch.sketch import _HEADER, CountSketch, SketchConfig
 from gradsketch.wire import (
     TAG_EXACT_REQUEST,
     TAG_EXACT_UP,
@@ -12,6 +14,7 @@ from gradsketch.wire import (
     TAG_UPDATE_DOWN,
     WireError,
     decode_indices,
+    decode_sketch,
     decode_sparse,
     decode_values,
     encode_indices,
@@ -40,6 +43,11 @@ class TestFraming:
             frame(0, b"")
         with pytest.raises(WireError):
             frame(256, b"")
+
+    def test_tag_zero_rejected(self):
+        # frame() never sends tag 0, so unframe() must not accept it either
+        with pytest.raises(WireError):
+            unframe(b"\x00\x00\x00\x00\x00")
 
     def test_truncated_and_oversized_frames_rejected(self):
         blob = frame(TAG_UPDATE_DOWN, b"abcd")
@@ -96,6 +104,20 @@ class TestIndexCodec:
         top = np.array([2**63 - 1], dtype=np.int64)
         assert np.array_equal(decode_indices(encode_indices(top)), top)
 
+    def test_rejects_overlong_varint(self):
+        # 0 written as 80 00, and a gap of 1 written as 81 00: the encoder
+        # writes 00 and 01
+        with pytest.raises(WireError):
+            decode_indices(bytes.fromhex("01000000" "8000"))
+        with pytest.raises(WireError):
+            decode_indices(bytes.fromhex("02000000" "05" "8100"))
+        assert decode_indices(bytes.fromhex("02000000" "05" "8001")).tolist() == [5, 133]
+
+    def test_rejects_count_past_payload(self):
+        # every entry takes at least one byte
+        with pytest.raises(WireError):
+            decode_indices(b"\xff\xff\xff\xff\x01")
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=100))
     def test_round_trip_property(self, values):
@@ -149,6 +171,17 @@ class TestSparseCodec:
         with pytest.raises(WireError):
             decode_sparse(b"\x01", 10)
 
+    @pytest.mark.parametrize(
+        "indices, d",
+        [([10], 5), ([5], 5), ([2**63], 2**64), ([2**64 - 1], 2**64), ([3, 3], 10), ([4, 2], 10)],
+    )
+    def test_rejects_bad_indices(self, indices, d):
+        # out of range, past int64 (which would wrap negative), or not
+        # strictly increasing
+        pairs = b"".join(i.to_bytes(8, "little") + bytes(8) for i in indices)
+        with pytest.raises(WireError):
+            decode_sparse(len(indices).to_bytes(4, "little") + pairs, d)
+
     @settings(max_examples=100, deadline=None)
     @given(
         d=st.integers(min_value=1, max_value=10**6),
@@ -169,3 +202,106 @@ class TestTagValues:
     def test_tags_are_distinct_small_ints(self):
         tags = {TAG_SKETCH_UP, TAG_EXACT_REQUEST, TAG_EXACT_UP, TAG_UPDATE_DOWN}
         assert tags == {1, 2, 3, 4}
+
+
+# Fuzzing: every decoder, fed any bytes, either returns something that
+# encodes back to exactly those bytes or raises WireError, nothing else.
+
+_SKETCH = SketchConfig(d=16, r=2, c=3, seed=7)
+
+
+def _counted(chunk):
+    # a u32 count, then chunks: the count is the number of chunks, or any
+    return st.tuples(st.lists(chunk, max_size=6), st.one_of(st.none(), st.integers(0, 2**32 - 1))).map(
+        lambda lc: (len(lc[0]) if lc[1] is None else lc[1]).to_bytes(4, "little") + b"".join(lc[0])
+    )
+
+
+def _leb128(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    return bytes(out + bytes([value]))
+
+
+_varint = st.one_of(
+    st.integers(0, 2**70).map(_leb128),
+    st.sampled_from([b"\x80\x00", b"\x81\x00", b"\xff\x80\x00", b"\x80", b"\xff"]),
+)
+_index_payloads = st.one_of(st.binary(max_size=24), _counted(_varint))
+_value_payloads = st.one_of(st.binary(max_size=40), _counted(st.binary(min_size=8, max_size=8) | st.binary(max_size=3)))
+_pair = st.tuples(
+    st.one_of(st.sampled_from([0, 1, 4, 5, 6, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    st.binary(min_size=8, max_size=8),
+).map(lambda iv: iv[0].to_bytes(8, "little") + iv[1])
+_sparse_payloads = st.one_of(st.binary(max_size=40), _counted(_pair | st.binary(max_size=3)))
+_sketch_payloads = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(
+        st.sampled_from([b"CSK1", b"CSK0"]),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0, 1, _SKETCH.d, 2**61, 2**64 - 1]),  # never a d worth building
+        st.sampled_from([0, 1, _SKETCH.r, 2**32 - 1]),
+        st.sampled_from([0, 1, _SKETCH.c]),
+        st.sampled_from([0, _SKETCH.seed]),
+        st.one_of(st.binary(max_size=56), st.binary(min_size=48, max_size=48)),
+    ).map(lambda f: _HEADER.pack(*f[:6]) + f[6]),
+)
+
+
+class _RawSketch:
+    # stands in for a sketch whose serialization is the given bytes
+    def __init__(self, data):
+        self.config, self.data = _SKETCH, data
+
+    def to_bytes(self):
+        return self.data
+
+
+def _decodes_to_itself_or_wire_error(decode, encode, data):
+    try:
+        out = decode(data)
+    except WireError:
+        return
+    assert encode(out) == data
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=16), st.tuples(st.integers(0, 255), st.integers(0, 2**32 - 1), st.binary(max_size=8)).map(
+        lambda t: bytes([t[0]]) + (len(t[2]) if t[1] % 2 else t[1]).to_bytes(4, "little") + t[2])))
+    def test_unframe(self, data):
+        _decodes_to_itself_or_wire_error(unframe, lambda tp: frame(*tp), data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_index_payloads)
+    def test_decode_indices(self, data):
+        _decodes_to_itself_or_wire_error(decode_indices, encode_indices, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_value_payloads)
+    def test_decode_values(self, data):
+        _decodes_to_itself_or_wire_error(decode_values, encode_values, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_payloads, st.sampled_from([1, 5, 6, 2**63, 2**64]))
+    def test_decode_sparse(self, data, d):
+        _decodes_to_itself_or_wire_error(lambda b: decode_sparse(b, d), encode_sparse, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sketch_payloads)
+    def test_channel_sketch_decode(self, data):
+        _decodes_to_itself_or_wire_error(
+            lambda b: MeteredChannel().up_sketch(_RawSketch(b), 0), CountSketch.to_bytes, data
+        )
+
+    def test_sketch_decode_checks_the_config(self):
+        good = CountSketch(_SKETCH).to_bytes()
+        assert decode_sketch(good, _SKETCH).to_bytes() == good
+        for other in (SketchConfig(d=16, r=2, c=3, seed=8), SketchConfig(d=17, r=2, c=3, seed=7)):
+            with pytest.raises(WireError):
+                decode_sketch(CountSketch(other).to_bytes(), _SKETCH)
+        for bad in (b"XXXX" + good[4:], good[:-1], good[:10], _HEADER.pack(b"CSK1", 2, 16, 2, 3, 7) + good[_HEADER.size:]):
+            with pytest.raises(WireError):
+                decode_sketch(bad, _SKETCH)
