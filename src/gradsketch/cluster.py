@@ -38,7 +38,7 @@ from gradsketch.sketch import CountSketch, SketchConfig
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a run produces a non-finite loss."""
+    """Raised when a run produces a non-finite gradient or loss."""
 
 
 class MeteredChannel:
@@ -300,8 +300,9 @@ def run_training(
     round, so two runs with equal seeds are bit-identical and runs differing
     only in W see the same data.
 
-    Raises TrainingDivergedError the first time the train loss goes
-    non-finite, and ValueError for inconsistent configuration.
+    Raises TrainingDivergedError the first time a worker computes a
+    non-finite gradient (before it reaches any accumulator) or the train
+    loss goes non-finite, and ValueError for inconsistent configuration.
     """
     d = problem.d
     config.validate_for_dimension(d)
@@ -331,8 +332,8 @@ def run_training(
         echo.update(extra_echo)
     metrics.config_echo = {key: str(value) for key, value in echo.items()}
 
-    loss0 = problem.train_loss(states[0].w)
-    metrics.records.append(RoundRecord(t=0, train_loss=loss0, test_metric=problem.test_metric(states[0].w)))
+    loss0, metric0 = problem.evaluate(states[0].w)
+    metrics.records.append(RoundRecord(t=0, train_loss=loss0, test_metric=metric0))
 
     supports: list[np.ndarray] = []
     grad_sq_max = 0.0
@@ -347,6 +348,12 @@ def run_training(
         shards = partition_batch(batch, config.w_workers)
         grads = [problem.gradient(st.w, shard) for st, shard in zip(states, shards)]
         mean_sq, dispersion = _gradient_statistics(grads)
+        if not np.isfinite(mean_sq + dispersion):
+            # any non-finite entry makes the mean, hence mean_sq, non-finite;
+            # an overflowing norm of finite gradients is let through
+            for worker, g in enumerate(grads):
+                if not np.isfinite(g).all():
+                    raise TrainingDivergedError(f"round {t}: worker {worker} computed a non-finite gradient")
         grad_sq_max = max(grad_sq_max, mean_sq)
         dispersion_sum += dispersion
 
@@ -359,7 +366,7 @@ def run_training(
             if not np.array_equal(states[0].w, other.w):
                 raise RuntimeError(f"round {t}: worker replicas diverged")
 
-        loss = problem.train_loss(states[0].w)
+        loss, test_metric = problem.evaluate(states[0].w)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"round {t}: non-finite train loss {loss!r}")
         stats = account_round(sketch_config, config, d, channel)
@@ -372,7 +379,7 @@ def run_training(
             RoundRecord(
                 t=t,
                 train_loss=loss,
-                test_metric=problem.test_metric(states[0].w),
+                test_metric=test_metric,
                 support_size=len(update),
                 union_size=len(update),
                 up_sketch_elems=stats.up_sketch_elems,

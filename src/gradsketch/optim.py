@@ -30,7 +30,8 @@ from itertools import repeat
 import numpy as np
 
 from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
-from gradsketch.sketch import SketchConfig, merge_all, sketch_vector
+from gradsketch.sketch import SketchConfig, merge_all, sketch_many
+from gradsketch.sketch import sketch_vector  # noqa: F401  (perfbench/spans.py traces it under this name)
 
 MODES = ("theory", "empirical")
 ALGORITHMS = ("sketched", "vanilla", "true-topk", "local-topk")
@@ -167,17 +168,19 @@ class OptimizerConfig:
 class WorkerState:
     """Per-worker replica: parameters, momentum buffer, error accumulator.
 
-    Theory mode accumulates step-scaled gradients into ``accum`` and leaves
-    ``momentum`` unused.  All replicas hold the full parameter vector and
-    must remain bit-identical across workers at round boundaries.
+    ``momentum`` stays ``None`` until the first round with a momentum factor
+    above 0 allocates it as zeros: at factor 0 the buffer would only ever
+    hold a copy of the gradient (see :func:`_accumulate`).  Theory mode
+    accumulates step-scaled gradients into ``accum`` and never allocates
+    it.  All replicas hold the full parameter vector and must remain
+    bit-identical across workers at round boundaries.
     """
 
     w: np.ndarray
-    momentum: np.ndarray = field(init=False)
+    momentum: np.ndarray | None = field(init=False, default=None)
     accum: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.momentum = np.zeros(self.w.shape[0])
         self.accum = np.zeros(self.w.shape[0])
 
 
@@ -225,11 +228,28 @@ def _accumulate(
     states: list[WorkerState], grads: list[np.ndarray], momentum: float = 0.0, eta: float | None = None
 ) -> None:
     """Error accumulation in place: the analyzed recursion adds ``eta * g``;
-    the other rounds run momentum first and scale by the step at apply time."""
+    the other rounds run momentum first and scale by the step at apply time.
+
+    At momentum 0 the gradient goes straight into ``accum``, with no
+    momentum buffer, and the bits are those of ``m *= 0; m += g; accum +=
+    m``.  ``accum`` starts at +0.0 and only ever receives sums, +0.0 mask
+    writes and round-to-nearest subtractions, none of which turns a cell
+    that is not -0.0 into -0.0, so it never holds -0.0.  With a finite
+    ``g``, ``0 * m + g`` differs from ``g`` only where ``g`` is -0.0, and
+    ``accum + (+-0.0)`` has the same bits either way when ``accum`` is not
+    -0.0.  A non-finite ``g`` would differ a round later (``0 * inf`` is
+    NaN); ``run_training`` raises before accumulating one.  A run's
+    momentum factor is fixed by its config, so a buffer first allocated at
+    a factor above 0 starts from the zeros the recursion starts from.
+    """
     for st, g in zip(states, grads):
         if eta is not None:
             st.accum += eta * g
+        elif momentum == 0.0:
+            st.accum += g
         else:
+            if st.momentum is None:
+                st.momentum = np.zeros_like(st.accum)
             st.momentum *= momentum
             st.momentum += g
             st.accum += st.momentum
@@ -237,16 +257,20 @@ def _accumulate(
 
 def _apply(states: list[WorkerState], update: KSparseVector, lr_t: float, masks) -> None:
     """Step every replica by ``lr_t * update``, then zero each worker's
-    momentum and accumulator on its own mask (momentum factor masking)."""
+    momentum (if it has a buffer) and accumulator on its own mask
+    (momentum factor masking)."""
     for st, mask in zip(states, masks):
         st.w[update.indices] -= lr_t * update.values
-        st.momentum[mask] = 0.0
+        if st.momentum is not None:
+            st.momentum[mask] = 0.0
         st.accum[mask] = 0.0
 
 
 def _merged_sketch(vectors: list[np.ndarray], sketch_config: SketchConfig, channel):
-    """Sketch and upload every worker's vector; merge to the worker mean."""
-    received = [channel.up_sketch(sketch_vector(sketch_config, vec), worker) for worker, vec in enumerate(vectors)]
+    """Sketch every worker's vector in one pass, upload each sketch, and
+    merge to the worker mean."""
+    sketches = sketch_many(sketch_config, vectors)
+    received = [channel.up_sketch(sketch, worker) for worker, sketch in enumerate(sketches)]
     return merge_all(received).scale(1.0 / len(vectors))
 
 

@@ -6,6 +6,12 @@ logistic regression, and a linear SVM with hinge subgradients.  Problems
 expose per-sample gradients so a batch can be split across workers with the
 worker-mean equal to the batch mean, which is what makes single-node and
 multi-node runs comparable.
+
+The training loop uses a problem through ``d``, ``n_train``,
+``initial_point(seed)``, ``gradient(w, idx)`` (the mean gradient over the
+sample indices ``idx``), ``evaluate(w) -> (train_loss, test_metric)`` once
+per round, ``test_metric(w)`` for the theory mode's averaged iterate, and
+``kind``.  ``evaluate`` returns exactly ``(train_loss(w), test_metric(w))``.
 """
 
 from __future__ import annotations
@@ -283,6 +289,11 @@ class QuadraticProblem:
         """Suboptimality ``f(w) - f(w*)`` of the noiseless objective."""
         return self._objective(w) - self._f_star
 
+    def evaluate(self, w: np.ndarray) -> tuple[float, float]:
+        """``(train_loss(w), test_metric(w))`` from one objective evaluation."""
+        objective = self._objective(w)
+        return objective + float(self._noise_mean @ w), objective - self._f_star
+
     @property
     def smoothness(self) -> float:
         return float(self.spectrum.max())
@@ -314,6 +325,10 @@ class _ErmProblem:
 
     def test_metric(self, w: np.ndarray) -> float:
         return classification_error(w, self.test)
+
+    def evaluate(self, w: np.ndarray) -> tuple[float, float]:
+        """``(train_loss(w), test_metric(w))``; nothing is shared between them."""
+        return self.train_loss(w), self.test_metric(w)
 
 
 class LogisticProblem(_ErmProblem):

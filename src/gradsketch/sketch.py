@@ -203,8 +203,9 @@ class CountSketch:
     """An ``r x c`` count-sketch table bound to a :class:`SketchConfig`.
 
     A fresh sketch is all zeros.  All mutation happens through
-    :meth:`accumulate` / :meth:`update_dense`; estimation and merging never
-    modify the table in place.
+    :meth:`accumulate` / :meth:`update_dense` (and :func:`sketch_many`,
+    which fills fresh sketches); estimation and merging never modify the
+    table in place.
     """
 
     __slots__ = ("config", "table", "_family")
@@ -231,23 +232,11 @@ class CountSketch:
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
-        One weighted ``bincount`` per row, its weights written into one
-        length-d buffer reused by every row.  Each cell receives its addends
-        in index order, summed from +0.0, so the table is bit for bit what
-        accumulating the nonzeros one at a time in index order would give:
-        the zero coordinates add signed zeros, which change no such sum.
-        An all-zero vector leaves the table untouched, -0.0 cells included.
+        The one-vector case of :func:`sketch_many`'s kernel, with its shape
+        check and its all-zero early return (an all-zero vector leaves the
+        table untouched, -0.0 cells included).
         """
-        cfg = self.config
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (cfg.d,):
-            raise ValueError(f"expected vector of shape ({cfg.d},), got {vec.shape}")
-        if not vec.any():
-            return
-        fam = self._family
-        weights = np.empty(cfg.d)
-        for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
-            row += np.bincount(buckets, weights=np.multiply(signs, vec, out=weights), minlength=cfg.c)
+        _add_dense(self._family, [self.table], [vec])
 
     def point_estimate(self, index: int) -> float:
         """Median-of-rows estimate of the summarized value at ``index``."""
@@ -333,11 +322,12 @@ class CountSketch:
         return header + self.table.astype("<f8", copy=False).tobytes(order="C")
 
     @classmethod
-    def from_bytes(cls, data: bytes, config: SketchConfig | None = None) -> "CountSketch":
-        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on a malformed
-        payload, and :class:`ConfigMismatchError` when ``config`` is given
-        and the payload carries another (checked before any hash family for
-        the payload's config is built)."""
+    def from_bytes(cls, data: bytes, config: SketchConfig) -> "CountSketch":
+        """Inverse of :meth:`to_bytes` for a sketch of the receiver's
+        ``config``; raises ``ValueError`` on a malformed payload, and
+        :class:`ConfigMismatchError` when the payload carries another config
+        (checked before any hash family is built, so a header cannot make
+        the receiver build one for a config it never chose)."""
         if len(data) < _HEADER.size:
             raise ValueError(f"sketch payload truncated: {len(data)} bytes")
         magic, version, d, r, c, seed = _HEADER.unpack_from(data, 0)
@@ -349,10 +339,10 @@ class CountSketch:
         if len(data) != expected:
             raise ValueError(f"sketch payload has {len(data)} bytes, expected {expected}")
         found = SketchConfig(d=d, r=r, c=c, seed=seed)
-        if config is not None and found != config:
+        if found != config:
             raise ConfigMismatchError(f"sketch payload carries config {found}, expected {config}")
         table = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(r, c).copy()
-        return cls(found, _table=table)
+        return cls(config, _table=table)
 
     @property
     def num_elements(self) -> int:
@@ -360,14 +350,54 @@ class CountSketch:
         return self.config.r * self.config.c
 
 
-def sketch_vector(config: SketchConfig, v, _family: HashFamily | None = None) -> CountSketch:
+def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:
+    """Add the sketch of ``vectors[i]`` into ``tables[i]`` under ``family``.
+
+    Rows on the outside, vectors on the inside: each row's buckets and signs
+    are read once for all the vectors, not once per vector.  Per row and
+    vector, one weighted ``bincount`` (its weights written into one length-d
+    buffer) sums each cell's addends in index order from +0.0, and the sum
+    is added to the cell: bit for bit what adding the nonzeros one at a time
+    in index order would give, since the zero coordinates add signed zeros,
+    which change no such sum.  Every shape is checked before any table
+    changes; all-zero vectors are skipped, so their tables keep -0.0 cells.
+    """
+    cfg = family.config
+    live = []
+    for table, vec in zip(tables, vectors):
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (cfg.d,):
+            raise ValueError(f"expected vector of shape ({cfg.d},), got {vec.shape}")
+        if vec.any():
+            live.append((table, vec))
+    if not live:
+        return
+    weights = np.empty(cfg.d)
+    for j, (buckets, signs) in enumerate(zip(family.buckets, family.signs)):
+        for table, vec in live:
+            table[j] += np.bincount(buckets, weights=np.multiply(signs, vec, out=weights), minlength=cfg.c)
+
+
+def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSketch]:
+    """One sketch per dense length-d vector, in one pass over each hash row.
+
+    Each table is bit for bit what :meth:`CountSketch.update_dense` of its
+    vector gives on a fresh sketch; a vector of the wrong shape raises
+    ``ValueError`` before any sketch is filled.
+    """
+    family = _family_for(config)
+    sketches = [CountSketch(config, _family=family) for _ in vectors]
+    _add_dense(family, [s.table for s in sketches], vectors)
+    return sketches
+
+
+def sketch_vector(config: SketchConfig, v) -> CountSketch:
     """Sketch a dense array or an iterable of ``(index, weight)`` pairs."""
-    s = CountSketch(config, _family=_family)
     if isinstance(v, np.ndarray):
-        s.update_dense(v)
-    else:
-        for index, weight in v:
-            s.accumulate(int(index), float(weight))
+        return sketch_many(config, [v])[0]
+    s = CountSketch(config)
+    for index, weight in v:
+        s.accumulate(int(index), float(weight))
     return s
 
 

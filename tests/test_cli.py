@@ -5,6 +5,7 @@ import pytest
 
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import read_metrics_csv
+from gradsketch.problems import QuadraticProblem
 from gradsketch.sketch import size_for
 
 SYNTH_LOGISTIC = """
@@ -260,6 +261,27 @@ rng = 3
             code = main(["run", cfg, "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_non_finite_gradient_exits_3(self, tmp_path, capsys, monkeypatch):
+        # worker 1 of the config's two computes a NaN gradient in round 3
+        calls = []
+        gradient = QuadraticProblem.gradient
+
+        def poisoned(self, w, idx):
+            g = gradient(self, w, idx)
+            if len(calls) == 2 * 2 + 1:
+                g[-1] = np.nan
+            calls.append(idx)
+            return g
+
+        monkeypatch.setattr(QuadraticProblem, "gradient", poisoned)
+        cfg = write_config(tmp_path, QUADRATIC_THEORY)
+        with np.errstate(invalid="ignore"):
+            code = main(["run", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "round 3: worker 1 " in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, QUADRATIC_THEORY)

@@ -306,6 +306,45 @@ class TestRunTraining:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError, match="round"):
             run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
 
+    @staticmethod
+    def _poison(prob, values):
+        # the gradient of call i (round i // W + 1, worker i % W) gets
+        # values[i] in coordinate 0
+        calls = []
+        gradient = prob.gradient
+
+        def poisoned(w, idx):
+            g = gradient(w, idx)
+            if len(calls) in values:
+                g[0] = values[len(calls)]
+            calls.append(idx)
+            return g
+
+        prob.gradient = poisoned
+        return calls
+
+    @pytest.mark.parametrize("algorithm", ["vanilla", "sketched", "true-topk", "local-topk"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises_naming_round_and_worker(self, algorithm, value):
+        prob = quadratic()
+        calls = self._poison(prob, {2 * 4 + 2: value})
+        cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=4, p=2, t_rounds=6, w_workers=4, lr=0.05)
+        sketch = SketchConfig(d=32, r=3, c=16, seed=1) if algorithm == "sketched" else None
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError, match="round 3: worker 2 "):
+            run_training(prob, cfg, sketch, batch_size=16, data_seed=1, rng_seed=1)
+        assert len(calls) == 3 * 4
+
+    def test_overflowing_finite_gradients_continue(self):
+        # +-1e200 from the two workers of round 2: the mean stays finite and
+        # the dispersion overflows
+        prob = quadratic()
+        self._poison(prob, {2: 1e200, 3: -1e200})
+        cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=4, w_workers=2, lr=0.05)
+        with np.errstate(over="ignore"):
+            summary = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1).metrics.summary
+        assert summary["grad_dispersion"] == np.inf
+        assert np.isfinite(summary["final_train_loss"])
+
     def test_configuration_errors(self):
         prob = quadratic()
         sketched = OptimizerConfig(mode="empirical", algorithm="sketched", k=4)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradsketch.heavyhitters import topk_indices
+from gradsketch.heavyhitters import KSparseVector, topk_indices
 from gradsketch.optim import (
     IterateAverage,
     OptimizerConfig,
+    _accumulate,
+    _apply,
     empirical_round,
     local_topk_step,
     lr_theory,
@@ -356,6 +358,53 @@ class TestBaselines:
         ws = [stt.w for stt in states]
         for other in ws[1:]:
             assert np.array_equal(ws[0], other)
+
+
+class TestMomentumFreeAccumulation:
+    # Values whose sums land on exact zeros, so accumulators pass through
+    # +0.0 and meet -0.0 gradients.
+    _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, 1e-300, -1e-300])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 12), workers=st.integers(1, 4), rounds=st.integers(1, 6))
+    def test_matches_a_zeroed_momentum_buffer(self, data, d, workers, rounds):
+        # reference: the momentum recursion at factor 0, m *= 0; m += g;
+        # accum += m, with the buffer masked like the accumulator
+        states = make_states(np.zeros(d), workers)
+        ref = [{"w": np.zeros(d), "m": np.zeros(d), "accum": np.zeros(d)} for _ in range(workers)]
+        vectors = st.lists(self._ENTRIES, min_size=d, max_size=d).map(np.array)
+        subsets = st.lists(st.integers(0, d - 1), max_size=d, unique=True).map(lambda ix: np.array(sorted(ix), dtype=np.int64))
+        for _ in range(rounds):
+            grads = [data.draw(vectors) for _ in range(workers)]
+            support = data.draw(subsets)
+            update = KSparseVector(d=d, indices=support, values=data.draw(vectors)[support])
+            masks = [data.draw(subsets) for _ in range(workers)]
+            _accumulate(states, grads, 0.0)
+            _apply(states, update, 0.1, masks)
+            for st_ref, g, mask in zip(ref, grads, masks):
+                st_ref["m"] *= 0.0
+                st_ref["m"] += g
+                st_ref["accum"] += st_ref["m"]
+                st_ref["w"][update.indices] -= 0.1 * update.values
+                st_ref["m"][mask] = 0.0
+                st_ref["accum"][mask] = 0.0
+            for state, st_ref in zip(states, ref):
+                assert state.momentum is None
+                assert state.accum.tobytes() == st_ref["accum"].tobytes()
+                assert state.w.tobytes() == st_ref["w"].tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["sketched", "true-topk", "local-topk"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_buffer_allocated_only_above_zero(self, algorithm, momentum):
+        d, workers = 16, 2
+        cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=2, p=2, w_workers=workers, momentum=momentum)
+        round_fn = {"sketched": empirical_round, "true-topk": true_topk_step, "local-topk": local_topk_step}[algorithm]
+        states = make_states(np.zeros(d), workers)
+        rng = np.random.default_rng(5)
+        for t in range(3):
+            round_fn(states, [rng.standard_normal(d) for _ in range(workers)], 0.1, cfg, SketchConfig(d=d, r=3, c=8, seed=1), t)
+        for state in states:
+            assert (state.momentum is None) == (momentum == 0.0)
 
 
 class TestSelectionHelpers:

@@ -21,6 +21,11 @@ from gradsketch.problems import (
 )
 
 
+def _bits(x):
+    assert isinstance(x, float)
+    return np.float64(x).tobytes()
+
+
 def _finite_diff(fn, w, eps=1e-6):
     g = np.zeros_like(w)
     for i in range(w.size):
@@ -132,6 +137,22 @@ class TestQuadratic:
         assert p.train_loss(w) == want + float(p.noise.mean(axis=0) @ w)
         assert p.test_metric(w) == want - p._f_star
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 300])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_evaluate_is_train_loss_and_test_metric(self, d, sigma):
+        # references: train_loss and test_metric, and the expressions each
+        # evaluated with its own objective
+        p = QuadraticProblem(np.linspace(0.5, 2.0, d), noise_sigma=sigma, n_samples=24, seed=d)
+        rng = np.random.default_rng(d)
+        signed_zeros = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+        for w in (rng.standard_normal(d), 1e150 * rng.standard_normal(d), p.w_star, signed_zeros):
+            loss, metric = p.evaluate(w)
+            half = w * p.spectrum
+            half *= 0.5
+            objective = float(half @ w - p.b @ w)
+            assert _bits(loss) == _bits(p.train_loss(w)) == _bits(objective + float(p.noise.mean(axis=0) @ w))
+            assert _bits(metric) == _bits(p.test_metric(w)) == _bits(objective - p._f_star)
+
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, -1.0]), 0.0, 4, 0)
@@ -240,6 +261,15 @@ class TestErmProblems:
             w -= 0.5 * p.full_gradient(w)
         assert p.train_loss(w) < first
         assert p.test_metric(w) <= 0.1
+
+    @pytest.mark.parametrize("cls", [LogisticProblem, HingeSVMProblem])
+    def test_evaluate_is_train_loss_and_test_metric(self, cls):
+        p = self._problem(cls)
+        rng = np.random.default_rng(4)
+        for w in (np.zeros(6), rng.standard_normal(6), 50.0 * rng.standard_normal(6)):
+            loss, metric = p.evaluate(w)
+            assert _bits(loss) == _bits(p.train_loss(w))
+            assert _bits(metric) == _bits(p.test_metric(w))
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from gradsketch.sketch import (
     _poly_eval,
     merge_all,
     size_for,
+    sketch_many,
     sketch_vector,
 )
 
@@ -251,7 +252,7 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         cfg = SketchConfig(d=100, r=6, c=20, seed=123456789)
         s = sketch_vector(cfg, _dense(cfg, 9, scale=3.7))
-        back = CountSketch.from_bytes(s.to_bytes())
+        back = CountSketch.from_bytes(s.to_bytes(), cfg)
         assert back.config == cfg
         assert back.table.tobytes() == s.table.tobytes()
         assert back.to_bytes() == s.to_bytes()
@@ -266,17 +267,17 @@ class TestSerialization:
         s = CountSketch(SketchConfig(d=8, r=2, c=3, seed=5))
         raw = s.to_bytes()
         with pytest.raises(ValueError):
-            CountSketch.from_bytes(b"XXXX" + raw[4:])
+            CountSketch.from_bytes(b"XXXX" + raw[4:], s.config)
         with pytest.raises(ValueError):
-            CountSketch.from_bytes(raw[:-4])
+            CountSketch.from_bytes(raw[:-4], s.config)
         with pytest.raises(ValueError):
-            CountSketch.from_bytes(raw[:10])
+            CountSketch.from_bytes(raw[:10], s.config)
 
     def test_deserialized_sketch_estimates(self):
         cfg = SketchConfig(d=16, r=5, c=8, seed=3)
         s = CountSketch(cfg)
         s.accumulate(2, 7.0)
-        assert CountSketch.from_bytes(s.to_bytes()).point_estimate(2) == 7.0
+        assert CountSketch.from_bytes(s.to_bytes(), cfg).point_estimate(2) == 7.0
 
 
 # Reference kernels: the plain formulations that update_dense and
@@ -293,6 +294,17 @@ def _flat_bincount_update(sketch, vec):
     flat = (fam.buckets + (np.arange(cfg.r) * cfg.c)[:, None])[:, nz].ravel()
     weights = (fam.signs[:, nz] * vec[nz]).ravel()
     sketch.table += np.bincount(flat, weights=weights, minlength=cfg.r * cfg.c).reshape(cfg.r, cfg.c)
+
+
+def _rowwise_update(sketch, vec):
+    # update_dense as it stood before sketch_many: one vector, one weighted
+    # bincount per row.
+    cfg, fam = sketch.config, sketch._family
+    vec = np.asarray(vec, dtype=np.float64)
+    if not vec.any():
+        return
+    for row, buckets, signs in zip(sketch.table, fam.buckets, fam.signs):
+        row += np.bincount(buckets, weights=signs * vec, minlength=cfg.c)
 
 
 def _numpy_median_estimates(sketch):
@@ -332,6 +344,52 @@ class TestKernelOracles:
         s = CountSketch(SketchConfig(d=16, r=3, c=4, seed=0)).scale(-1.0)
         s.update_dense(np.zeros(16))
         assert np.all(np.signbit(s.table))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        w_vectors=st.integers(1, 5),
+        r=st.integers(1, 9),
+        d=st.sampled_from([1, 2, 7, 33]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sketch_many_matches_per_vector_update(self, data, w_vectors, r, d, seed):
+        cfg = SketchConfig(d=d, r=r, c=data.draw(st.integers(1, 6)), seed=seed)
+        special = st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan])
+        entry = st.one_of(special, st.floats(-1e6, 1e6))
+        vectors = []
+        for _ in range(w_vectors):
+            kind = data.draw(st.sampled_from(["zeros", "negative zeros", "drawn"]))
+            if kind == "zeros":
+                vectors.append(np.zeros(d))
+            elif kind == "negative zeros":
+                vectors.append(-np.zeros(d))
+            else:
+                vectors.append(np.array(data.draw(st.lists(entry, min_size=d, max_size=d))))
+        sketches = sketch_many(cfg, vectors)
+        assert len(sketches) == w_vectors
+        for sketch, vec in zip(sketches, vectors):
+            assert sketch.config == cfg
+            one = CountSketch(cfg)
+            one.update_dense(vec)
+            old = CountSketch(cfg)
+            _rowwise_update(old, vec)
+            assert _same_bits(sketch.table, old.table)
+            assert _same_bits(one.table, old.table)
+            assert _same_bits(sketch_vector(cfg, vec).table, old.table)
+
+    def test_sketch_many_checks_every_shape(self):
+        cfg = SketchConfig(d=12, r=3, c=5, seed=1)
+        good = _dense(cfg, 1)
+        for bad in (np.ones(11), np.ones(13), np.ones((12, 1)), np.float64(1.0)):
+            for position in range(3):
+                vectors = [good, good]
+                vectors.insert(position, bad)
+                with pytest.raises(ValueError, match="shape"):
+                    sketch_many(cfg, vectors)
+            with pytest.raises(ValueError, match="shape"):
+                CountSketch(cfg).update_dense(bad)
+        assert sketch_many(cfg, []) == []
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
