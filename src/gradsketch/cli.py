@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -110,11 +111,14 @@ def _typed(section: configparser.SectionProxy, key: str, kind, default=None, req
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ExperimentConfigError(
             f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None
+    if kind is float and not math.isfinite(value):
+        raise ExperimentConfigError(f"[{section.name}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _parse_lr_points(raw: str) -> tuple[tuple[float, float], ...]:
@@ -277,6 +281,8 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
             parser.read_file(fh)
     except OSError as exc:
         raise ExperimentConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ExperimentConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ExperimentConfigError(f"{path}: {exc}") from None
 
@@ -305,7 +311,12 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
         except ValueError:
             raise ExperimentConfigError(f"seed override {override!r} needs an integer") from None
 
-    problem, echo = _build_problem(parser["problem"], seed_values["data"])
+    try:
+        problem, echo = _build_problem(parser["problem"], seed_values["data"])
+    except ExperimentConfigError:
+        raise
+    except ValueError as exc:  # the problem and dataset constructors' own checks
+        raise ExperimentConfigError(f"[problem] {exc}") from None
     config = _build_optimizer(parser["optimizer"])
     sketch_config = _build_sketch(parser, config, problem.d, seed_values["sketch"])
     try:

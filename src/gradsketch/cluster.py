@@ -268,18 +268,20 @@ def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
     Uses two length-d buffers but the operations, in their order, of
     ``mean = sum(grads) / W`` (whose sum starts from 0) and of
     ``sum((g - mean) @ (g - mean) for g in grads) / W``, so the values keep
-    their bits.
+    their bits.  Overflow and NaN warnings are silenced: the caller checks
+    both results and names the offending worker itself.
     """
-    mean = np.add(0.0, grads[0])
-    for g in grads[1:]:
-        mean += g
-    mean /= len(grads)
-    mean_sq = float(mean @ mean)
-    dev = np.empty_like(mean)
-    dispersion = 0
-    for g in grads:
-        np.subtract(g, mean, out=dev)
-        dispersion += float(dev @ dev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add(0.0, grads[0])
+        for g in grads[1:]:
+            mean += g
+        mean /= len(grads)
+        mean_sq = float(mean @ mean)
+        dev = np.empty_like(mean)
+        dispersion = 0
+        for g in grads:
+            np.subtract(g, mean, out=dev)
+            dispersion += float(dev @ dev)
     return mean_sq, dispersion / len(grads)
 
 
@@ -346,7 +348,8 @@ def run_training(
     for t in range(1, config.t_rounds + 1):
         batch = order_rng.choice(problem.n_train, size=batch_size, replace=False)
         shards = partition_batch(batch, config.w_workers)
-        grads = [problem.gradient(st.w, shard) for st, shard in zip(states, shards)]
+        # the replicas are equal at every round start (checked after each round)
+        grads = problem.gradients(states[0].w, shards)
         mean_sq, dispersion = _gradient_statistics(grads)
         if not np.isfinite(mean_sq + dispersion):
             # any non-finite entry makes the mean, hence mean_sq, non-finite;

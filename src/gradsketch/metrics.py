@@ -164,12 +164,16 @@ def read_metrics_csv(path: str) -> RunMetrics:
                 raise MetricsFormatError(f"{path}:{lineno}: row has {len(row)} fields, expected {len(_COLUMNS)}")
             values: dict[str, object] = {}
             for name, token in zip(_COLUMNS, row):
-                if name in _INT_COLUMNS:
-                    values[name] = int(token)
-                elif name == "support_hash":
+                if name == "support_hash":
                     values[name] = token
-                else:
-                    values[name] = float(token)
+                    continue
+                kind = int if name in _INT_COLUMNS else float
+                try:
+                    values[name] = kind(token)
+                except ValueError:
+                    raise MetricsFormatError(
+                        f"{path}:{lineno}: {name} = {token!r} is not a valid {kind.__name__}"
+                    ) from None
             metrics.records.append(RoundRecord(**values))
     if header is None:
         raise MetricsFormatError(f"{path}: no column header found")

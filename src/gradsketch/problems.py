@@ -8,15 +8,20 @@ worker-mean equal to the batch mean, which is what makes single-node and
 multi-node runs comparable.
 
 The training loop uses a problem through ``d``, ``n_train``,
-``initial_point(seed)``, ``gradient(w, idx)`` (the mean gradient over the
-sample indices ``idx``), ``evaluate(w) -> (train_loss, test_metric)`` once
-per round, ``test_metric(w)`` for the theory mode's averaged iterate, and
-``kind``.  ``evaluate`` returns exactly ``(train_loss(w), test_metric(w))``.
+``initial_point(seed)``, ``gradients(w, shards)`` once per round,
+``evaluate(w) -> (train_loss, test_metric)`` once per round,
+``test_metric(w)`` for the theory mode's averaged iterate, and ``kind``.
+``gradients`` returns the mean gradient of each shard of sample indices at
+the one point ``w`` (replica 0's, since all replicas are equal), as a list in
+shard order, and computes it by calling ``gradient(w, idx)`` once per shard;
+the quadratic passes that call the noiseless part ``A w - b`` it built once.
+``evaluate`` returns exactly ``(train_loss(w), test_metric(w))``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,37 +112,44 @@ def load_dataset(path: str) -> Dataset:
     """Parse a whitespace-separated text dataset.
 
     Grammar: one sample per line; the first token is an integer label and the
-    remaining tokens are float features.  Blank lines and lines starting with
-    ``#`` are skipped.  Every retained line must have the same number of
-    features.  Errors report 1-based line numbers.
+    remaining tokens are finite float features (``nan`` and ``inf`` are
+    rejected).  Blank lines and lines starting with ``#`` are skipped.  Every
+    retained line must have the same number of features.  Errors report
+    1-based line numbers.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) < 2:
-                raise DatasetFormatError(f"{path}:{lineno}: need a label and at least one feature")
-            try:
-                label = int(tokens[0])
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: label {tokens[0]!r} is not an integer") from None
-            try:
-                feats = [float(t) for t in tokens[1:]]
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature token") from None
-            if width is None:
-                width = len(feats)
-            elif len(feats) != width:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: row has {len(feats)} features, expected {width}"
-                )
-            labels.append(label)
-            rows.append(feats)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                tokens = stripped.split()
+                if len(tokens) < 2:
+                    raise DatasetFormatError(f"{path}:{lineno}: need a label and at least one feature")
+                try:
+                    label = int(tokens[0])
+                except ValueError:
+                    raise DatasetFormatError(f"{path}:{lineno}: label {tokens[0]!r} is not an integer") from None
+                try:
+                    feats = [float(t) for t in tokens[1:]]
+                except ValueError:
+                    raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature token") from None
+                if not all(map(math.isfinite, feats)):
+                    bad = next(t for t, f in zip(tokens[1:], feats) if not math.isfinite(f))
+                    raise DatasetFormatError(f"{path}:{lineno}: non-finite feature token {bad!r}")
+                if width is None:
+                    width = len(feats)
+                elif len(feats) != width:
+                    raise DatasetFormatError(
+                        f"{path}:{lineno}: row has {len(feats)} features, expected {width}"
+                    )
+                labels.append(label)
+                rows.append(feats)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DatasetFormatError(f"{path}: no samples found")
     return Dataset(np.array(rows), np.array(labels), name=path)
@@ -226,10 +238,10 @@ class QuadraticProblem:
 
     def __init__(self, spectrum: np.ndarray, noise_sigma: float, n_samples: int, seed: int):
         self.spectrum = np.asarray(spectrum, dtype=np.float64)
-        if self.spectrum.ndim != 1 or np.any(self.spectrum <= 0):
-            raise ValueError("spectrum must be a 1-d array of positive eigenvalues")
-        if noise_sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        if self.spectrum.ndim != 1 or not np.all(np.isfinite(self.spectrum)) or np.any(self.spectrum <= 0):
+            raise ValueError("spectrum must be a 1-d array of finite positive eigenvalues")
+        if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma}")
         rng = np.random.default_rng(seed)
         self.b = rng.standard_normal(self.spectrum.size)
         self.noise = rng.normal(0.0, noise_sigma, size=(n_samples, self.spectrum.size)) if noise_sigma > 0 else np.zeros((n_samples, self.spectrum.size))
@@ -262,7 +274,15 @@ class QuadraticProblem:
     def per_sample_gradients(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return (self.spectrum * w - self.b)[None, :] + self.noise[idx]
 
-    def gradient(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _base(self, w: np.ndarray) -> np.ndarray:
+        """The noiseless gradient ``A w - b``, shared by every sample."""
+        base = self.spectrum * w
+        base -= self.b
+        return base
+
+    def gradient(self, w: np.ndarray, idx: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+        """Mean gradient over ``idx``: ``base`` (built here when not given)
+        plus the batch's mean noise, in a fresh buffer."""
         # The batch's noise rows are summed one after another into one buffer
         # and divided by the count, the operations noise[idx].mean(axis=0)
         # makes, without copying the rows.  At d = 1 numpy sums the column
@@ -274,10 +294,14 @@ class QuadraticProblem:
             for i in idx[2:]:
                 noise += self.noise[i]
             noise /= len(idx)
-        out = self.spectrum * w
-        out -= self.b
-        out += noise
-        return out
+        # noise + base has the bits of base + noise: IEEE addition commutes
+        noise += self._base(w) if base is None else base
+        return noise
+
+    def gradients(self, w: np.ndarray, shards: list[np.ndarray]) -> list[np.ndarray]:
+        """``[gradient(w, idx) for idx in shards]``, building ``A w - b`` once."""
+        base = self._base(w)
+        return [self.gradient(w, idx, base) for idx in shards]
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.spectrum * w - self.b + self._noise_mean
@@ -329,6 +353,10 @@ class _ErmProblem:
     def evaluate(self, w: np.ndarray) -> tuple[float, float]:
         """``(train_loss(w), test_metric(w))``; nothing is shared between them."""
         return self.train_loss(w), self.test_metric(w)
+
+    def gradients(self, w: np.ndarray, shards: list[np.ndarray]) -> list[np.ndarray]:
+        """``[gradient(w, idx) for idx in shards]``; nothing is shared between them."""
+        return [self.gradient(w, idx) for idx in shards]
 
 
 class LogisticProblem(_ErmProblem):

@@ -267,8 +267,8 @@ rng = 3
         calls = []
         gradient = QuadraticProblem.gradient
 
-        def poisoned(self, w, idx):
-            g = gradient(self, w, idx)
+        def poisoned(self, w, idx, *rest):
+            g = gradient(self, w, idx, *rest)
             if len(calls) == 2 * 2 + 1:
                 g[-1] = np.nan
             calls.append(idx)
@@ -281,6 +281,78 @@ rng = 3
         assert code == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "round 3: worker 1 " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("xi = 40.0", "xi = nan", "[optimizer] xi = 'nan'"),
+            ("xi = 40.0", "xi = 40.0\nlr = inf", "[optimizer] lr = 'inf'"),
+            ("xi = 40.0", "xi = 40.0\nlr = -Infinity", "[optimizer] lr = '-Infinity'"),
+            ("xi = 40.0", "xi = 40.0\nbeta = NaN", "[optimizer] beta = 'NaN'"),
+            ("xi = 40.0", "xi = 40.0\nmu_scale = inf", "[optimizer] mu_scale = 'inf'"),
+            ("quad_lambda_max = 3.0", "quad_lambda_max = inf", "[problem] quad_lambda_max = 'inf'"),
+            ("quad_noise_sigma = 0.05", "quad_noise_sigma = nan", "[problem] quad_noise_sigma = 'nan'"),
+        ],
+        ids=["xi", "lr-inf", "lr-neg-inf", "beta", "mu_scale", "quad_lambda_max", "quad_noise_sigma"],
+    )
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, old, new, named):
+        cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(old, new))
+        assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err and "not finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_finite_lr_point_exits_2(self, tmp_path, capsys):
+        text = SYNTH_LOGISTIC.replace("lr = 0.5", "lr_points = 1:0.5, 12:nan")
+        cfg = write_config(tmp_path, text.format(out=tmp_path / "x.csv"))
+        assert main(["run", cfg]) == 2
+        assert "lr_points must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (QUADRATIC_THEORY.replace("quad_noise_sigma = 0.05", "quad_noise_sigma = -1.0"), "noise sigma"),
+            (SYNTH_LOGISTIC.replace("synth_separation = 3.0", "synth_separation = -1.0"), "separation"),
+            (SYNTH_LOGISTIC.replace("lambda = 0.01", "lambda = -0.5"), "regularization"),
+        ],
+        ids=["quad_noise_sigma", "synth_separation", "lambda"],
+    )
+    def test_problem_constructor_error_exits_2(self, tmp_path, capsys, text, named):
+        cfg = write_config(tmp_path, text.format(out=tmp_path / "x.csv"))
+        assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [problem]" in err and named in err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(QUADRATIC_THEORY.replace("quadratic", "quadr\xe4tic").encode("latin-1"))
+        assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_dataset_token_exits_2(self, tmp_path, capsys, token):
+        data = tmp_path / "data.txt"
+        data.write_text(f"1 0.5 0.25\n-1 0.1 {token}\n1 0.2 0.3\n")
+        text = f"""
+[problem]
+kind = logistic
+dataset = {data}
+test_dataset = {data}
+batch_size = 2
+
+[optimizer]
+mode = empirical
+algorithm = vanilla
+t = 1
+
+[seeds]
+data = 1
+sketch = 2
+rng = 3
+"""
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"data.txt:2: non-finite feature token '{token}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -329,6 +401,21 @@ class TestReportCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [0, 1, 8])  # t, train_loss, bytes_up
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, column):
+        out_a, _ = self._run_two(tmp_path)
+        with open(out_a) as fh:
+            lines = fh.read().split("\n")
+        header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+        row = lines[header + 1].split(",")
+        row[column] = "oops"
+        lines[header + 1] = ",".join(row)
+        with open(out_a, "w") as fh:
+            fh.write("\n".join(lines))
+        capsys.readouterr()
+        assert main(["report", out_a]) == 2
+        assert f"parse error: {out_a}:{header + 2}:" in capsys.readouterr().err
 
     def test_non_metrics_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

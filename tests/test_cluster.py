@@ -1,6 +1,7 @@
 """Parameter-server simulation: channel metering, accounting, training runs."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -313,8 +314,8 @@ class TestRunTraining:
         calls = []
         gradient = prob.gradient
 
-        def poisoned(w, idx):
-            g = gradient(w, idx)
+        def poisoned(w, idx, *rest):
+            g = gradient(w, idx, *rest)
             if len(calls) in values:
                 g[0] = values[len(calls)]
             calls.append(idx)
@@ -344,6 +345,55 @@ class TestRunTraining:
             summary = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1).metrics.summary
         assert summary["grad_dispersion"] == np.inf
         assert np.isfinite(summary["final_train_loss"])
+
+    def test_overflow_and_nan_statistics_warn_nothing(self):
+        # run_training checks the statistics itself, so numpy must not print
+        # overflow or invalid-value warnings ahead of its own verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prob = quadratic()
+            self._poison(prob, {2: 1e200, 3: -1e200})
+            cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=4, w_workers=2, lr=0.05)
+            summary = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1).metrics.summary
+            assert summary["grad_dispersion"] == np.inf
+            assert np.isfinite(summary["final_train_loss"])
+            prob = quadratic()
+            self._poison(prob, {3: np.nan})
+            with pytest.raises(TrainingDivergedError, match="round 2: worker 1 "):
+                run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("mode", ["empirical", "theory"])
+    @pytest.mark.parametrize("algorithm", ["vanilla", "sketched", "true-topk", "local-topk"])
+    def test_gradient_called_once_per_shard_in_order(self, kind, mode, algorithm):
+        # the contract a tracer counting gradient calls as its round clock
+        # relies on: W calls a round, in shard order, all at one point
+        w_workers, t_rounds, batch_size, data_seed = 3, 5, 13, 4
+        if kind == "quadratic":
+            prob = quadratic()
+        else:
+            train, test = split_dataset(synth_data(n=160, d=32, class_separation=3.0, seed=2), 120)
+            prob = LogisticProblem(train, test, lam=0.01)
+        calls = []
+        gradient = prob.gradient
+
+        def recording(w, idx, *rest):
+            calls.append((w, np.array(idx)))
+            return gradient(w, idx, *rest)
+
+        prob.gradient = recording
+        cfg = OptimizerConfig(mode=mode, algorithm=algorithm, k=4, p=2, t_rounds=t_rounds, w_workers=w_workers,
+                              lr=0.05, xi=50.0 if mode == "theory" else None)
+        sketch = SketchConfig(d=32, r=3, c=16, seed=1) if algorithm == "sketched" else None
+        run_training(prob, cfg, sketch, batch_size=batch_size, data_seed=data_seed, rng_seed=1)
+        assert len(calls) == w_workers * t_rounds
+        order_rng = np.random.default_rng(data_seed)
+        for t in range(t_rounds):
+            batch = order_rng.choice(prob.n_train, size=batch_size, replace=False)
+            rnd = calls[t * w_workers:(t + 1) * w_workers]
+            for (w, idx), shard in zip(rnd, partition_batch(batch, w_workers)):
+                assert w is rnd[0][0]
+                assert np.array_equal(idx, shard)
 
     def test_configuration_errors(self):
         prob = quadratic()
@@ -405,7 +455,7 @@ class TestRunTraining:
         prob = quadratic(d=300, noise=0.5)
         grads = []
         gradient = prob.gradient
-        monkeypatch.setattr(prob, "gradient", lambda w, idx: grads.append(gradient(w, idx)) or grads[-1].copy())
+        monkeypatch.setattr(prob, "gradient", lambda w, idx, *rest: grads.append(gradient(w, idx, *rest)) or grads[-1].copy())
         cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=5, p=4, t_rounds=6, w_workers=w_workers, lr=0.1)
         sketch = SketchConfig(d=300, r=3, c=40, seed=2) if algorithm == "sketched" else None
         summary = run_training(prob, cfg, sketch, batch_size=12, data_seed=2, rng_seed=3).metrics.summary

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradsketch.metrics import (
+    _COLUMNS,
     MetricsFormatError,
     RoundRecord,
     RunMetrics,
@@ -109,6 +110,21 @@ class Testvalidation:
         with open(path, "a") as fh:
             fh.write("3,1.0\n")
         with pytest.raises(MetricsFormatError, match="fields"):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("column", [name for name in _COLUMNS if name != "support_hash"])
+    def test_rejects_non_numeric_field_naming_line(self, tmp_path, column):
+        path = str(tmp_path / "run.csv")
+        write_metrics_csv(path, _sample_metrics())
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        header = lines.index(",".join(_COLUMNS))
+        row = lines[header + 2].split(",")
+        row[_COLUMNS.index(column)] = "1.5x"
+        lines[header + 2] = ",".join(row)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines))
+        with pytest.raises(MetricsFormatError, match=f"run.csv:{header + 3}: {column} = '1.5x'"):
             read_metrics_csv(path)
 
 

@@ -10,6 +10,7 @@ from gradsketch.optim import (
     OptimizerConfig,
     _accumulate,
     _apply,
+    _union,
     empirical_round,
     local_topk_step,
     lr_theory,
@@ -73,6 +74,19 @@ class TestOptimizerConfig:
         # the schedule offset is required even for uncompressed baselines
         with pytest.raises(ValueError, match="xi"):
             OptimizerConfig(mode="theory", algorithm="vanilla")
+
+    @pytest.mark.parametrize("mode", ["empirical", "theory"])
+    @pytest.mark.parametrize("field", ["lr", "beta", "mu_scale", "xi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_floats(self, mode, field, value):
+        kwargs = {"mode": mode, "algorithm": "sketched", "xi": 50.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, -np.inf)])
+    def test_rejects_non_finite_lr_points(self, point):
+        with pytest.raises(ValueError, match="lr_points must be finite"):
+            OptimizerConfig(mode="empirical", lr_points=((0.0, 0.5), point))
 
     def test_rejects_duplicate_bias(self):
         with pytest.raises(ValueError):
@@ -358,6 +372,33 @@ class TestBaselines:
         ws = [stt.w for stt in states]
         for other in ws[1:]:
             assert np.array_equal(ws[0], other)
+
+
+class TestUnion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        workers=st.integers(min_value=1, max_value=5),
+        k=st.integers(min_value=1, max_value=12),
+        layout=st.sampled_from(["disjoint", "overlapping", "identical"]),
+    )
+    def test_matches_np_unique(self, data, workers, k, layout):
+        # supports as topk_indices gives them: k distinct ascending intp indices
+        if layout == "disjoint":
+            d = data.draw(st.integers(min_value=k * workers, max_value=k * workers + 8))
+            order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(d)
+            supports = [np.sort(order[i * k:(i + 1) * k]) for i in range(workers)]
+        else:
+            d = data.draw(st.integers(min_value=k, max_value=3 * k))  # includes k == d
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            supports = [np.sort(rng.choice(d, size=k, replace=False)) for _ in range(workers)]
+            if layout == "identical":
+                supports = [supports[0].copy() for _ in range(workers)]
+        supports = [s.astype(np.intp) for s in supports]
+        want = np.unique(np.concatenate(supports))
+        got = _union(supports)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestMomentumFreeAccumulation:

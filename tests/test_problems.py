@@ -1,5 +1,7 @@
 """Gradient oracles, dataset generation, and loader error paths."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,40 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0]), -0.5, 4, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_spectrum(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem(np.array([1.0, bad]), 0.0, 4, 0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_rejects_non_finite_noise_sigma(self, sigma):
+        # a NaN sigma fails `sigma > 0` and used to run silently noise-free
+        with pytest.raises(ValueError, match="noise sigma"):
+            QuadraticProblem(np.array([1.0, 2.0]), sigma, 4, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 17, 300])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_gradients_are_per_shard_gradient(self, d, sigma):
+        # the shared A w - b must leave each shard's bits as gradient() and
+        # the plain expression give them, with one fresh buffer per shard
+        p = QuadraticProblem(np.linspace(0.5, 2.0, d), noise_sigma=sigma, n_samples=24, seed=d)
+        rng = np.random.default_rng(d)
+        signed_zeros = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+        for w in (rng.standard_normal(d), 1e150 * rng.standard_normal(d), signed_zeros):
+            for w_workers in range(1, 6):
+                # batches from one row per shard up to the whole set
+                for batch_size in (w_workers, w_workers + 1, 2 * w_workers + 1, p.n_train):
+                    batch = rng.choice(p.n_train, size=batch_size, replace=False)
+                    shards = np.array_split(batch, w_workers)
+                    grads = p.gradients(w, shards)
+                    assert len(grads) == w_workers
+                    for g, idx in zip(grads, shards):
+                        want = p.spectrum * w - p.b + p.noise[idx].mean(axis=0)
+                        assert g.tobytes() == p.gradient(w, idx).tobytes() == want.tobytes()
+                        assert not np.shares_memory(g, w)
+                    for i, g in enumerate(grads):
+                        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+
 
 class TestSynthData:
     def test_deterministic_and_balanced(self):
@@ -216,6 +252,20 @@ class TestLoader:
         with pytest.raises(DatasetFormatError, match=":1:"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "NaN", "+inf"])
+    def test_non_finite_feature_token_names_line(self, tmp_path, token):
+        # these parse as floats; loaded, they made prepare_features zero
+        # every feature
+        path = self._write(tmp_path, f"1 0.5 2.0\n-1 {token} 1.0\n")
+        with pytest.raises(DatasetFormatError, match=f":2: non-finite feature token '{re.escape(token)}'"):
+            load_dataset(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1 0.5\n-1 \xff\xfe\n")
+        with pytest.raises(DatasetFormatError, match="not UTF-8"):
+            load_dataset(str(path))
+
     def test_empty_file(self, tmp_path):
         path = self._write(tmp_path, "# only comments\n")
         with pytest.raises(DatasetFormatError, match="no samples"):
@@ -270,6 +320,19 @@ class TestErmProblems:
             loss, metric = p.evaluate(w)
             assert _bits(loss) == _bits(p.train_loss(w))
             assert _bits(metric) == _bits(p.test_metric(w))
+
+    @pytest.mark.parametrize("cls", [LogisticProblem, HingeSVMProblem])
+    def test_gradients_are_per_shard_gradient(self, cls):
+        p = self._problem(cls)
+        rng = np.random.default_rng(5)
+        for w in (np.zeros(6), rng.standard_normal(6), 50.0 * rng.standard_normal(6)):
+            for w_workers in range(1, 6):
+                for batch_size in (w_workers, 2 * w_workers + 1, 64):
+                    shards = np.array_split(rng.choice(p.n_train, size=batch_size, replace=False), w_workers)
+                    grads = p.gradients(w, shards)
+                    assert len(grads) == w_workers
+                    for g, idx in zip(grads, shards):
+                        assert g.tobytes() == p.gradient(w, idx).tobytes()
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
