@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from gradsketch.cluster import run_training
+from gradsketch.cluster import MeteredChannel, run_training
 from gradsketch.optim import OptimizerConfig, local_topk_step, make_states
 from gradsketch.problems import QuadraticProblem
 from gradsketch.sketch import SketchConfig
@@ -68,7 +68,7 @@ def union_table(w_grid, args):
                         width = args.union_d // blocks
                         g[i * width:(i + 1) * width] *= 10.0
                     grads.append(g)
-                sizes.append(len(local_topk_step(states, grads, 0.1, config, None, 0)))
+                sizes.append(len(local_topk_step(states, grads, 0.1, config, None, 0, MeteredChannel())))
             means[label] = float(np.mean(sizes))
         cap = min(args.union_k * w, args.union_d)
         print(f"{w:<4}{means['iid']:<12.1f}{means['sharded']:<15.1f}{cap:<12}")

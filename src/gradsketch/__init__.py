@@ -2,7 +2,6 @@
 
 from gradsketch.cluster import (
     MeteredChannel,
-    RoundStats,
     TrainingDivergedError,
     TrainingResult,
     config_compression_factor,
@@ -44,7 +43,6 @@ __all__ = [
     "OptimizerConfig",
     "QuadraticProblem",
     "RoundRecord",
-    "RoundStats",
     "RunMetrics",
     "SketchConfig",
     "TrainingDivergedError",

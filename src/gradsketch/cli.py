@@ -23,7 +23,7 @@ import numpy as np
 
 from gradsketch.cluster import TrainingDivergedError, run_training
 from gradsketch.metrics import MetricsFormatError, RunMetrics, read_metrics_csv, write_metrics_csv
-from gradsketch.optim import ALGORITHMS, MODES, OptimizerConfig
+from gradsketch.optim import OptimizerConfig
 from gradsketch.problems import (
     Dataset,
     DatasetFormatError,
@@ -218,15 +218,9 @@ def _build_problem(section: configparser.SectionProxy, data_seed: int):
 
 
 def _build_optimizer(section: configparser.SectionProxy) -> OptimizerConfig:
-    mode = _typed(section, "mode", str, required=True)
-    if mode not in MODES:
-        raise ExperimentConfigError(f"[optimizer] mode must be one of {MODES}, got {mode!r}")
-    algorithm = _typed(section, "algorithm", str, "sketched")
-    if algorithm not in ALGORITHMS:
-        raise ExperimentConfigError(f"[optimizer] algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     kwargs = dict(
-        mode=mode,
-        algorithm=algorithm,
+        mode=_typed(section, "mode", str, required=True),
+        algorithm=_typed(section, "algorithm", str, "sketched"),
         k=_typed(section, "k", int, 1),
         p=_typed(section, "p", int, 1),
         t_rounds=_typed(section, "t", int, required=True),

@@ -41,6 +41,31 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a run produces a non-finite gradient or loss."""
 
 
+# One row per message kind, keyed by the channel method that sends it:
+# (wire tag, encoder, decoder, element count, (bytes tally, elements
+# tally)).  The codecs are looked up in ``wire`` and on the message on every
+# call, so rebinding one (as a tracer does) takes effect; a decoder gets the
+# sent message for what the receiver already knows (sketch config, vector
+# dimension).
+_KINDS = {
+    "up_sketch": (wire.TAG_SKETCH_UP, lambda sketch: sketch.to_bytes(),
+                  lambda payload, sent: wire.decode_sketch(payload, sent.config),
+                  lambda sketch: sketch.num_elements, ("up_bytes", "up_sketch_elems")),
+    "request_indices": (wire.TAG_EXACT_REQUEST, lambda indices: wire.encode_indices(indices),
+                        lambda payload, _: wire.decode_indices(payload), len, ("request_bytes", "request_elems")),
+    "up_values": (wire.TAG_EXACT_UP, lambda values: wire.encode_values(values),
+                  lambda payload, _: wire.decode_values(payload), len, ("up_bytes", "up_exact_elems")),
+    # sparse uploads are exact (index, value) entries; they play the role of
+    # the exact-value round in the element accounting
+    "up_sparse": (wire.TAG_SPARSE_UP, lambda vec: wire.encode_sparse(vec),
+                  lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("up_bytes", "up_exact_elems")),
+    "down_update": (wire.TAG_UPDATE_DOWN, lambda vec: wire.encode_sparse(vec),
+                    lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("down_bytes", "down_elems")),
+    "down_values": (wire.TAG_VALUES_DOWN, lambda values: wire.encode_values(values),
+                    lambda payload, _: wire.decode_values(payload), len, ("down_bytes", "down_elems")),
+}
+
+
 class MeteredChannel:
     """In-process transport that serializes, decodes, and meters every message.
 
@@ -63,93 +88,42 @@ class MeteredChannel:
         self.down_bytes = 0
         self.down_elems = 0
 
-    def _tally_up(self, counter: dict[int, int], worker: int, amount: int) -> None:
-        counter[worker] = counter.get(worker, 0) + amount
-
-    def _carry(self, tag: int, payload: bytes) -> tuple[int, bytes]:
-        """Frame ``payload`` under ``tag`` and unframe it as the receiver does,
-        which raises ``WireError`` on any other tag; returns (frame size, payload)."""
-        blob = wire.frame(tag, payload)
-        received_tag, received = wire.unframe(blob)
+    def _send(self, kind: str, message, worker: int | None = None):
+        """Carry ``message`` as a ``kind`` message (see ``_KINDS``): frame it,
+        unframe it as the receiver does, which raises ``WireError`` on any
+        other tag, decode it, and add its frame bytes and element count to
+        the kind's tallies (under ``worker`` for an upload)."""
+        tag, encode, decode, count, tallies = _KINDS[kind]
+        blob = wire.frame(tag, encode(message))
+        received_tag, payload = wire.unframe(blob)
         if received_tag != tag:
             raise wire.WireError(f"expected a frame tagged {tag}, received tag {received_tag}")
-        return len(blob), received
+        decoded = decode(payload, message)
+        for name, amount in zip(tallies, (len(blob), count(decoded))):
+            if worker is None:
+                setattr(self, name, getattr(self, name) + amount)
+            else:
+                tally = getattr(self, name)
+                tally[worker] = tally.get(worker, 0) + amount
+        return decoded
 
     def up_sketch(self, sketch: CountSketch, worker: int) -> CountSketch:
-        size, payload = self._carry(wire.TAG_SKETCH_UP, sketch.to_bytes())
-        decoded = wire.decode_sketch(payload, sketch.config)
-        self._tally_up(self.up_bytes, worker, size)
-        self._tally_up(self.up_sketch_elems, worker, decoded.num_elements)
-        return decoded
+        return self._send("up_sketch", sketch, worker)
 
     def request_indices(self, indices: np.ndarray) -> np.ndarray:
-        size, payload = self._carry(wire.TAG_EXACT_REQUEST, wire.encode_indices(indices))
-        decoded = wire.decode_indices(payload)
-        self.request_bytes += size
-        self.request_elems += int(decoded.size)
-        return decoded
+        return self._send("request_indices", indices)
 
     def up_values(self, values: np.ndarray, worker: int) -> np.ndarray:
-        size, payload = self._carry(wire.TAG_EXACT_UP, wire.encode_values(values))
-        decoded = wire.decode_values(payload)
-        self._tally_up(self.up_bytes, worker, size)
-        self._tally_up(self.up_exact_elems, worker, int(decoded.size))
-        return decoded
+        return self._send("up_values", values, worker)
 
     def up_sparse(self, vec, worker: int):
-        size, payload = self._carry(wire.TAG_SPARSE_UP, wire.encode_sparse(vec))
-        decoded = wire.decode_sparse(payload, vec.d)
-        self._tally_up(self.up_bytes, worker, size)
-        # sparse uploads are exact (index, value) entries; they play the role
-        # of the exact-value round in the element accounting
-        self._tally_up(self.up_exact_elems, worker, len(decoded))
-        return decoded
+        return self._send("up_sparse", vec, worker)
 
     def down_update(self, vec):
-        size, payload = self._carry(wire.TAG_UPDATE_DOWN, wire.encode_sparse(vec))
-        decoded = wire.decode_sparse(payload, vec.d)
-        self.down_bytes += size
-        self.down_elems += len(decoded)
-        return decoded
+        return self._send("down_update", vec)
 
     def down_values(self, values: np.ndarray) -> np.ndarray:
-        size, payload = self._carry(wire.TAG_VALUES_DOWN, wire.encode_values(values))
-        decoded = wire.decode_values(payload)
-        self.down_bytes += size
-        self.down_elems += int(decoded.size)
-        return decoded
-
-
-@dataclass(frozen=True)
-class RoundStats:
-    """Communication accounting for one round.
-
-    Element counts are per worker: the sketch upload (r*c cells), the exact
-    upload (value replies plus any sparse entries), and the broadcast update
-    each worker receives.  ``bytes_up`` is per worker, ``bytes_down`` is the
-    broadcast frame, and ``bytes_request`` is the index request the element
-    formula excludes.
-    """
-
-    d: int
-    w_workers: int
-    up_sketch_elems: int
-    up_exact_elems: int
-    down_update_elems: int
-    bytes_up: int
-    bytes_down: int
-    bytes_request: int
-
-    @property
-    def compression_factor(self) -> float:
-        """Elements saved per worker: 2d over sketch + exact + update counts."""
-        moved = self.up_sketch_elems + self.up_exact_elems + self.down_update_elems
-        return 2.0 * self.d / moved
-
-    @property
-    def byte_compression_factor(self) -> float:
-        """Bytes saved per worker against dense f64 up and down (16d bytes)."""
-        return 16.0 * self.d / (self.bytes_up + self.bytes_down)
+        return self._send("down_values", values)
 
 
 def account_round(
@@ -157,8 +131,14 @@ def account_round(
     config: OptimizerConfig,
     d: int,
     channel: MeteredChannel,
-) -> RoundStats:
-    """Turn one round's channel tallies into RoundStats.
+) -> dict[str, int]:
+    """One round's channel tallies as the ``RoundRecord`` traffic fields.
+
+    Element counts are per worker: the sketch upload (r*c cells), the exact
+    upload (value replies plus any sparse entries), and the broadcast update
+    each worker receives.  ``bytes_up`` is per worker, ``bytes_down`` is the
+    broadcast frame, and ``bytes_request`` is the index request the element
+    formula excludes.
 
     Enforces the protocol the accounting relies on: every worker uploaded
     the same byte and element counts, and a sketched round's uploads are
@@ -182,16 +162,14 @@ def account_round(
         budget = min(config.p * config.k, d) + len(config.bias_indices)
         if config.mode == "empirical" and exact_elems[0] > budget:
             raise RuntimeError(f"exact upload of {exact_elems[0]} values exceeds the candidate budget {budget}")
-    return RoundStats(
-        d=d,
-        w_workers=config.w_workers,
-        up_sketch_elems=sketch_elems[0],
-        up_exact_elems=exact_elems[0],
-        down_update_elems=channel.down_elems,
-        bytes_up=per_worker_bytes[0],
-        bytes_down=channel.down_bytes,
-        bytes_request=channel.request_bytes,
-    )
+    return {
+        "up_sketch_elems": sketch_elems[0],
+        "up_exact_elems": exact_elems[0],
+        "down_update_elems": channel.down_elems,
+        "bytes_up": per_worker_bytes[0],
+        "bytes_down": channel.down_bytes,
+        "bytes_request": channel.request_bytes,
+    }
 
 
 def partition_batch(batch: np.ndarray, w_workers: int) -> list[np.ndarray]:
@@ -340,10 +318,6 @@ def run_training(
     supports: list[np.ndarray] = []
     grad_sq_max = 0.0
     dispersion_sum = 0.0
-    bytes_up_total = 0
-    bytes_down_total = 0
-    bytes_request_total = 0
-    union_total = 0
 
     for t in range(1, config.t_rounds + 1):
         batch = order_rng.choice(problem.n_train, size=batch_size, replace=False)
@@ -361,7 +335,7 @@ def run_training(
         dispersion_sum += dispersion
 
         if averager is not None:
-            averager.add(t, states[0].w.copy())
+            averager.add(t, states[0].w)
         channel.start_round()
         update = round_fn(states, grads, lr_at(t, config), config, sketch_config, int(fill_seeds[t - 1]), channel)
 
@@ -372,12 +346,7 @@ def run_training(
         loss, test_metric = problem.evaluate(states[0].w)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"round {t}: non-finite train loss {loss!r}")
-        stats = account_round(sketch_config, config, d, channel)
         supports.append(np.array(update.indices, dtype=np.int64))
-        union_total += len(update)
-        bytes_up_total += stats.bytes_up * config.w_workers
-        bytes_down_total += stats.bytes_down * config.w_workers
-        bytes_request_total += stats.bytes_request * config.w_workers
         metrics.records.append(
             RoundRecord(
                 t=t,
@@ -385,13 +354,8 @@ def run_training(
                 test_metric=test_metric,
                 support_size=len(update),
                 union_size=len(update),
-                up_sketch_elems=stats.up_sketch_elems,
-                up_exact_elems=stats.up_exact_elems,
-                down_update_elems=stats.down_update_elems,
-                bytes_up=stats.bytes_up,
-                bytes_down=stats.bytes_down,
-                bytes_request=stats.bytes_request,
                 support_hash=support_fingerprint(update.indices),
+                **account_round(sketch_config, config, d, channel),
             )
         )
 
@@ -405,7 +369,10 @@ def run_training(
         averaged_w = averager.finalize()
         summary["averaged_test_metric"] = problem.test_metric(averaged_w)
     rounds = max(config.t_rounds, 1)
-    mean_union = union_total / rounds
+    past = metrics.records[1:]
+    bytes_up_total = config.w_workers * sum(rec.bytes_up for rec in past)
+    bytes_down_total = config.w_workers * sum(rec.bytes_down for rec in past)
+    mean_union = sum(rec.support_size for rec in past) / rounds
     summary["compression_factor"] = config_compression_factor(
         config, sketch_config, d, mean_union if config.algorithm == "local-topk" else None
     )
@@ -416,10 +383,10 @@ def run_training(
         summary["byte_compression_factor"] = 1.0
     summary["bytes_up_total"] = bytes_up_total
     summary["bytes_down_total"] = bytes_down_total
-    summary["bytes_request_total"] = bytes_request_total
-    summary["mean_union_size"] = mean_union if config.t_rounds >= 1 else 0.0
+    summary["bytes_request_total"] = config.w_workers * sum(rec.bytes_request for rec in past)
+    summary["mean_union_size"] = mean_union
     summary["grad_sq_max"] = grad_sq_max
-    summary["grad_dispersion"] = dispersion_sum / rounds if config.t_rounds >= 1 else 0.0
+    summary["grad_dispersion"] = dispersion_sum / rounds
     metrics.summary = summary
 
     return TrainingResult(

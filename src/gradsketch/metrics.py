@@ -133,48 +133,51 @@ def read_metrics_csv(path: str) -> RunMetrics:
     """
     metrics = RunMetrics()
     header: list[str] | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _MAGIC:
-            raise MetricsFormatError(f"{path}: not a metrics file (missing {_MAGIC!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# config "):
-                key, value = _parse_comment(line, "config", path, lineno)
-                metrics.config_echo[key] = value
-                continue
-            if line.startswith("# summary "):
-                key, value = _parse_comment(line, "summary", path, lineno)
-                try:
-                    metrics.summary[key] = float(value)
-                except ValueError:
-                    metrics.summary[key] = value
-                continue
-            if line.startswith("#"):
-                raise MetricsFormatError(f"{path}:{lineno}: unrecognized comment {line!r}")
-            row = next(csv.reader([line]))
-            if header is None:
-                header = row
-                if header != _COLUMNS:
-                    raise MetricsFormatError(f"{path}:{lineno}: unexpected columns {header}")
-                continue
-            if len(row) != len(_COLUMNS):
-                raise MetricsFormatError(f"{path}:{lineno}: row has {len(row)} fields, expected {len(_COLUMNS)}")
-            values: dict[str, object] = {}
-            for name, token in zip(_COLUMNS, row):
-                if name == "support_hash":
-                    values[name] = token
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            first = fh.readline().rstrip("\n")
+            if first != _MAGIC:
+                raise MetricsFormatError(f"{path}: not a metrics file (missing {_MAGIC!r})")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
                     continue
-                kind = int if name in _INT_COLUMNS else float
-                try:
-                    values[name] = kind(token)
-                except ValueError:
-                    raise MetricsFormatError(
-                        f"{path}:{lineno}: {name} = {token!r} is not a valid {kind.__name__}"
-                    ) from None
-            metrics.records.append(RoundRecord(**values))
+                if line.startswith("# config "):
+                    key, value = _parse_comment(line, "config", path, lineno)
+                    metrics.config_echo[key] = value
+                    continue
+                if line.startswith("# summary "):
+                    key, value = _parse_comment(line, "summary", path, lineno)
+                    try:
+                        metrics.summary[key] = float(value)
+                    except ValueError:
+                        metrics.summary[key] = value
+                    continue
+                if line.startswith("#"):
+                    raise MetricsFormatError(f"{path}:{lineno}: unrecognized comment {line!r}")
+                row = next(csv.reader([line]))
+                if header is None:
+                    header = row
+                    if header != _COLUMNS:
+                        raise MetricsFormatError(f"{path}:{lineno}: unexpected columns {header}")
+                    continue
+                if len(row) != len(_COLUMNS):
+                    raise MetricsFormatError(f"{path}:{lineno}: row has {len(row)} fields, expected {len(_COLUMNS)}")
+                values: dict[str, object] = {}
+                for name, token in zip(_COLUMNS, row):
+                    if name == "support_hash":
+                        values[name] = token
+                        continue
+                    kind = int if name in _INT_COLUMNS else float
+                    try:
+                        values[name] = kind(token)
+                    except ValueError:
+                        raise MetricsFormatError(
+                            f"{path}:{lineno}: {name} = {token!r} is not a valid {kind.__name__}"
+                        ) from None
+                metrics.records.append(RoundRecord(**values))
+    except UnicodeDecodeError as exc:
+        raise MetricsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if header is None:
         raise MetricsFormatError(f"{path}: no column header found")
     return metrics

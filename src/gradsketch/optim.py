@@ -15,11 +15,10 @@ per-worker top-k with support union (local top-k), or no compression at all
 (vanilla).
 
 Every round function has one signature, ``(states, grads, lr_t, config,
-sketch_config, rng_seed, channel=None)``, mutates the worker states in place
+sketch_config, rng_seed, channel)``, mutates the worker states in place
 and returns the broadcast update as a ``KSparseVector`` (vanilla's on full
-support).  All communication flows through the injectable channel so the
-cluster layer can serialize and meter every message; with no channel the
-rounds run as pure in-process math.
+support).  Every message crosses ``channel``, a ``cluster.MeteredChannel``,
+which serializes, decodes and meters it.
 """
 
 from __future__ import annotations
@@ -36,15 +35,6 @@ from gradsketch.sketch import sketch_vector  # noqa: F401  (perfbench/spans.py t
 
 MODES = ("theory", "empirical")
 ALGORITHMS = ("sketched", "vanilla", "true-topk", "local-topk")
-
-
-class _NullChannel:
-    """Pass-through used when rounds run without a metering transport."""
-
-    def _deliver(self, message, *_):
-        return message
-
-    up_sketch = request_indices = up_values = up_sparse = down_update = down_values = _deliver
 
 
 def rho_for(beta: float) -> float:
@@ -145,6 +135,8 @@ class OptimizerConfig:
                 rho_for(self.beta)
         if len(set(self.bias_indices)) != len(self.bias_indices):
             raise ValueError("bias indices must be unique")
+        # kept sorted: the bias goes out as an index request, which must increase
+        object.__setattr__(self, "bias_indices", tuple(sorted(self.bias_indices)))
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         for t_point, lr_value in self.lr_points:
@@ -283,7 +275,7 @@ def _merged_sketch(vectors: list[np.ndarray], sketch_config: SketchConfig, chann
 
 def theory_round(
     states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
-    sketch_config: SketchConfig, rng_seed: int, channel=None,
+    sketch_config: SketchConfig, rng_seed: int, channel,
 ) -> KSparseVector:
     """One analyzed-mode round; mutates states in place, returns the update.
 
@@ -293,7 +285,6 @@ def theory_round(
     broadcasts.  Every worker applies the update unscaled and subtracts the
     full global update from its accumulator.
     """
-    channel = channel or _NullChannel()
     _accumulate(states, grads, eta=lr_t)
     accums = [st.accum for st in states]
     merged = _merged_sketch(accums, sketch_config, channel)
@@ -307,7 +298,7 @@ def theory_round(
 
 def empirical_round(
     states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
-    sketch_config: SketchConfig, rng_seed: int, channel=None,
+    sketch_config: SketchConfig, rng_seed: int, channel,
 ) -> KSparseVector:
     """One practical-mode round; mutates states in place, returns the update.
 
@@ -320,7 +311,6 @@ def empirical_round(
     the updated support.
     """
     del rng_seed  # candidate selection is deterministic in this mode
-    channel = channel or _NullChannel()
     bias = np.asarray(config.bias_indices, dtype=np.int64)
     _accumulate(states, grads, config.momentum)
     compressible = [st.accum for st in states]
@@ -349,10 +339,9 @@ def empirical_round(
 
 def vanilla_step(
     states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
-    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
+    sketch_config: SketchConfig | None, rng_seed: int, channel,
 ) -> KSparseVector:
     """Uncompressed data-parallel SGD step; returns the mean gradient on full support."""
-    channel = channel or _NullChannel()
     mean_grad = channel.down_values(exact_mean(grads, channel))
     for st in states:
         st.w -= lr_t * mean_grad
@@ -361,14 +350,13 @@ def vanilla_step(
 
 def true_topk_step(
     states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
-    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
+    sketch_config: SketchConfig | None, rng_seed: int, channel,
 ) -> KSparseVector:
     """Error-feedback step whose compressor is exact top-k of the mean accumulator.
 
     The server needs the full mean accumulated vector, so each worker uploads
     it densely; this baseline bounds what any k-sparse selection could do.
     """
-    channel = channel or _NullChannel()
     _accumulate(states, grads, config.momentum)
     mean_accum = exact_mean([st.accum for st in states], channel)
     support = topk_indices(mean_accum, config.k)
@@ -388,7 +376,7 @@ def _union(supports: list[np.ndarray]) -> np.ndarray:
 
 def local_topk_step(
     states: list[WorkerState], grads: list[np.ndarray], lr_t: float, config: OptimizerConfig,
-    sketch_config: SketchConfig | None, rng_seed: int, channel=None,
+    sketch_config: SketchConfig | None, rng_seed: int, channel,
 ) -> KSparseVector:
     """Per-worker exact top-k with union support.
 
@@ -397,7 +385,6 @@ def local_topk_step(
     sparse contributions over all W workers, so the union support can reach
     ``min(k * W, d)`` elements on the way back down.
     """
-    channel = channel or _NullChannel()
     d = states[0].w.shape[0]
     _accumulate(states, grads, config.momentum)
     own_supports = [topk_indices(st.accum, config.k) for st in states]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from gradsketch.cli import main
-from gradsketch.cluster import config_compression_factor, run_training
+from gradsketch.cluster import MeteredChannel, config_compression_factor, run_training
 from gradsketch.heavyhitters import contraction_ratio, gaussian_vector, zipf_vector
 from gradsketch.optim import (
     OptimizerConfig,
@@ -164,8 +164,8 @@ class TestAcceptance:
             halves = np.array_split(batch, 2)
             gs = [prob.gradient(sketched[i].w, halves[i]) for i in range(2)]
             gv = [prob.gradient(vanilla[i].w, halves[i]) for i in range(2)]
-            theory_round(sketched, gs, lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), None)
-            vanilla_step(vanilla, gv, lr_theory(t, cfg.xi), cfg, None, 0, None)
+            theory_round(sketched, gs, lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), MeteredChannel())
+            vanilla_step(vanilla, gv, lr_theory(t, cfg.xi), cfg, None, 0, MeteredChannel())
             worst = max(worst, float(np.max(np.abs(sketched[0].w - vanilla[0].w))))
         _report(
             "AC5 no-compression equivalence",
@@ -277,7 +277,7 @@ class TestAcceptance:
                         g[i * (d // 16):(i + 1) * (d // 16)] *= 10.0
                     grads.append(g)
                 cfg = OptimizerConfig(mode="empirical", algorithm="local-topk", k=k, w_workers=w)
-                sizes[w] = len(local_topk_step(states, grads, 0.1, cfg, None, 0))
+                sizes[w] = len(local_topk_step(states, grads, 0.1, cfg, None, 0, MeteredChannel()))
             return sizes
 
         details = []
@@ -320,7 +320,7 @@ class TestAcceptance:
         worst = 0.0
         for t in range(1, 501):
             g = rng.standard_normal(d)
-            update = theory_round(states, [g], lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), None)
+            update = theory_round(states, [g], lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), MeteredChannel())
             applied += update.to_dense()
             scaled += lr_theory(t, cfg.xi) * g
             worst = max(

@@ -236,6 +236,12 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "k=400" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, old", [("mode", "theory"), ("algorithm", "sketched")])
+    def test_unknown_mode_or_algorithm_exits_2(self, tmp_path, capsys, key, old):
+        cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(f"{key} = {old}", f"{key} = bogus"))
+        assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: [optimizer] {key} must be one of" in capsys.readouterr().err
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         text = """
 [problem]
@@ -416,6 +422,16 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", out_a]) == 2
         assert f"parse error: {out_a}:{header + 2}:" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        out_a, _ = self._run_two(tmp_path)
+        with open(out_a, "rb") as fh:
+            data = fh.read()
+        with open(out_a, "wb") as fh:
+            fh.write(data.replace(b"config problem.kind = quadratic", b"config problem.kind = quadr\xffatic"))
+        capsys.readouterr()
+        assert main(["report", out_a]) == 2
+        assert f"parse error: {out_a}: not UTF-8" in capsys.readouterr().err
 
     def test_non_metrics_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradsketch.cluster import MeteredChannel
 from gradsketch.heavyhitters import KSparseVector, topk_indices
 from gradsketch.optim import (
     IterateAverage,
@@ -144,7 +145,7 @@ class TestTheoryRound:
         states = make_states(np.zeros(4), 2)
         g1 = np.array([4.0, 2.0, 0.0, 0.0])
         g2 = np.array([0.0, 2.0, 0.0, 0.0])
-        update = theory_round(states, [g1, g2], lr_theory(1, 10.0), cfg, skc, rng_seed=0)
+        update = theory_round(states, [g1, g2], lr_theory(1, 10.0), cfg, skc, rng_seed=0, channel=MeteredChannel())
         eta = 1.0 / 11.0
         assert list(update.indices) == [0, 1]
         assert np.array_equal(update.values, np.array([2 * eta, 2 * eta]))
@@ -167,7 +168,7 @@ class TestTheoryRound:
         applied = np.zeros(d)
         for t in range(1, 61):
             g = rng.standard_normal(d)
-            update = theory_round(states, [g], lr_theory(t, xi), cfg, skc, rng_seed=1000 + t)
+            update = theory_round(states, [g], lr_theory(t, xi), cfg, skc, rng_seed=1000 + t, channel=MeteredChannel())
             assert len(update) == k
             scaled_grads += lr_theory(t, xi) * g
             applied += update.to_dense()
@@ -180,7 +181,7 @@ class TestTheoryRound:
         skc = SketchConfig(d=16, r=9, c=48, seed=5)
         states = make_states(np.ones(16), 2)
         zero = np.zeros(16)
-        update = theory_round(states, [zero, zero], lr_theory(1, 40.0), cfg, skc, rng_seed=7)
+        update = theory_round(states, [zero, zero], lr_theory(1, 40.0), cfg, skc, rng_seed=7, channel=MeteredChannel())
         assert len(update) == 2
         assert np.all(update.values == 0.0)
         for stt in states:
@@ -202,8 +203,8 @@ class TestTheoryRound:
         rng = np.random.default_rng(4)
         for t in range(1, 6):
             g = rng.standard_normal(d)
-            u1 = theory_round(solo, [g], lr_theory(t, xi), solo_cfg, skc, rng_seed=t)
-            u2 = theory_round(duo, [g, g.copy()], lr_theory(t, xi), duo_cfg, skc, rng_seed=t)
+            u1 = theory_round(solo, [g], lr_theory(t, xi), solo_cfg, skc, rng_seed=t, channel=MeteredChannel())
+            u2 = theory_round(duo, [g, g.copy()], lr_theory(t, xi), duo_cfg, skc, rng_seed=t, channel=MeteredChannel())
             assert np.array_equal(u1.indices, u2.indices)
             assert np.array_equal(u1.values, u2.values)
         assert np.array_equal(solo[0].w, duo[0].w)
@@ -219,13 +220,17 @@ class TestEmpiricalRound:
         skc = SketchConfig(d=4, r=5, c=32, seed=7)
         states = make_states(np.zeros(4), 1)
 
-        u1 = empirical_round(states, [np.array([3.0, 1.0, 0.0, 0.0])], 0.1, cfg, skc, rng_seed=1)
+        u1 = empirical_round(
+            states, [np.array([3.0, 1.0, 0.0, 0.0])], 0.1, cfg, skc, rng_seed=1, channel=MeteredChannel()
+        )
         assert list(u1.indices) == [0] and u1.values[0] == 3.0
         assert np.array_equal(states[0].w, np.array([-(0.1 * 3.0), 0.0, 0.0, 0.0]))
         assert np.array_equal(states[0].momentum, np.array([0.0, 1.0, 0.0, 0.0]))
         assert np.array_equal(states[0].accum, np.array([0.0, 1.0, 0.0, 0.0]))
 
-        u2 = empirical_round(states, [np.array([0.0, 1.0, 2.0, 0.0])], 0.1, cfg, skc, rng_seed=2)
+        u2 = empirical_round(
+            states, [np.array([0.0, 1.0, 2.0, 0.0])], 0.1, cfg, skc, rng_seed=2, channel=MeteredChannel()
+        )
         # momentum buffer becomes [0, 1.5, 2, 0]; accumulator [0, 2.5, 2, 0]
         assert list(u2.indices) == [1] and u2.values[0] == 2.5
         assert np.array_equal(states[0].w, np.array([-(0.1 * 3.0), -(0.1 * 2.5), 0.0, 0.0]))
@@ -245,8 +250,8 @@ class TestEmpiricalRound:
         rng = np.random.default_rng(1234)
         for t in range(10):
             grads = [rng.standard_normal(d) for _ in range(workers)]
-            ue = empirical_round(sketched, grads, 0.05, cfg, skc, rng_seed=t)
-            ut = true_topk_step(exact, grads, 0.05, cfg, None, t)
+            ue = empirical_round(sketched, grads, 0.05, cfg, skc, rng_seed=t, channel=MeteredChannel())
+            ut = true_topk_step(exact, grads, 0.05, cfg, None, t, MeteredChannel())
             assert np.array_equal(ue.indices, ut.indices)
             assert np.array_equal(ue.values, ut.values)
         for se, sx in zip(sketched, exact):
@@ -263,13 +268,13 @@ class TestEmpiricalRound:
         states = make_states(np.zeros(6), 1)
 
         g = np.array([0.0, 3.0, 0.0, 0.0, 1.0, 0.5])
-        u1 = empirical_round(states, [g], 0.1, cfg, skc, rng_seed=1)
+        u1 = empirical_round(states, [g], 0.1, cfg, skc, rng_seed=1, channel=MeteredChannel())
         assert list(u1.indices) == [1, 5]
         assert np.array_equal(u1.values, np.array([3.0, 0.5]))
         assert states[0].w[5] == pytest.approx(-0.05)
         assert states[0].accum[4] == 1.0  # not nominated yet, kept for later
 
-        u2 = empirical_round(states, [np.zeros(6)], 0.1, cfg, skc, rng_seed=2)
+        u2 = empirical_round(states, [np.zeros(6)], 0.1, cfg, skc, rng_seed=2, channel=MeteredChannel())
         assert list(u2.indices) == [4, 5]
         assert np.array_equal(u2.values, np.array([1.0, 0.0]))
         assert np.all(states[0].accum == 0.0)
@@ -281,7 +286,8 @@ class TestEmpiricalRound:
         states = make_states(np.zeros(32), 2)
         rng = np.random.default_rng(8)
         update = empirical_round(
-            states, [rng.standard_normal(32), rng.standard_normal(32)], 0.1, cfg, skc, rng_seed=3
+            states, [rng.standard_normal(32), rng.standard_normal(32)], 0.1, cfg, skc, rng_seed=3,
+            channel=MeteredChannel(),
         )
         assert len(update) == 5
         assert np.all(np.diff(update.indices) > 0)
@@ -297,7 +303,7 @@ class TestBaselines:
         states = make_states(np.zeros(3), 2)
         g1 = np.array([2.0, 0.0, -4.0])
         g2 = np.array([0.0, 2.0, 0.0])
-        mean = vanilla_step(states, [g1, g2], 0.5, _baseline("vanilla"), None, 0)
+        mean = vanilla_step(states, [g1, g2], 0.5, _baseline("vanilla"), None, 0, MeteredChannel())
         assert list(mean.indices) == [0, 1, 2]
         assert np.array_equal(mean.values, np.array([1.0, 1.0, -2.0]))
         for stt in states:
@@ -310,8 +316,8 @@ class TestBaselines:
         rng = np.random.default_rng(21)
         for _ in range(5):
             grads = [rng.standard_normal(d) for _ in range(workers)]
-            vanilla_step(dense, grads, 0.1, _baseline("vanilla"), None, 0)
-            update = true_topk_step(full, grads, 0.1, _baseline("true-topk", k=d), None, 0)
+            vanilla_step(dense, grads, 0.1, _baseline("vanilla"), None, 0, MeteredChannel())
+            update = true_topk_step(full, grads, 0.1, _baseline("true-topk", k=d), None, 0, MeteredChannel())
             assert len(update) == d
         for a, b in zip(dense, full):
             assert np.array_equal(a.w, b.w)
@@ -321,15 +327,15 @@ class TestBaselines:
     def test_true_topk_rejects_bad_k(self):
         states = make_states(np.zeros(4), 1)
         with pytest.raises(ValueError):
-            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=0), None, 0)
+            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=0), None, 0, MeteredChannel())
         with pytest.raises(ValueError):
-            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=5), None, 0)
+            true_topk_step(states, [np.ones(4)], 0.1, _baseline("true-topk", k=5), None, 0, MeteredChannel())
 
     def test_local_topk_disjoint_blocks_union(self):
         states = make_states(np.zeros(8), 2)
         g1 = np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         g2 = np.array([0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 0.0, 0.0])
-        update = local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0)
+        update = local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0, MeteredChannel())
         assert len(update) == 4
         assert list(update.indices) == [0, 1, 4, 5]
         # contributions are averaged over all workers, senders or not
@@ -339,7 +345,7 @@ class TestBaselines:
         states = make_states(np.zeros(8), 2)
         g1 = np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         g2 = np.array([0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 0.0, 0.0])
-        local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0)
+        local_topk_step(states, [g1, g2], 0.1, _baseline("local-topk", k=2), None, 0, MeteredChannel())
         assert np.all(states[0].accum[[0, 1]] == 0.0)
         assert np.all(states[1].accum[[4, 5]] == 0.0)
         # every worker still applies the full union update to its replica
@@ -349,7 +355,7 @@ class TestBaselines:
         states = make_states(np.zeros(4), 2)
         update = local_topk_step(
             states, [np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])], 0.1,
-            _baseline("local-topk", k=1), None, 0,
+            _baseline("local-topk", k=1), None, 0, MeteredChannel(),
         )
         assert len(update) == 1
         assert list(update.indices) == [0]
@@ -367,7 +373,7 @@ class TestBaselines:
         rng = np.random.default_rng(seed)
         states = make_states(np.zeros(d), workers)
         grads = [rng.standard_normal(d) for _ in range(workers)]
-        update = local_topk_step(states, grads, 0.1, _baseline("local-topk", k=k), None, 0)
+        update = local_topk_step(states, grads, 0.1, _baseline("local-topk", k=k), None, 0, MeteredChannel())
         assert k <= len(update) <= min(k * workers, d)
         ws = [stt.w for stt in states]
         for other in ws[1:]:
@@ -443,7 +449,8 @@ class TestMomentumFreeAccumulation:
         states = make_states(np.zeros(d), workers)
         rng = np.random.default_rng(5)
         for t in range(3):
-            round_fn(states, [rng.standard_normal(d) for _ in range(workers)], 0.1, cfg, SketchConfig(d=d, r=3, c=8, seed=1), t)
+            grads = [rng.standard_normal(d) for _ in range(workers)]
+            round_fn(states, grads, 0.1, cfg, SketchConfig(d=d, r=3, c=8, seed=1), t, MeteredChannel())
         for state in states:
             assert (state.momentum is None) == (momentum == 0.0)
 
