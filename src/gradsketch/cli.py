@@ -42,6 +42,48 @@ class ExperimentConfigError(ValueError):
     """Raised for unparseable or inconsistent experiment configs."""
 
 
+def _parse_lr_points(raw: str) -> tuple[tuple[float, float], ...]:
+    points = []
+    for chunk in raw.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        t_part, sep, lr_part = chunk.partition(":")
+        if not sep:
+            raise ExperimentConfigError(f"lr_points entry {chunk!r} is not t:lr")
+        try:
+            points.append((float(t_part), float(lr_part)))
+        except ValueError:
+            raise ExperimentConfigError(f"lr_points entry {chunk!r} is not numeric") from None
+    return tuple(points)
+
+
+def _parse_bias(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ExperimentConfigError(f"bias_indices {raw!r} must be comma-separated integers") from None
+
+
+# [optimizer] key -> (OptimizerConfig field, parser).  Only the keys a config
+# sets are passed on, so every default is OptimizerConfig's own.
+_OPTIMIZER_KEYS = {
+    "mode": ("mode", str),
+    "algorithm": ("algorithm", str),
+    "k": ("k", int),
+    "p": ("p", int),
+    "t": ("t_rounds", int),
+    "w": ("w_workers", int),
+    "momentum": ("momentum", float),
+    "xi": ("xi", float),
+    "beta": ("beta", float),
+    "mu_scale": ("mu_scale", float),
+    "lr": ("lr", float),
+    "lr_points": ("lr_points", _parse_lr_points),
+    "bias_indices": ("bias_indices", _parse_bias),
+}
+_REQUIRED_OPTIMIZER_KEYS = ("mode", "t")
+
 _SECTION_KEYS = {
     "problem": {
         "kind",
@@ -62,21 +104,7 @@ _SECTION_KEYS = {
         "quad_noise_sigma",
         "quad_n_samples",
     },
-    "optimizer": {
-        "mode",
-        "algorithm",
-        "k",
-        "p",
-        "t",
-        "w",
-        "momentum",
-        "lr",
-        "lr_points",
-        "xi",
-        "beta",
-        "mu_scale",
-        "bias_indices",
-    },
+    "optimizer": set(_OPTIMIZER_KEYS),
     "sketch": {"rows", "cols", "size_k", "size_delta"},
     "seeds": {"data", "sketch", "rng"},
     "output": {"path"},
@@ -112,6 +140,8 @@ def _typed(section: configparser.SectionProxy, key: str, kind, default=None, req
                 return False
             raise ValueError(raw)
         value = kind(raw)
+    except ExperimentConfigError:
+        raise
     except ValueError:
         raise ExperimentConfigError(
             f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}"
@@ -119,29 +149,6 @@ def _typed(section: configparser.SectionProxy, key: str, kind, default=None, req
     if kind is float and not math.isfinite(value):
         raise ExperimentConfigError(f"[{section.name}] {key} = {raw!r} is not finite")
     return value
-
-
-def _parse_lr_points(raw: str) -> tuple[tuple[float, float], ...]:
-    points = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t_part, sep, lr_part = chunk.partition(":")
-        if not sep:
-            raise ExperimentConfigError(f"lr_points entry {chunk!r} is not t:lr")
-        try:
-            points.append((float(t_part), float(lr_part)))
-        except ValueError:
-            raise ExperimentConfigError(f"lr_points entry {chunk!r} is not numeric") from None
-    return tuple(points)
-
-
-def _parse_bias(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ExperimentConfigError(f"bias_indices {raw!r} must be comma-separated integers") from None
 
 
 def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str) -> Dataset:
@@ -218,23 +225,11 @@ def _build_problem(section: configparser.SectionProxy, data_seed: int):
 
 
 def _build_optimizer(section: configparser.SectionProxy) -> OptimizerConfig:
-    kwargs = dict(
-        mode=_typed(section, "mode", str, required=True),
-        algorithm=_typed(section, "algorithm", str, "sketched"),
-        k=_typed(section, "k", int, 1),
-        p=_typed(section, "p", int, 1),
-        t_rounds=_typed(section, "t", int, required=True),
-        w_workers=_typed(section, "w", int, 1),
-        momentum=_typed(section, "momentum", float, 0.0),
-        xi=_typed(section, "xi", float),
-        beta=_typed(section, "beta", float, 5.0),
-        mu_scale=_typed(section, "mu_scale", float, 1.0),
-        lr=_typed(section, "lr", float, 0.1),
-    )
-    if "lr_points" in section:
-        kwargs["lr_points"] = _parse_lr_points(section["lr_points"])
-    if "bias_indices" in section:
-        kwargs["bias_indices"] = _parse_bias(section["bias_indices"])
+    kwargs = {
+        name: _typed(section, key, kind, required=True)
+        for key, (name, kind) in _OPTIMIZER_KEYS.items()
+        if key in section or key in _REQUIRED_OPTIMIZER_KEYS
+    }
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:
@@ -257,10 +252,11 @@ def _build_sketch(parser: configparser.ConfigParser, config: OptimizerConfig, d:
     elif derived:
         k = _typed(section, "size_k", int, required=True)
         delta = _typed(section, "size_delta", float, required=True)
-        r, c = size_for(k, d, delta)
     else:
         raise ExperimentConfigError("[sketch] needs rows/cols or size_k/size_delta")
     try:
+        if derived:
+            r, c = size_for(k, d, delta)
         return SketchConfig(d=d, r=r, c=c, seed=sketch_seed)
     except ValueError as exc:
         raise ExperimentConfigError(f"[sketch] {exc}") from None
@@ -304,6 +300,9 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
             seed_values[key] = int(value)
         except ValueError:
             raise ExperimentConfigError(f"seed override {override!r} needs an integer") from None
+    for key, value in seed_values.items():
+        if value < 0:
+            raise ExperimentConfigError(f"[seeds] {key} = {value} must be a non-negative integer")
 
     try:
         problem, echo = _build_problem(parser["problem"], seed_values["data"])

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
+from gradsketch.sketch import CountSketch
 
 # An exact-value oracle: maps a sorted array of coordinate indices to the
 # true values of the summarized vector at those indices.
@@ -152,62 +152,3 @@ def heavymix(sketch: CountSketch, k: int, lookup: ExactLookup, rng_seed: int) ->
     if values.shape != support.shape:
         raise ValueError("lookup returned a value array of the wrong shape")
     return KSparseVector(d=d, indices=support, values=values)
-
-
-def gaussian_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    return rng.standard_normal(d)
-
-
-def zipf_vector(rng: np.random.Generator, d: int, exponent: float = 1.2) -> np.ndarray:
-    """Power-law magnitudes ``i**-exponent`` with random signs and positions."""
-    mags = np.arange(1, d + 1, dtype=np.float64) ** (-exponent)
-    signs = rng.choice([-1.0, 1.0], size=d)
-    out = np.zeros(d)
-    out[rng.permutation(d)] = signs * mags
-    return out
-
-
-def ksparse_vector(rng: np.random.Generator, d: int, k: int, magnitude: float = 1.0) -> np.ndarray:
-    """Exactly k nonzeros of equal magnitude at random positions."""
-    out = np.zeros(d)
-    support = rng.choice(d, size=k, replace=False)
-    out[support] = magnitude * rng.choice([-1.0, 1.0], size=k)
-    return out
-
-
-def contraction_ratio(
-    d: int,
-    k: int,
-    make_vector: Callable[[np.random.Generator, int], np.ndarray],
-    trials: int,
-    rng_seed: int,
-    delta: float = 0.01,
-) -> float:
-    """Monte-Carlo estimate of ``E ||g - heavymix(g)||^2 / ||g||^2``.
-
-    Each trial draws a fresh vector and a fresh hash seed, sketches at the
-    ``size_for(k, d, delta)`` shape, and recovers with an exact lookup.  The
-    mean ratio should not exceed ``1 - k/d`` by more than Monte-Carlo and
-    failure-probability slack.
-
-    Only ``k <= d/2`` is accepted: that is the regime the bound covers.
-    """
-    if not 1 <= k <= d // 2:
-        raise ValueError(f"contraction oracle needs 1 <= k <= d/2, got k={k}, d={d}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    r, c = size_for(k, d, delta)
-    seeds = np.random.SeedSequence(rng_seed).spawn(trials)
-    total = 0.0
-    for trial_seq in seeds:
-        sub = trial_seq.generate_state(2)
-        rng = np.random.default_rng(int(sub[0]))
-        g = make_vector(rng, d)
-        norm_sq = float(g @ g)
-        if norm_sq == 0.0:
-            continue
-        cfg = SketchConfig(d=d, r=r, c=c, seed=int(sub[1]))
-        recovered = heavymix(sketch_vector(cfg, g), k, lambda idx: g[idx], int(sub[0]))
-        resid = g - recovered.to_dense()
-        total += float(resid @ resid) / norm_sq
-    return total / trials

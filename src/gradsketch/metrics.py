@@ -13,7 +13,8 @@ import csv
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -46,18 +47,9 @@ class RoundRecord:
     support_hash: str = "-"
 
 
-_COLUMNS = [f.name for f in fields(RoundRecord)]
-_INT_COLUMNS = {
-    "t",
-    "support_size",
-    "union_size",
-    "up_sketch_elems",
-    "up_exact_elems",
-    "down_update_elems",
-    "bytes_up",
-    "bytes_down",
-    "bytes_request",
-}
+# column -> its RoundRecord field type (int, float or str), in field order
+_COLUMN_TYPES = get_type_hints(RoundRecord)
+_COLUMNS = list(_COLUMN_TYPES)
 
 
 def support_fingerprint(indices: np.ndarray) -> str:
@@ -155,7 +147,10 @@ def read_metrics_csv(path: str) -> RunMetrics:
                     continue
                 if line.startswith("#"):
                     raise MetricsFormatError(f"{path}:{lineno}: unrecognized comment {line!r}")
-                row = next(csv.reader([line]))
+                try:
+                    row = next(csv.reader([line]))
+                except csv.Error as exc:
+                    raise MetricsFormatError(f"{path}:{lineno}: {exc}") from None
                 if header is None:
                     header = row
                     if header != _COLUMNS:
@@ -165,10 +160,7 @@ def read_metrics_csv(path: str) -> RunMetrics:
                     raise MetricsFormatError(f"{path}:{lineno}: row has {len(row)} fields, expected {len(_COLUMNS)}")
                 values: dict[str, object] = {}
                 for name, token in zip(_COLUMNS, row):
-                    if name == "support_hash":
-                        values[name] = token
-                        continue
-                    kind = int if name in _INT_COLUMNS else float
+                    kind = _COLUMN_TYPES[name]
                     try:
                         values[name] = kind(token)
                     except ValueError:

@@ -2,10 +2,10 @@
 
 Three problem families are supported: a diagonal noisy quadratic (closed-form
 optimum, used wherever trajectories must be checked exactly), l2-regularized
-logistic regression, and a linear SVM with hinge subgradients.  Problems
-expose per-sample gradients so a batch can be split across workers with the
-worker-mean equal to the batch mean, which is what makes single-node and
-multi-node runs comparable.
+logistic regression, and a linear SVM with hinge subgradients.  A batch
+gradient is the mean of per-sample gradients, so a batch split across
+workers in equal shards has a worker mean equal to the batch mean, which is
+what makes single-node and multi-node runs comparable.
 
 The training loop uses a problem through ``d``, ``n_train``,
 ``initial_point(seed)``, ``gradients(w, shards)`` once per round,
@@ -133,6 +133,8 @@ def load_dataset(path: str) -> Dataset:
                     label = int(tokens[0])
                 except ValueError:
                     raise DatasetFormatError(f"{path}:{lineno}: label {tokens[0]!r} is not an integer") from None
+                if not -(1 << 63) <= label < 1 << 63:
+                    raise DatasetFormatError(f"{path}:{lineno}: label {tokens[0]!r} is out of the int64 range")
                 try:
                     feats = [float(t) for t in tokens[1:]]
                 except ValueError:
@@ -255,8 +257,8 @@ class QuadraticProblem:
 
     @cached_property
     def _noise_mean(self) -> np.ndarray:
-        # Computed on first use rather than per call: train_loss and
-        # full_gradient need it every round.
+        # Computed on first use rather than per call: evaluate needs it
+        # every round.
         return self.noise.mean(axis=0)
 
     @property
@@ -270,9 +272,6 @@ class QuadraticProblem:
 
     def initial_point(self, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).standard_normal(self.d)
-
-    def per_sample_gradients(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return (self.spectrum * w - self.b)[None, :] + self.noise[idx]
 
     def _base(self, w: np.ndarray) -> np.ndarray:
         """The noiseless gradient ``A w - b``, shared by every sample."""
@@ -303,9 +302,6 @@ class QuadraticProblem:
         base = self._base(w)
         return [self.gradient(w, idx, base) for idx in shards]
 
-    def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.spectrum * w - self.b + self._noise_mean
-
     def train_loss(self, w: np.ndarray) -> float:
         return self._objective(w) + float(self._noise_mean @ w)
 
@@ -317,10 +313,6 @@ class QuadraticProblem:
         """``(train_loss(w), test_metric(w))`` from one objective evaluation."""
         objective = self._objective(w)
         return objective + float(self._noise_mean @ w), objective - self._f_star
-
-    @property
-    def smoothness(self) -> float:
-        return float(self.spectrum.max())
 
 
 class _ErmProblem:
@@ -362,16 +354,8 @@ class _ErmProblem:
 class LogisticProblem(_ErmProblem):
     kind = "logistic"
 
-    def per_sample_gradients(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        X, y = self.train.features[idx], self.train.labels[idx]
-        coeff = -y * _sigmoid(-(y * (X @ w)))
-        return X * coeff[:, None] + self.lam * w
-
     def gradient(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return logistic_gradient(w, self.train.features[idx], self.train.labels[idx], self.lam)
-
-    def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        return logistic_gradient(w, self.train.features, self.train.labels, self.lam)
 
     def train_loss(self, w: np.ndarray) -> float:
         return logistic_loss(w, self.train.features, self.train.labels, self.lam)
@@ -380,18 +364,9 @@ class LogisticProblem(_ErmProblem):
 class HingeSVMProblem(_ErmProblem):
     kind = "hinge-svm"
 
-    def per_sample_gradients(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        X, y = self.train.features[idx], self.train.labels[idx]
-        active = (y * (X @ w)) < 1.0
-        coeff = np.where(active, -y.astype(np.float64), 0.0)
-        return X * coeff[:, None] + self.lam * w
-
     def gradient(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         X, y = self.train.features[idx], self.train.labels[idx]
         return hinge_subgradient(w, X, y) + self.lam * w
-
-    def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        return hinge_subgradient(w, self.train.features, self.train.labels) + self.lam * w
 
     def train_loss(self, w: np.ndarray) -> float:
         return hinge_loss(w, self.train.features, self.train.labels, self.lam)

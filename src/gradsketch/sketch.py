@@ -79,12 +79,12 @@ class SketchConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
-def size_for(k: int, d: int, delta: float, row_constant: float = 1.0, col_constant: int = 6) -> tuple[int, int]:
+def size_for(k: int, d: int, delta: float) -> tuple[int, int]:
     """Table shape sized to recover k heavy coordinates out of d.
 
-    Returns ``(r, c)`` with ``r = ceil(row_constant * log2(d / delta))``
-    rows and ``c = col_constant * k`` buckets, the failure-probability /
-    collision-mass trade-off the recovery guarantees are stated for.
+    Returns ``(r, c)`` with ``r = ceil(log2(d / delta))`` rows and
+    ``c = 6 * k`` buckets, the failure-probability / collision-mass
+    trade-off the recovery guarantees are stated for.
 
     Args:
         k: number of coordinates the caller intends to extract.
@@ -92,16 +92,17 @@ def size_for(k: int, d: int, delta: float, row_constant: float = 1.0, col_consta
         delta: failure probability budget, in (0, 1).
 
     Raises:
-        ValueError: if ``k`` is not in ``[1, d]`` or ``delta`` not in (0, 1).
+        ValueError: if ``k`` is not in ``[1, d]``, ``delta`` not in (0, 1),
+            or ``d / delta`` overflows a float.
     """
     if not isinstance(k, int) or not isinstance(d, int) or k < 1 or d < 1 or k > d:
         raise ValueError(f"need 1 <= k <= d, got k={k!r}, d={d!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta!r}")
-    if row_constant <= 0 or col_constant < 1:
-        raise ValueError("size constants must be positive")
-    r = math.ceil(row_constant * math.log2(d / delta))
-    return max(r, 1), int(col_constant) * k
+    if math.isinf(d / delta):
+        raise ValueError(f"delta={delta!r} is too small for d={d}")
+    r = math.ceil(math.log2(d / delta))
+    return max(r, 1), 6 * k
 
 
 def _mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,9 +204,9 @@ class CountSketch:
     """An ``r x c`` count-sketch table bound to a :class:`SketchConfig`.
 
     A fresh sketch is all zeros.  All mutation happens through
-    :meth:`accumulate` / :meth:`update_dense` (and :func:`sketch_many`,
-    which fills fresh sketches); estimation and merging never modify the
-    table in place.
+    :meth:`update_dense` (and :func:`sketch_many`, which fills fresh
+    sketches); estimation, scaling and :func:`merge_all` never modify an
+    input table in place.
     """
 
     __slots__ = ("config", "table", "_family")
@@ -221,14 +222,6 @@ class CountSketch:
     def copy(self) -> "CountSketch":
         return CountSketch(self.config, _family=self._family, _table=self.table.copy())
 
-    def accumulate(self, index: int, weight: float) -> None:
-        """Add ``weight`` at ``index``, touching one cell per row."""
-        cfg = self.config
-        if not 0 <= index < cfg.d:
-            raise IndexError(f"index {index} out of range for dimension {cfg.d}")
-        fam = self._family
-        self.table[np.arange(cfg.r), fam.buckets[:, index]] += fam.signs[:, index] * weight
-
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
@@ -237,15 +230,6 @@ class CountSketch:
         table untouched, -0.0 cells included).
         """
         _add_dense(self._family, [self.table], [vec])
-
-    def point_estimate(self, index: int) -> float:
-        """Median-of-rows estimate of the summarized value at ``index``."""
-        cfg = self.config
-        if not 0 <= index < cfg.d:
-            raise IndexError(f"index {index} out of range for dimension {cfg.d}")
-        fam = self._family
-        vals = self.table[np.arange(cfg.r), fam.buckets[:, index]] * fam.signs[:, index]
-        return float(np.median(vals))
 
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
@@ -295,14 +279,6 @@ class CountSketch:
         vector's squared l2 norm; the median tightens the tail.
         """
         return float(np.median(np.sum(self.table * self.table, axis=1)))
-
-    def merge(self, other: "CountSketch") -> "CountSketch":
-        """Cell-wise sum with ``other``; requires identical configs."""
-        if self.config != other.config:
-            raise ConfigMismatchError(
-                f"cannot merge sketches with configs {self.config} and {other.config}"
-            )
-        return CountSketch(self.config, _family=self._family, _table=self.table + other.table)
 
     def scale(self, alpha: float) -> "CountSketch":
         """New sketch with every cell multiplied by finite scalar ``alpha``."""
@@ -391,14 +367,9 @@ def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSk
     return sketches
 
 
-def sketch_vector(config: SketchConfig, v) -> CountSketch:
-    """Sketch a dense array or an iterable of ``(index, weight)`` pairs."""
-    if isinstance(v, np.ndarray):
-        return sketch_many(config, [v])[0]
-    s = CountSketch(config)
-    for index, weight in v:
-        s.accumulate(int(index), float(weight))
-    return s
+def sketch_vector(config: SketchConfig, v: np.ndarray) -> CountSketch:
+    """Sketch of one dense length-d vector."""
+    return sketch_many(config, [v])[0]
 
 
 def merge_all(sketches) -> CountSketch:

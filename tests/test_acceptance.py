@@ -14,7 +14,6 @@ import numpy as np
 
 from gradsketch.cli import main
 from gradsketch.cluster import MeteredChannel, config_compression_factor, run_training
-from gradsketch.heavyhitters import contraction_ratio, gaussian_vector, zipf_vector
 from gradsketch.optim import (
     OptimizerConfig,
     local_topk_step,
@@ -31,6 +30,7 @@ from gradsketch.problems import (
     synth_data,
 )
 from gradsketch.sketch import SketchConfig, merge_all, size_for, sketch_vector
+from oracles import contraction_ratio, gaussian_vector, zipf_vector
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -1,11 +1,15 @@
 """End-to-end tests of the config-driven runner and reporter."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
-from gradsketch.metrics import read_metrics_csv
-from gradsketch.problems import QuadraticProblem
+from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
+from gradsketch.problems import DatasetFormatError, QuadraticProblem, load_dataset
 from gradsketch.sketch import size_for
 
 SYNTH_LOGISTIC = """
@@ -330,6 +334,36 @@ rng = 3
         err = capsys.readouterr().err
         assert "config error: [problem]" in err and named in err
 
+    @pytest.mark.parametrize(
+        "size, named",
+        [
+            ("size_k = 9\nsize_delta = 0.1", "need 1 <= k <= d, got k=9, d=4"),
+            ("size_k = 4\nsize_delta = 1.5", "delta must be in (0, 1), got 1.5"),
+            ("size_k = 4\nsize_delta = 5e-324", "delta=5e-324 is too small for d=4"),
+        ],
+        ids=["k-above-d", "delta-above-1", "d-over-delta-overflows"],
+    )
+    def test_unsizable_sketch_exits_2(self, tmp_path, capsys, size, named):
+        text = QUADRATIC_THEORY.replace("quad_d = 32", "quad_d = 4").replace("rows = 7\ncols = 32", size)
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: [sketch] {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, overrides, key",
+        [
+            ("data = 5", "data = -1", [], "data"),
+            ("sketch = 6", "sketch = -1", [], "sketch"),
+            ("rng = 7", "rng = -1", [], "rng"),
+            ("rng = 7", "rng = 7", ["--seed-override", "rng=-1"], "rng"),
+        ],
+        ids=["data", "sketch", "rng", "rng-override"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, old, new, overrides, key):
+        cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(old, new))
+        assert main(["run", cfg, "--out", str(tmp_path / "x.csv"), *overrides]) == 2
+        assert f"config error: [seeds] {key} = -1 must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_bytes(QUADRATIC_THEORY.replace("quadratic", "quadr\xe4tic").encode("latin-1"))
@@ -438,3 +472,173 @@ class TestReportCommand:
         bad.write_text("hello\n")
         assert main(["report", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+# Fuzzing the three text parsers: every input either loads or raises the
+# parser's own error, and through the CLI ``run`` and ``report`` exit 0 or 2
+# (an exception would escape ``main``).  Values come from small pools, so an
+# example allocates at most a few hundred KiB and runs at most 16 rounds in
+# at most 16 dimensions, where even the pools' largest step sizes and
+# curvatures keep every value finite.
+
+_SMALL_INTS = ["0", "1", "2", "3", "4", "9", "16", "-1", "2.5", "x", ""]
+_ANY_INTS = _SMALL_INTS + ["99999999999999999999", "18446744073709551616", "-9223372036854775809"]
+_FLOATS = ["0", "0.5", "1.0", "5.0", "40", "-1", "1e-3", "nan", "inf", "-inf", "x", ""]
+_WORDS = ["quadratic", "logistic", "hinge-svm", "theory", "empirical", "sketched", "vanilla",
+          "true-topk", "local-topk", "true", "no", "x", ""]
+_FILES = [f"{{dir}}/{name}" for name in ("good.txt", "classes.txt", "ragged.txt", "latin1.txt", "missing.txt")] + [""]
+_KEY_POOLS = {
+    "problem": {
+        "kind": _WORDS, "dataset": _FILES, "test_dataset": _FILES, "normalize": _WORDS,
+        "add_intercept": _WORDS, "positive_class": _ANY_INTS, "lambda": _FLOATS, "batch_size": _SMALL_INTS,
+        "synth_n": _SMALL_INTS, "synth_d": _SMALL_INTS, "synth_separation": _FLOATS, "synth_test_n": _SMALL_INTS,
+        "quad_d": _SMALL_INTS, "quad_lambda_min": _FLOATS, "quad_lambda_max": _FLOATS,
+        "quad_noise_sigma": _FLOATS, "quad_n_samples": _SMALL_INTS, "mystery": ["1"],
+    },
+    "optimizer": {
+        "mode": _WORDS, "algorithm": _WORDS, "k": _ANY_INTS, "p": _ANY_INTS, "t": _SMALL_INTS,
+        "w": _SMALL_INTS, "momentum": _FLOATS, "lr": _FLOATS, "xi": _FLOATS, "beta": _FLOATS,
+        "mu_scale": _FLOATS, "lr_points": ["1:0.5, 3:0.1", "3:0.1, 1:0.5", "0:1", "1:x", "1", "1:nan", ""],
+        "bias_indices": ["0", "0, 2", "2, 0", "2, 2", "-1", "99", "1,", "x", ""],
+    },
+    "sketch": {"rows": _SMALL_INTS, "cols": _SMALL_INTS, "size_k": _SMALL_INTS,
+               "size_delta": ["0.01", "0.5", "1.5", "0", "5e-324", "nan", "x"]},
+    "seeds": {"data": _ANY_INTS, "sketch": _ANY_INTS, "rng": _ANY_INTS},
+    "output": {"path": ["{dir}/elsewhere.csv"]},
+    "extras": {"x": ["1"]},
+}
+_SEEDS = {"data": "1", "sketch": "2", "rng": "3"}
+_CONFIG_BASES = [
+    {
+        "problem": {"kind": "quadratic", "quad_d": "16", "quad_n_samples": "16", "batch_size": "4"},
+        "optimizer": {"mode": "empirical", "algorithm": "sketched", "k": "2", "p": "2", "t": "3", "w": "2", "lr": "0.5"},
+        "sketch": {"rows": "3", "cols": "9"},
+        "seeds": _SEEDS,
+    },
+    {
+        "problem": {"kind": "logistic", "synth_n": "16", "synth_d": "4", "batch_size": "4"},
+        "optimizer": {"mode": "theory", "algorithm": "vanilla", "k": "1", "t": "2", "xi": "40"},
+        "seeds": _SEEDS,
+    },
+    {
+        "problem": {"kind": "hinge-svm", "dataset": "{dir}/good.txt", "test_dataset": "{dir}/good.txt", "batch_size": "2"},
+        "optimizer": {"mode": "empirical", "algorithm": "local-topk", "k": "1", "t": "2", "w": "2"},
+        "seeds": _SEEDS,
+    },
+]
+
+
+@st.composite
+def _config_texts(draw):
+    sections = {name: dict(keys) for name, keys in draw(st.sampled_from(_CONFIG_BASES)).items()}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(_KEY_POOLS)))
+        action = draw(st.sampled_from(["set", "set", "delete key", "delete section"]))
+        if action == "delete section":
+            sections.pop(name, None)
+            continue
+        key = draw(st.sampled_from(sorted(_KEY_POOLS[name])))
+        if action == "delete key":
+            sections.get(name, {}).pop(key, None)
+        else:
+            sections.setdefault(name, {})[key] = draw(st.sampled_from(_KEY_POOLS[name][key]))
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+    return draw(st.one_of(st.just(text.encode()), st.binary(max_size=40), st.text(max_size=40).map(str.encode)))
+
+
+_LABELS = ["1", "-1", "0", "2", "1.5", "x", "99999999999999999999", "-9223372036854775809", "9223372036854775807"]
+_FEATURES = ["0.5", "-2", "3", "1e400", "nan", "-inf", "0x1", "1_0", "x", "\xa0"]
+_dataset_lines = st.one_of(
+    st.tuples(st.sampled_from(_LABELS), st.lists(st.sampled_from(_FEATURES), max_size=3)).map(
+        lambda lf: " ".join([lf[0], *lf[1]])
+    ),
+    st.sampled_from(["", "# comment", "   ", "\t1 0.5 2", "1"]),
+)
+_dataset_bytes = st.tuples(
+    st.lists(_dataset_lines, max_size=6), st.sampled_from(["\n", "\r\n"]), st.sampled_from([b"", b"\xff"])
+).map(lambda t: t[1].join(t[0]).encode() + t[2])
+
+_METRICS_LINES = ["", "#", "# config", "# config a = b", "# summary s = 1.5", "# summary s", "# other",
+                  "t,train_loss", ",".join(_COLUMNS),
+                  "0,1,2", '"', 'a,"b', "\r", "\x00", "9" * 140_000]
+_METRICS_TOKENS = ["", "x", "nan", "inf", "-1", "1e400", "99999999999999999999", "1.5", "0", '"', "\x00", " 1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    metrics = RunMetrics(
+        config_echo={"problem.kind": "quadratic", "optimizer.algorithm": "sketched"},
+        records=[RoundRecord(t=0, train_loss=2.5, test_metric=1.0),
+                 RoundRecord(t=1, train_loss=1.5, test_metric=0.5, support_size=2, bytes_up=40, support_hash="abc")],
+        summary={"final_train_loss": 1.5, "compression_factor": 4.0, "status": "ok"},
+    )
+    write_metrics_csv(str(root / "base.csv"), metrics)
+    (root / "good.txt").write_text("1 0.5 0.25\n-1 0.1 0.9\n1 0.2 0.3\n-1 0.7 0.4\n")
+    (root / "classes.txt").write_text("0 0.5 0.25\n1 0.1 0.9\n2 0.2 0.3\n")
+    (root / "ragged.txt").write_text("1 0.5 0.25\n-1 0.1\n")
+    (root / "latin1.txt").write_bytes("1 0.5 0.25\n-1 0.1 0.\xe4\n".encode("latin-1"))
+    return root
+
+
+def _quiet_main(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestInputFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(text=_config_texts())
+    def test_load_experiment(self, fuzz_dir, text):
+        path = fuzz_dir / "exp.ini"
+        path.write_bytes(text.replace(b"{dir}", str(fuzz_dir).encode()))
+        try:
+            load_experiment(str(path))
+        except ExperimentConfigError:
+            pass
+        assert _quiet_main(["run", str(path), "--out", str(fuzz_dir / "out.csv")]) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_dataset_bytes)
+    def test_load_dataset(self, fuzz_dir, data):
+        path = fuzz_dir / "data.txt"
+        path.write_bytes(data)
+        try:
+            load_dataset(str(path))
+        except DatasetFormatError:
+            pass
+        config = _CONFIG_BASES[2]["problem"] | {"dataset": str(path), "test_dataset": str(fuzz_dir / "good.txt")}
+        text = "[problem]\n" + "".join(f"{k} = {v}\n" for k, v in config.items())
+        text += "[optimizer]\nmode = empirical\nalgorithm = vanilla\nt = 1\n[seeds]\ndata = 1\nsketch = 2\nrng = 3\n"
+        (fuzz_dir / "data.ini").write_text(text)
+        assert _quiet_main(["run", str(fuzz_dir / "data.ini"), "--out", str(fuzz_dir / "out.csv")]) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_read_metrics_csv(self, fuzz_dir, data):
+        lines = (fuzz_dir / "base.csv").read_text().split("\n")
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            action = data.draw(st.sampled_from(["replace", "insert", "delete", "field"]))
+            if action == "delete":
+                del lines[i]
+            elif action == "field":
+                fields = lines[i].split(",")
+                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(_METRICS_TOKENS))
+                lines[i] = ",".join(fields)
+            else:
+                lines.insert(i + (action == "insert"), data.draw(st.sampled_from(_METRICS_LINES)))
+                if action == "replace":
+                    del lines[i]
+            if not lines:
+                lines.append("")
+        raw = "\n".join(lines).encode()
+        cut = data.draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + data.draw(st.sampled_from([b"", b"\xff"])) + raw[cut:]
+        path = fuzz_dir / "m.csv"
+        path.write_bytes(raw)
+        try:
+            read_metrics_csv(str(path))
+        except MetricsFormatError:
+            pass
+        assert _quiet_main(["report", str(path)]) in (0, 2)

@@ -1,8 +1,10 @@
 """Parameter-server simulation: channel metering, accounting, training runs."""
 
 import hashlib
+import importlib.util
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,18 @@ class TestMeteredChannel:
         rounds = ("empirical_round", "theory_round", "true_topk_step", "local_topk_step", "vanilla_step")
         for name in ("account_round", *rounds):
             assert inspect.isfunction(vars(cluster)[name]), name
+        # and so must every other entry point it lists, found in its owner's
+        # own namespace (a classmethod wraps the function it calls)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans._ENTRY_POINTS
+        for owner, attr, _ in spans._ENTRY_POINTS:
+            assert attr in vars(owner), (owner, attr)
+            raw = vars(owner)[attr]
+            assert inspect.isfunction(raw.__func__ if isinstance(raw, classmethod) else raw), (owner, attr)
 
 
 def _sketched(mode="empirical", **fields):
@@ -292,7 +306,7 @@ class TestRunTraining:
     def test_vanilla_noise_free_descent_is_monotone(self):
         prob = quadratic(noise=0.0)
         cfg = OptimizerConfig(
-            mode="empirical", algorithm="vanilla", t_rounds=30, w_workers=2, lr=0.5 / prob.smoothness
+            mode="empirical", algorithm="vanilla", t_rounds=30, w_workers=2, lr=0.5 / prob.spectrum.max()
         )
         res = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
         losses = res.metrics.column("train_loss")

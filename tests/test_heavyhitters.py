@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradsketch.heavyhitters import (
-    KSparseVector,
-    contraction_ratio,
-    gaussian_vector,
-    heavymix,
-    ksparse_vector,
-    top_pk_candidates,
-    topk_indices,
-    zipf_vector,
-)
+from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
 from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
+from oracles import contraction_ratio, gaussian_vector, ksparse_vector, zipf_vector
 
 
 class TestKSparseVector:

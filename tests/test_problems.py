@@ -21,6 +21,7 @@ from gradsketch.problems import (
     split_dataset,
     synth_data,
 )
+from oracles import per_sample_gradients
 
 
 def _bits(x):
@@ -103,7 +104,7 @@ class TestHinge:
 class TestQuadratic:
     def test_gradient_zero_at_optimum(self):
         p = QuadraticProblem(np.array([1.0, 2.0, 4.0]), noise_sigma=0.0, n_samples=8, seed=0)
-        assert np.allclose(p.full_gradient(p.w_star), 0.0)
+        assert np.allclose(p.gradient(p.w_star, np.arange(p.n_train)), 0.0)
         assert p.test_metric(p.w_star) == 0.0
         assert p.test_metric(p.w_star + 1.0) > 0.0
 
@@ -112,7 +113,7 @@ class TestQuadratic:
         w = np.random.default_rng(1).standard_normal(6)
         idx = np.arange(p.n_train)
         np.testing.assert_allclose(
-            p.per_sample_gradients(w, idx).mean(axis=0), p.full_gradient(w), atol=1e-12
+            per_sample_gradients(p, w, idx).mean(axis=0), p.gradient(w, idx), atol=1e-12
         )
 
     def test_worker_split_preserves_batch_mean(self):
@@ -294,21 +295,15 @@ class TestErmProblems:
         w = np.random.default_rng(2).standard_normal(6)
         idx = np.arange(0, 200, 3)
         np.testing.assert_allclose(
-            p.per_sample_gradients(w, idx).mean(axis=0), p.gradient(w, idx), atol=1e-12
+            per_sample_gradients(p, w, idx).mean(axis=0), p.gradient(w, idx), atol=1e-12
         )
-
-    @pytest.mark.parametrize("cls", [LogisticProblem, HingeSVMProblem])
-    def test_full_gradient_is_whole_set_batch(self, cls):
-        p = self._problem(cls)
-        w = np.random.default_rng(3).standard_normal(6)
-        np.testing.assert_allclose(p.gradient(w, np.arange(200)), p.full_gradient(w), atol=1e-12)
 
     def test_descent_reduces_loss_and_error(self):
         p = self._problem(LogisticProblem)
         w = np.zeros(6)
         first = p.train_loss(w)
         for _ in range(60):
-            w -= 0.5 * p.full_gradient(w)
+            w -= 0.5 * p.gradient(w, np.arange(p.n_train))
         assert p.train_loss(w) < first
         assert p.test_metric(w) <= 0.1
 
