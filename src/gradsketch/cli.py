@@ -318,6 +318,12 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
         raise ExperimentConfigError(f"[optimizer] {exc}") from None
 
     batch_size = _typed(parser["problem"], "batch_size", int, required=True)
+    if not 1 <= batch_size <= problem.n_train:
+        raise ExperimentConfigError(f"[problem] batch_size = {batch_size} must be in [1, {problem.n_train}]")
+    if batch_size < config.w_workers:
+        raise ExperimentConfigError(
+            f"[problem] batch_size = {batch_size} cannot cover [optimizer] w = {config.w_workers} workers"
+        )
     output_path = parser["output"]["path"] if parser.has_section("output") and "path" in parser["output"] else None
     return Experiment(
         problem=problem,

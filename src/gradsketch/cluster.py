@@ -26,6 +26,7 @@ from gradsketch.metrics import RoundRecord, RunMetrics, support_fingerprint
 from gradsketch.optim import (
     IterateAverage,
     OptimizerConfig,
+    TrainingDivergedError,
     empirical_round,
     local_topk_step,
     lr_at,
@@ -35,10 +36,6 @@ from gradsketch.optim import (
     vanilla_step,
 )
 from gradsketch.sketch import CountSketch, SketchConfig
-
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when a run produces a non-finite gradient or loss."""
 
 
 # One row per message kind, keyed by the channel method that sends it:
@@ -281,8 +278,10 @@ def run_training(
     only in W see the same data.
 
     Raises TrainingDivergedError the first time a worker computes a
-    non-finite gradient (before it reaches any accumulator) or the train
-    loss goes non-finite, and ValueError for inconsistent configuration.
+    non-finite gradient (before it reaches any accumulator), a merged
+    sketch holds a non-finite cell (naming the worker whose sketch has
+    one), or the train loss goes non-finite, and ValueError for
+    inconsistent configuration.
     """
     d = problem.d
     config.validate_for_dimension(d)
@@ -337,7 +336,10 @@ def run_training(
         if averager is not None:
             averager.add(t, states[0].w)
         channel.start_round()
-        update = round_fn(states, grads, lr_at(t, config), config, sketch_config, int(fill_seeds[t - 1]), channel)
+        try:
+            update = round_fn(states, grads, lr_at(t, config), config, sketch_config, int(fill_seeds[t - 1]), channel)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"round {t}: {exc}") from None
 
         for other in states[1:]:
             if not np.array_equal(states[0].w, other.w):

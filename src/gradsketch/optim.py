@@ -37,6 +37,10 @@ MODES = ("theory", "empirical")
 ALGORITHMS = ("sketched", "vanilla", "true-topk", "local-topk")
 
 
+class TrainingDivergedError(RuntimeError):
+    """Raised when a run produces a non-finite gradient, sketch cell or loss."""
+
+
 def rho_for(beta: float) -> float:
     if beta <= 4:
         raise ValueError(f"beta must exceed 4, got {beta}")
@@ -267,10 +271,25 @@ def _apply(states: list[WorkerState], update: KSparseVector, lr_t: float, masks)
 
 def _merged_sketch(vectors: list[np.ndarray], sketch_config: SketchConfig, channel):
     """Sketch every worker's vector in one pass, upload each sketch, and
-    merge to the worker mean."""
+    merge to the worker mean.
+
+    Finite accumulators can still overflow a cell, and a non-finite cell is
+    valid wire bytes, so the round checks the merge: one ``isfinite`` pass
+    over the merged table, and only when it fails a scan of the received
+    sketches for the first worker whose table is not finite.  Raises
+    ``TrainingDivergedError`` naming that worker, or the merge when every
+    worker's table is finite and their sum overflows.
+    """
     sketches = sketch_many(sketch_config, vectors)
     received = [channel.up_sketch(sketch, worker) for worker, sketch in enumerate(sketches)]
-    return merge_all(received).scale(1.0 / len(vectors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = merge_all(received)
+    if not np.isfinite(merged.table).all():
+        for worker, sketch in enumerate(received):
+            if not np.isfinite(sketch.table).all():
+                raise TrainingDivergedError(f"worker {worker} sent a sketch with a non-finite cell")
+        raise TrainingDivergedError("the merge of finite worker sketches has a non-finite cell")
+    return merged.scale(1.0 / len(vectors))
 
 
 def theory_round(

@@ -122,36 +122,57 @@ def _mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(s >= p, s - p, s)
 
 
-def _mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _mulmod_p61 for a < 2**61 - 1 and x < 2**32: with x one 32-bit limb,
-    # hi = (a >> 32) * x < 2**61 and lo = (a & 0xFFFFFFFF) * x < 2**64, and
-    # folding both with 2**61 = 1 (mod p) leaves a sum below 2**63.
-    p = np.uint64(MERSENNE_P)
-    hi = (a >> np.uint64(32)) * x
-    lo = (a & np.uint64(0xFFFFFFFF)) * x
-    s = hi >> np.uint64(29)
-    hi &= np.uint64((1 << 29) - 1)
-    hi <<= np.uint64(32)
-    s += hi
-    s += lo >> np.uint64(61)
-    lo &= p
-    s += lo
-    s = (s >> np.uint64(61)) + (s & p)
-    return np.subtract(s, p, out=s, where=s >= p)
-
-
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Horner evaluation of per-row degree-3 polynomials mod 2**61 - 1.
-    # coeffs: (rows, 4) uint64, highest degree first; x: (n,) uint64.
+    """Horner evaluation of per-row degree-3 polynomials mod ``2**61 - 1``.
+
+    ``coeffs`` is ``(rows, 4)`` uint64, each below p, highest degree first;
+    ``x`` is ``(n,)`` uint64.  Returns ``(rows, n)`` uint64 values fully
+    reduced below p.  A block whose indices are all below 2**32 (every block
+    of a table that fits in memory) takes the lazily reduced kernel; any
+    larger index takes the general ``_mulmod_p61`` step, reduced each time.
+    """
     p = np.uint64(MERSENNE_P)
-    rows = coeffs.shape[0]
-    mulmod = _mulmod_p61_short if x.size and int(x.max()) < 1 << 32 else _mulmod_p61
-    acc = np.broadcast_to(coeffs[:, 0][:, None], (rows, x.shape[0])).copy()
+    if x.size and int(x.max()) >= 1 << 32:
+        acc = np.broadcast_to(coeffs[:, :1], (coeffs.shape[0], x.size)).copy()
+        for deg in range(1, coeffs.shape[1]):
+            acc = _mulmod_p61(acc, x[None, :])
+            acc += coeffs[:, deg][:, None]
+            np.subtract(acc, p, out=acc, where=acc >= p)
+        return acc
+    # Each step s <- s*x + c keeps s < 2**61 + 8 instead of reducing it
+    # below p; with 2**61 = 1 (mod p) and x < 2**32:
+    # - h = s >> 32 < 2**29 + 1, so h*x < 2**62, and h*x*2**32 folds to
+    #   (h*x >> 29) < 2**33 plus ((h*x & (2**29 - 1)) << 32) < 2**61;
+    # - (s & 0xFFFFFFFF)*x < 2**64 folds to (>> 61) <= 7 plus (& p) < 2**61;
+    # - with c < p the sum of these parts stays below 2**63, so one fold
+    #   (s >> 61) + (s & p) brings it back below 2**61 + 8.
+    # The leading coefficient's 32-bit halves are per-row scalars, so the
+    # first step starts from their two outer products with x.
+    x = x[None, :]
+    mask32, mask29 = np.uint64(0xFFFFFFFF), np.uint64((1 << 29) - 1)
+    hi = (coeffs[:, :1] >> np.uint64(32)) * x
+    lo = (coeffs[:, :1] & mask32) * x
     for deg in range(1, coeffs.shape[1]):
-        acc = mulmod(acc, x[None, :])
-        acc += coeffs[:, deg][:, None]
-        np.subtract(acc, p, out=acc, where=acc >= p)
-    return acc
+        if deg > 1:
+            hi = s >> np.uint64(32)
+            hi *= x
+            lo = s  # s is rebuilt below, so its buffer takes the low half
+            lo &= mask32
+            lo *= x
+        s = hi >> np.uint64(29)
+        hi &= mask29
+        hi <<= np.uint64(32)
+        s += hi
+        s += lo >> np.uint64(61)
+        lo &= p
+        s += lo
+        s += coeffs[:, deg:deg + 1]
+        hi = s >> np.uint64(61)
+        s &= p
+        s += hi
+    # the one full reduction, branch-free: s < 2p, and when s < p, s - p
+    # wraps above s, so the minimum keeps s; otherwise it is s - p
+    return np.minimum(s, s - p)
 
 
 class HashFamily:
@@ -159,8 +180,15 @@ class HashFamily:
 
     The family is materialized as lookup tables over all ``d`` indices:
     ``buckets[j, i]`` is the bucket of index ``i`` in row ``j`` and
-    ``signs[j, i]`` its sign.  Construction is deterministic in the config;
-    rebuilding from an equal config reproduces the tables bit for bit.
+    ``signs[j, i]`` its sign.  Row ``j`` draws one degree-3 polynomial for
+    its buckets and one for its signs (coefficients from a Philox stream
+    keyed by the seed); the bucket is the polynomial's value mod 2**61 - 1,
+    then mod ``c``, and the sign is -1 where that value is odd.  The
+    polynomials are evaluated by :func:`_poly_eval` in blocks of
+    ``_BUILD_BLOCK`` indices, so the build's temporaries do not grow with
+    ``d`` and the tables do not depend on the block size.  Construction is
+    deterministic in the config; rebuilding from an equal config reproduces
+    the tables bit for bit.
     """
 
     def __init__(self, config: SketchConfig):

@@ -2,9 +2,10 @@
 
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
-time, the per-sample gradients whose mean a problem's batch gradient is,
-and the Monte-Carlo error-feedback contraction estimator behind AC3 with
-the vector families it draws from.
+time, the fully reduced short product modulo the hash field's prime, the
+per-sample gradients whose mean a problem's batch gradient is, and the
+Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
+families it draws from.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from gradsketch.heavyhitters import heavymix
 from gradsketch.problems import _sigmoid
-from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
+from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, size_for, sketch_vector
 
 
 def accumulate(sketch: CountSketch, index: int, weight: float) -> None:
@@ -37,6 +38,25 @@ def sketch_pairs(config: SketchConfig, pairs) -> CountSketch:
     for index, weight in pairs:
         accumulate(s, int(index), float(weight))
     return s
+
+
+def mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a * x mod 2**61 - 1``, fully reduced, for ``a < 2**61 - 1`` and
+    ``x < 2**32``: with x one 32-bit limb, hi = (a >> 32) * x < 2**61 and
+    lo = (a & 0xFFFFFFFF) * x < 2**64, and folding both with 2**61 = 1
+    (mod p) leaves a sum below 2**63."""
+    p = np.uint64(MERSENNE_P)
+    hi = (a >> np.uint64(32)) * x
+    lo = (a & np.uint64(0xFFFFFFFF)) * x
+    s = hi >> np.uint64(29)
+    hi &= np.uint64((1 << 29) - 1)
+    hi <<= np.uint64(32)
+    s += hi
+    s += lo >> np.uint64(61)
+    lo &= p
+    s += lo
+    s = (s >> np.uint64(61)) + (s & p)
+    return np.subtract(s, p, out=s, where=s >= p)
 
 
 def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:

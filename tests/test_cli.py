@@ -1,6 +1,7 @@
 """End-to-end tests of the config-driven runner and reporter."""
 
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -293,6 +294,27 @@ rng = 3
         assert "diverged" in err and "round 3: worker 1 " in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_finite_sketch_cell_exits_3(self, tmp_path, capsys, monkeypatch):
+        # worker 1 of the config's two accumulates 1e308 in every coordinate
+        # in round 3: finite values whose sketch cells overflow
+        calls = []
+        gradient = QuadraticProblem.gradient
+
+        def inflated(self, w, idx, *rest):
+            g = gradient(self, w, idx, *rest)
+            if len(calls) == 2 * 2 + 1:
+                g[:] = 1e308
+            calls.append(idx)
+            return g
+
+        monkeypatch.setattr(QuadraticProblem, "gradient", inflated)
+        text = QUADRATIC_THEORY.replace("mode = theory", "mode = empirical").replace("xi = 40.0", "lr = 0.05")
+        code = main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "round 3: worker 1 sent a sketch with a non-finite cell" in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "old, new, named",
         [
@@ -362,6 +384,23 @@ rng = 3
         cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(old, new))
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv"), *overrides]) == 2
         assert f"config error: [seeds] {key} = -1 must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("batch_size = 16", "batch_size = 0", "[problem] batch_size = 0 must be in [1, 128]"),
+            ("batch_size = 16", "batch_size = 129", "[problem] batch_size = 129 must be in [1, 128]"),
+            ("batch_size = 16\n", "batch_size = 2\n", "[problem] batch_size = 2 cannot cover [optimizer] w = 3 workers"),
+        ],
+        ids=["zero", "above-n-train", "below-workers"],
+    )
+    def test_bad_batch_size_exits_2(self, tmp_path, capsys, old, new, named):
+        text = QUADRATIC_THEORY.replace("w = 2", "w = 3").replace(old, new)
+        with pytest.raises(ExperimentConfigError, match=re.escape(named)):
+            load_experiment(write_config(tmp_path, text))
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):

@@ -349,16 +349,16 @@ class TestRunTraining:
             run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
 
     @staticmethod
-    def _poison(prob, values):
+    def _poison(prob, values, coords=0):
         # the gradient of call i (round i // W + 1, worker i % W) gets
-        # values[i] in coordinate 0
+        # values[i] in coordinate 0 (or in every coordinate of ``coords``)
         calls = []
         gradient = prob.gradient
 
         def poisoned(w, idx, *rest):
             g = gradient(w, idx, *rest)
             if len(calls) in values:
-                g[0] = values[len(calls)]
+                g[coords] = values[len(calls)]
             calls.append(idx)
             return g
 
@@ -375,6 +375,33 @@ class TestRunTraining:
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError, match="round 3: worker 2 "):
             run_training(prob, cfg, sketch, batch_size=16, data_seed=1, rng_seed=1)
         assert len(calls) == 3 * 4
+
+    def test_non_finite_sketch_cell_raises_naming_round_and_worker(self):
+        # 1e308 in every coordinate is finite, but two coordinates with one
+        # sign in one bucket overflow the cell
+        prob = quadratic()
+        calls = self._poison(prob, {2 * 4 + 2: 1e308}, coords=slice(None))
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=6, w_workers=4, lr=0.05)
+        sketch = SketchConfig(d=32, r=3, c=16, seed=1)
+        # no numpy warning precedes the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError, match="round 3: worker 2 sent a sketch with a non-finite cell"):
+                run_training(prob, cfg, sketch, batch_size=16, data_seed=1, rng_seed=1)
+        assert len(calls) == 3 * 4
+
+    def test_overflowing_merge_of_finite_sketches_raises(self):
+        # each of workers 0 and 1 holds one 1e308 coordinate: both tables
+        # are finite, their sum is not
+        prob = quadratic()
+        calls = self._poison(prob, {4: 1e308, 5: 1e308})
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=6, w_workers=4, lr=0.05)
+        sketch = SketchConfig(d=32, r=3, c=16, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError, match="round 2: the merge of finite worker sketches has a non-finite cell"):
+                run_training(prob, cfg, sketch, batch_size=16, data_seed=1, rng_seed=1)
+        assert len(calls) == 2 * 4
 
     def test_overflowing_finite_gradients_continue(self):
         # +-1e200 from the two workers of round 2: the mean stays finite and

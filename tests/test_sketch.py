@@ -1,8 +1,10 @@
 """Unit and property tests for the count-sketch core."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradsketch.sketch import (
     _BUILD_BLOCK,
@@ -13,14 +15,14 @@ from gradsketch.sketch import (
     HashFamily,
     SketchConfig,
     _mulmod_p61,
-    _mulmod_p61_short,
     _poly_eval,
     merge_all,
     size_for,
     sketch_many,
     sketch_vector,
 )
-from oracles import accumulate, point_estimate, sketch_pairs
+import gradsketch.sketch as sketch_module
+from oracles import accumulate, mulmod_p61_short, point_estimate, sketch_pairs
 
 
 def _dense(cfg, seed, scale=1.0):
@@ -65,7 +67,51 @@ class TestConfig:
             size_for(4, 100, 5e-324)
 
 
+# field elements and 32-bit indices, each with their edge values
+_FIELD_VALUES = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1))
+_SHORT_VALUES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+# sha256 of the bucket and sign tables' bytes, recorded before the Horner
+# kernel was rewritten: the quad-sketched-1m family (d = 10**6, seed 2), the
+# blobs-sketched-784 family, a ragged multi-block d, and a c that is not a
+# power of two
+_TABLE_DIGESTS = [
+    (SketchConfig(d=10**6, r=5, c=10**4, seed=2),
+     "52e5c49a34179750dff4a52d868f4713a55bea8c5e799b40e1178eb477d07943",
+     "5f4e4b9d99b546202f05537c2f306118b5c82a0547d248a6cf512adbc554b2cb"),
+    (SketchConfig(d=784, r=7, c=40, seed=2),
+     "5d36e106db709bd428fec2e68b5acc7358c7e54cf9d4c9ce40cb60150006470d",
+     "a236aa6d47f039a1f2fe7c8d83d0b85b1ac0e880c8e5b93cf8a05f3ee8f9ec79"),
+    (SketchConfig(d=784, r=7, c=40, seed=0),
+     "959f1a81395086d21023ca59cc0445c7811ba5767bed21479614ff7547ba7baf",
+     "27d919be269edf5aa53e3e04f9c67fb1eb8ba44406b3918de74653f194caa09a"),
+    (SketchConfig(d=3 * _BUILD_BLOCK + 5, r=3, c=11, seed=8),
+     "445fcd2149e998f404346d6f032bf8fe9ec3031035fe076fd28a4438a0f2bcaa",
+     "1555ed96935c98e215de210aaa5faa4def3d42bcbbdb5e12f8b024b807b49734"),
+    (SketchConfig(d=5000, r=4, c=1000, seed=7),
+     "96345cf9545d65c04338659b4c231eb1b3c26907eeba5a592d451616472201b7",
+     "cbb95d07bd340a55981a5b412e32fd0efd8e2f86e2e1570f09c0e585bbd12814"),
+]
+
+
 class TestHashFamily:
+    @pytest.mark.parametrize("cfg, buckets_sha, signs_sha", _TABLE_DIGESTS, ids=[
+        f"d{cfg.d}-r{cfg.r}-c{cfg.c}-seed{cfg.seed}" for cfg, _, _ in _TABLE_DIGESTS
+    ])
+    def test_tables_match_golden_digests(self, cfg, buckets_sha, signs_sha):
+        fam = HashFamily(cfg)
+        assert fam.buckets.dtype == np.int64 and fam.signs.dtype == np.float64
+        assert hashlib.sha256(fam.buckets.tobytes()).hexdigest() == buckets_sha
+        assert hashlib.sha256(fam.signs.tobytes()).hexdigest() == signs_sha
+
+    @pytest.mark.parametrize("block", [1, 7, "d"])
+    def test_tables_do_not_depend_on_block_size(self, monkeypatch, block):
+        cfg = SketchConfig(d=_BUILD_BLOCK + 5, r=3, c=13, seed=21)
+        ref = HashFamily(cfg)
+        monkeypatch.setattr(sketch_module, "_BUILD_BLOCK", cfg.d if block == "d" else block)
+        fam = HashFamily(cfg)
+        assert _same_bits(fam.buckets, ref.buckets) and _same_bits(fam.signs, ref.signs)
+
     def test_deterministic_rebuild(self):
         cfg = SketchConfig(d=512, r=7, c=24, seed=99)
         f1, f2 = HashFamily(cfg), HashFamily(cfg)
@@ -90,14 +136,30 @@ class TestHashFamily:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        a=st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1)), min_size=1, max_size=16),
-        x=st.lists(st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)), min_size=1, max_size=16),
+        a=st.lists(_FIELD_VALUES, min_size=1, max_size=16),
+        x=st.lists(_SHORT_VALUES, min_size=1, max_size=16),
     )
     def test_short_mulmod_matches_full(self, a, x):
         a, x = np.array(a, dtype=np.uint64)[:, None], np.array(x, dtype=np.uint64)[None, :]
-        short = _mulmod_p61_short(a, x)
+        short = mulmod_p61_short(a, x)
         assert _same_bits(short, _mulmod_p61(a, x))
         assert short.tolist() == [[ai * xi % MERSENNE_P for xi in x[0].tolist()] for ai in a[:, 0].tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.lists(_FIELD_VALUES, min_size=4, max_size=4), min_size=1, max_size=4),
+        x=st.lists(_SHORT_VALUES, min_size=1, max_size=16),
+    )
+    # at x = 1 the last step's sum is exactly p, which only the final
+    # reduction takes to 0; all-(p - 1) at the largest x is the bound's edge
+    @example(coeffs=[[0, 0, 1, MERSENNE_P - 1]], x=[1])
+    @example(coeffs=[[MERSENNE_P - 1] * 4], x=[2**32 - 1])
+    def test_lazy_horner_matches_python_ints(self, coeffs, x):
+        # every x below 2**32 takes the lazily reduced kernel
+        got = _poly_eval(np.array(coeffs, dtype=np.uint64), np.array(x, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(coeffs), len(x))
+        for row, (c3, c2, c1, c0) in zip(got.tolist(), coeffs):
+            assert row == [(((c3 * xi + c2) * xi + c1) * xi + c0) % MERSENNE_P for xi in x]
 
     def test_poly_eval_on_both_sides_of_32_bits(self):
         rng = np.random.Generator(np.random.Philox(key=5))
