@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import math
 import os
 import sys
@@ -337,6 +338,11 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
     )
 
 
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"cannot write {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
     try:
         exp = load_experiment(args.config, args.seed_override)
@@ -347,6 +353,11 @@ def cmd_run(args) -> int:
     if out is None:
         print("config error: no output path ([output] path or --out)", file=sys.stderr)
         return 2
+    # checked before training, so a run is not lost to a typo in the path
+    if os.path.isdir(out):
+        return _cannot_write(out, os.strerror(errno.EISDIR))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        return _cannot_write(out, os.strerror(errno.ENOENT))
     try:
         result = run_training(
             exp.problem,
@@ -363,7 +374,10 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    write_metrics_csv(out, result.metrics)
+    try:
+        write_metrics_csv(out, result.metrics)
+    except OSError as exc:
+        return _cannot_write(out, exc.strerror or str(exc))
     summary = result.metrics.summary
     print(
         f"wrote {out}: {exp.config.algorithm}/{exp.config.mode}, "
@@ -395,6 +409,18 @@ def _report_row(path: str, metrics: RunMetrics) -> list[str]:
     return row
 
 
+def _write_long_csv(out: str, loaded: list[tuple[str, RunMetrics]]) -> None:
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["file", "t", "train_loss", "test_metric", "support_size", "union_size", "bytes_up", "bytes_down"])
+        for path, metrics in loaded:
+            name = os.path.basename(path)
+            for rec in metrics.records:
+                writer.writerow(
+                    [name, rec.t, repr(rec.train_loss), repr(rec.test_metric), rec.support_size, rec.union_size, rec.bytes_up, rec.bytes_down]
+                )
+
+
 def cmd_report(args) -> int:
     loaded: list[tuple[str, RunMetrics]] = []
     for path in args.metrics:
@@ -413,15 +439,10 @@ def cmd_report(args) -> int:
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["file", "t", "train_loss", "test_metric", "support_size", "union_size", "bytes_up", "bytes_down"])
-            for path, metrics in loaded:
-                name = os.path.basename(path)
-                for rec in metrics.records:
-                    writer.writerow(
-                        [name, rec.t, repr(rec.train_loss), repr(rec.test_metric), rec.support_size, rec.union_size, rec.bytes_up, rec.bytes_down]
-                    )
+        try:
+            _write_long_csv(args.csv, loaded)
+        except OSError as exc:
+            return _cannot_write(args.csv, exc.strerror or str(exc))
         print(f"wrote {args.csv}")
     return 0
 

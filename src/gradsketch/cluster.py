@@ -2,11 +2,13 @@
 
 Workers and server live in one process, but every message still crosses a
 channel that serializes it with the wire codecs, decodes it back, and meters
-both bytes and element counts.  Accounting is therefore measured from real
-serialized frames, never estimated.  The element-denominated compression
-factor counts, per worker and per round, the sketch upload, the exact-value
-upload, and the broadcast update; the index request is measured too but
-excluded from the factor by convention.
+both bytes and element counts.  Every metrics row's traffic counts, and the
+byte compression factor summed from them, are therefore measured from real
+serialized frames, never estimated.  The element compression factor is not
+measured: ``config_compression_factor`` evaluates its formula from the
+configuration (per worker and per round, the sketch upload, the exact-value
+upload, and the broadcast update; the index request is excluded by
+convention), so it leaves out the bias coordinates a round moves.
 
 ``run_training`` drives the optimizer rounds over a problem: draw a batch,
 split it contiguously across workers, run the configured round function
@@ -39,28 +41,30 @@ from gradsketch.sketch import CountSketch, SketchConfig
 
 
 # One row per message kind, keyed by the channel method that sends it:
-# (wire tag, encoder, decoder, element count, (bytes tally, elements
-# tally)).  The codecs are looked up in ``wire`` and on the message on every
-# call, so rebinding one (as a tracer does) takes effect; a decoder gets the
-# sent message for what the receiver already knows (sketch config, vector
-# dimension).
+# (wire tag, encoder, decoder, element count, (bytes field, elements
+# field)), the fields being the ``RoundRecord`` columns the message feeds.
+# The codecs are looked up in ``wire`` and on the message on every call, so
+# rebinding one (as a tracer does) takes effect; a decoder gets the sent
+# message for what the receiver already knows (sketch config, vector
+# dimension).  The request's element count feeds no column.
 _KINDS = {
     "up_sketch": (wire.TAG_SKETCH_UP, lambda sketch: sketch.to_bytes(),
                   lambda payload, sent: wire.decode_sketch(payload, sent.config),
-                  lambda sketch: sketch.num_elements, ("up_bytes", "up_sketch_elems")),
+                  lambda sketch: sketch.table.size, ("bytes_up", "up_sketch_elems")),
     "request_indices": (wire.TAG_EXACT_REQUEST, lambda indices: wire.encode_indices(indices),
-                        lambda payload, _: wire.decode_indices(payload), len, ("request_bytes", "request_elems")),
+                        lambda payload, _: wire.decode_indices(payload), len, ("bytes_request",)),
     "up_values": (wire.TAG_EXACT_UP, lambda values: wire.encode_values(values),
-                  lambda payload, _: wire.decode_values(payload), len, ("up_bytes", "up_exact_elems")),
+                  lambda payload, _: wire.decode_values(payload), len, ("bytes_up", "up_exact_elems")),
     # sparse uploads are exact (index, value) entries; they play the role of
     # the exact-value round in the element accounting
     "up_sparse": (wire.TAG_SPARSE_UP, lambda vec: wire.encode_sparse(vec),
-                  lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("up_bytes", "up_exact_elems")),
+                  lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("bytes_up", "up_exact_elems")),
     "down_update": (wire.TAG_UPDATE_DOWN, lambda vec: wire.encode_sparse(vec),
-                    lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("down_bytes", "down_elems")),
+                    lambda payload, sent: wire.decode_sparse(payload, sent.d), len, ("bytes_down", "down_update_elems")),
     "down_values": (wire.TAG_VALUES_DOWN, lambda values: wire.encode_values(values),
-                    lambda payload, _: wire.decode_values(payload), len, ("down_bytes", "down_elems")),
+                    lambda payload, _: wire.decode_values(payload), len, ("bytes_down", "down_update_elems")),
 }
+_UPLINK_FIELDS = ("bytes_up", "up_sketch_elems", "up_exact_elems")
 
 
 class MeteredChannel:
@@ -68,40 +72,33 @@ class MeteredChannel:
 
     Each call frames its message, unframes and decodes it, and hands the
     decoded object onward, so any codec defect corrupts the run instead of
-    hiding.  Tallies accumulate per round; ``start_round`` clears them.
-    Upload tallies are per worker; the request and the update broadcast are
-    tallied once (each worker receives the same copy).
+    hiding.  Tallies accumulate per round, under the ``RoundRecord`` fields
+    they feed; ``start_round`` clears them.  ``uplink`` holds one record per
+    uploading worker; ``downlink`` holds the request and the update
+    broadcast, tallied once (each worker receives the same copy).
     """
 
     def __init__(self):
         self.start_round()
 
     def start_round(self) -> None:
-        self.up_bytes: dict[int, int] = {}
-        self.up_sketch_elems: dict[int, int] = {}
-        self.up_exact_elems: dict[int, int] = {}
-        self.request_bytes = 0
-        self.request_elems = 0
-        self.down_bytes = 0
-        self.down_elems = 0
+        self.uplink: dict[int, dict[str, int]] = {}
+        self.downlink = dict.fromkeys(("bytes_request", "bytes_down", "down_update_elems"), 0)
 
     def _send(self, kind: str, message, worker: int | None = None):
         """Carry ``message`` as a ``kind`` message (see ``_KINDS``): frame it,
         unframe it as the receiver does, which raises ``WireError`` on any
         other tag, decode it, and add its frame bytes and element count to
-        the kind's tallies (under ``worker`` for an upload)."""
-        tag, encode, decode, count, tallies = _KINDS[kind]
+        the kind's fields (in ``worker``'s uplink record for an upload)."""
+        tag, encode, decode, count, fields = _KINDS[kind]
         blob = wire.frame(tag, encode(message))
         received_tag, payload = wire.unframe(blob)
         if received_tag != tag:
             raise wire.WireError(f"expected a frame tagged {tag}, received tag {received_tag}")
         decoded = decode(payload, message)
-        for name, amount in zip(tallies, (len(blob), count(decoded))):
-            if worker is None:
-                setattr(self, name, getattr(self, name) + amount)
-            else:
-                tally = getattr(self, name)
-                tally[worker] = tally.get(worker, 0) + amount
+        record = self.downlink if worker is None else self.uplink.setdefault(worker, dict.fromkeys(_UPLINK_FIELDS, 0))
+        for name, amount in zip(fields, (len(blob), count(decoded))):
+            record[name] += amount
         return decoded
 
     def up_sketch(self, sketch: CountSketch, worker: int) -> CountSketch:
@@ -142,31 +139,23 @@ def account_round(
     exactly the configured table size and exactly k (theory) or at most
     ``min(P*k, d)`` plus the bias coordinates (empirical) exact values.
     """
-    workers = range(config.w_workers)
-    per_worker_bytes = [channel.up_bytes.get(w, 0) for w in workers]
-    sketch_elems = [channel.up_sketch_elems.get(w, 0) for w in workers]
-    exact_elems = [channel.up_exact_elems.get(w, 0) for w in workers]
-    for name, counts in (("bytes", per_worker_bytes), ("sketch", sketch_elems), ("exact", exact_elems)):
+    uplinks = [channel.uplink.get(w, dict.fromkeys(_UPLINK_FIELDS, 0)) for w in range(config.w_workers)]
+    for name in _UPLINK_FIELDS:
+        counts = [up[name] for up in uplinks]
         if len(set(counts)) > 1:
             raise RuntimeError(f"asymmetric per-worker upload {name} counts: {counts}")
-    if sketch_config is not None and sketch_elems[0] not in (0, sketch_config.r * sketch_config.c):
+    sketch_elems, exact_elems = uplinks[0]["up_sketch_elems"], uplinks[0]["up_exact_elems"]
+    if sketch_config is not None and sketch_elems not in (0, sketch_config.r * sketch_config.c):
         raise RuntimeError(
-            f"sketch upload of {sketch_elems[0]} cells does not match configured {sketch_config.r}x{sketch_config.c}"
+            f"sketch upload of {sketch_elems} cells does not match configured {sketch_config.r}x{sketch_config.c}"
         )
-    if sketch_elems[0]:
-        if config.mode == "theory" and exact_elems[0] != config.k:
-            raise RuntimeError(f"exact upload of {exact_elems[0]} values, theory mode sends exactly k={config.k}")
+    if sketch_elems:
+        if config.mode == "theory" and exact_elems != config.k:
+            raise RuntimeError(f"exact upload of {exact_elems} values, theory mode sends exactly k={config.k}")
         budget = min(config.p * config.k, d) + len(config.bias_indices)
-        if config.mode == "empirical" and exact_elems[0] > budget:
-            raise RuntimeError(f"exact upload of {exact_elems[0]} values exceeds the candidate budget {budget}")
-    return {
-        "up_sketch_elems": sketch_elems[0],
-        "up_exact_elems": exact_elems[0],
-        "down_update_elems": channel.down_elems,
-        "bytes_up": per_worker_bytes[0],
-        "bytes_down": channel.down_bytes,
-        "bytes_request": channel.request_bytes,
-    }
+        if config.mode == "empirical" and exact_elems > budget:
+            raise RuntimeError(f"exact upload of {exact_elems} values exceeds the candidate budget {budget}")
+    return {**uplinks[0], **channel.downlink}
 
 
 def partition_batch(batch: np.ndarray, w_workers: int) -> list[np.ndarray]:
@@ -216,13 +205,16 @@ def _config_echo(problem, config: OptimizerConfig, sketch_config, batch_size, da
 
 
 def config_compression_factor(config: OptimizerConfig, sketch_config, d: int, mean_union: float | None = None) -> float:
-    """The element formula evaluated from configuration alone.
+    """The element formula evaluated from configuration alone, not counted.
 
     Sketched rounds move the sketch, the exact values (``P*k`` candidates in
     empirical mode, k in theory mode), and the k-sparse update.  Dense
     baselines move d up and d down (factor 1), true top-k moves d up and k
     down, and local top-k moves k up and the measured mean union down (it
-    has no configured down size).
+    has no configured down size; that is the one measured term).  The bias
+    coordinates of an empirical round, uploaded and broadcast every round,
+    are not in the formula, so with ``bias_indices`` set it reads above the
+    factor the rows' element counts give.
     """
     if config.algorithm == "sketched":
         table = sketch_config.r * sketch_config.c

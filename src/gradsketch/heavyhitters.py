@@ -1,26 +1,21 @@
-"""Approximate top-k extraction from merged count sketches.
+"""Approximate top-k selection from merged count sketches.
 
 The server never sees worker vectors, only their merged sketch.  Recovery of
-a k-sparse update runs in two rounds: the sketch nominates candidate
-coordinates (a thresholded heavy set plus a uniform random fill, or a plain
-top-P*k of the point estimates), then an exact-lookup round fetches the true
-values of the nominated coordinates from the workers.  Returned vectors
-therefore carry exact values on their support; all approximation error lives
-in which coordinates were nominated.
+a k-sparse update runs in two rounds, and this module owns only the first:
+the sketch nominates candidate coordinates (a thresholded heavy set plus a
+uniform random fill, or a plain top-P*k of the point estimates).  The round
+functions in ``optim`` then run the exact-lookup round that fetches the true
+values of the nominated coordinates from the workers, so all approximation
+error lives in which coordinates were nominated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from gradsketch.sketch import CountSketch
-
-# An exact-value oracle: maps a sorted array of coordinate indices to the
-# true values of the summarized vector at those indices.
-ExactLookup = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -104,15 +99,15 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
     return topk_indices(sketch.estimate_all(), min(p * k, d))
 
 
-def heavymix(sketch: CountSketch, k: int, lookup: ExactLookup, rng_seed: int) -> KSparseVector:
-    """Recover a k-sparse approximation of the sketched vector.
+def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:
+    """Nominate the support of a k-sparse approximation of the sketched vector.
 
     Coordinates whose estimated squared value clears a ``1/k`` share of the
     estimated squared norm form the heavy set (truncated to the k largest
     estimates if it overflows).  The remaining budget is filled by sampling
     uniformly without replacement from the complement, which is what makes
     the expected residual contract by a ``k/d`` factor even when nothing is
-    heavy.  The returned values come from ``lookup``, so they are exact.
+    heavy.
 
     The ``k <= d/2`` regime is the one the contraction guarantee covers;
     larger k (up to d) is accepted and simply nominates more of the vector.
@@ -120,11 +115,10 @@ def heavymix(sketch: CountSketch, k: int, lookup: ExactLookup, rng_seed: int) ->
     Args:
         sketch: merged sketch of the target vector.
         k: output sparsity, in ``[1, d]``.
-        lookup: exact-value oracle; receives a sorted index array.
         rng_seed: seed for the uniform fill, making the call deterministic.
 
     Returns:
-        KSparseVector with exactly ``k`` entries and exact values.
+        Sorted int64 array of exactly ``k`` distinct indices.
     """
     d = sketch.config.d
     if not 1 <= k <= d:
@@ -147,8 +141,4 @@ def heavymix(sketch: CountSketch, k: int, lookup: ExactLookup, rng_seed: int) ->
             rng = np.random.default_rng(rng_seed)
             sampled = rng.choice(pool, size=fill, replace=False)
             chosen = np.concatenate([chosen, sampled])
-    support = np.sort(chosen.astype(np.int64))
-    values = np.asarray(lookup(support), dtype=np.float64)
-    if values.shape != support.shape:
-        raise ValueError("lookup returned a value array of the wrong shape")
-    return KSparseVector(d=d, indices=support, values=values)
+    return np.sort(chosen.astype(np.int64))

@@ -306,9 +306,9 @@ def theory_round(
     """
     _accumulate(states, grads, eta=lr_t)
     accums = [st.accum for st in states]
-    merged = _merged_sketch(accums, sketch_config, channel)
-    update = heavymix(merged, config.k, lambda indices: exact_mean(accums, channel, indices), rng_seed)
-    update = channel.down_update(update)
+    support = heavymix(_merged_sketch(accums, sketch_config, channel), config.k, rng_seed)
+    values = exact_mean(accums, channel, support)
+    update = channel.down_update(KSparseVector(d=sketch_config.d, indices=support, values=values))
     for st in states:
         st.w[update.indices] -= update.values
         st.accum[update.indices] -= update.values

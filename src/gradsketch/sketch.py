@@ -141,30 +141,28 @@ def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         return acc
     # Each step s <- s*x + c keeps s < 2**61 + 8 instead of reducing it
     # below p; with 2**61 = 1 (mod p) and x < 2**32:
-    # - h = s >> 32 < 2**29 + 1, so h*x < 2**62, and h*x*2**32 folds to
-    #   (h*x >> 29) < 2**33 plus ((h*x & (2**29 - 1)) << 32) < 2**61;
-    # - (s & 0xFFFFFFFF)*x < 2**64 folds to (>> 61) <= 7 plus (& p) < 2**61;
-    # - with c < p the sum of these parts stays below 2**63, so one fold
+    # - h = s >> 31 <= 2**30, so h*x < 2**62, and h*x*2**31 folds to
+    #   (h*x >> 30) < 2**32 plus ((h*x & (2**30 - 1)) << 31) < 2**61;
+    # - (s & (2**31 - 1))*x < 2**63 needs no fold;
+    # - with c < p the sum of these parts stays below 2**64, so one fold
     #   (s >> 61) + (s & p) brings it back below 2**61 + 8.
-    # The leading coefficient's 32-bit halves are per-row scalars, so the
+    # The leading coefficient's 31-bit halves are per-row scalars, so the
     # first step starts from their two outer products with x.
     x = x[None, :]
-    mask32, mask29 = np.uint64(0xFFFFFFFF), np.uint64((1 << 29) - 1)
-    hi = (coeffs[:, :1] >> np.uint64(32)) * x
-    lo = (coeffs[:, :1] & mask32) * x
+    mask31, mask30 = np.uint64((1 << 31) - 1), np.uint64((1 << 30) - 1)
+    hi = (coeffs[:, :1] >> np.uint64(31)) * x
+    lo = (coeffs[:, :1] & mask31) * x
     for deg in range(1, coeffs.shape[1]):
         if deg > 1:
-            hi = s >> np.uint64(32)
+            hi = s >> np.uint64(31)
             hi *= x
             lo = s  # s is rebuilt below, so its buffer takes the low half
-            lo &= mask32
+            lo &= mask31
             lo *= x
-        s = hi >> np.uint64(29)
-        hi &= mask29
-        hi <<= np.uint64(32)
+        s = hi >> np.uint64(30)
+        hi &= mask30
+        hi <<= np.uint64(31)
         s += hi
-        s += lo >> np.uint64(61)
-        lo &= p
         s += lo
         s += coeffs[:, deg:deg + 1]
         hi = s >> np.uint64(61)
@@ -347,11 +345,6 @@ class CountSketch:
             raise ConfigMismatchError(f"sketch payload carries config {found}, expected {config}")
         table = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(r, c).copy()
         return cls(config, _table=table)
-
-    @property
-    def num_elements(self) -> int:
-        """Cell count ``r * c``, the sketch's cost in transmitted elements."""
-        return self.config.r * self.config.c
 
 
 def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradsketch.cli as cli
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
 from gradsketch.problems import DatasetFormatError, QuadraticProblem, load_dataset
@@ -434,6 +435,40 @@ rng = 3
         assert f"data.txt:2: non-finite feature token '{token}'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("target, reason", [("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_output_exits_2_before_training(self, tmp_path, capsys, monkeypatch, target, reason):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although the output cannot be written")
+
+        monkeypatch.setattr(cli, "run_training", no_training)
+        cfg = write_config(tmp_path, QUADRATIC_THEORY)
+        out = str(tmp_path / target)
+        assert main(["run", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"cannot write {out}: {reason}"]
+
+    @pytest.mark.parametrize("spoil", ["remove the directory", "make the target a directory"])
+    def test_failed_write_after_training_exits_2(self, tmp_path, capsys, monkeypatch, spoil):
+        # the output becomes unwritable while the run trains
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        out = out_dir / "x.csv"
+        train = cli.run_training
+
+        def spoiling(*args, **kwargs):
+            result = train(*args, **kwargs)
+            if spoil == "remove the directory":
+                out_dir.rmdir()
+            else:
+                out.mkdir()
+            return result
+
+        monkeypatch.setattr(cli, "run_training", spoiling)
+        cfg = write_config(tmp_path, QUADRATIC_THEORY)
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot write {out}: ")
+        assert not list(tmp_path.rglob(".metrics-*.tmp"))
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, QUADRATIC_THEORY)
         out_a, out_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -476,6 +511,14 @@ class TestReportCommand:
         # header plus (10+1) records per run
         assert len(lines) == 1 + 11 + 11
         assert lines[0].split(",")[0] == "file"
+
+    @pytest.mark.parametrize("target, reason", [("missing/y.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_long_csv_exits_2(self, tmp_path, capsys, target, reason):
+        out_a, out_b = self._run_two(tmp_path)
+        capsys.readouterr()
+        long_csv = str(tmp_path / target)
+        assert main(["report", out_a, out_b, "--csv", long_csv]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"cannot write {long_csv}: {reason}"]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2

@@ -18,12 +18,12 @@ from gradsketch.cluster import (
     partition_batch,
     run_training,
 )
-from gradsketch.heavyhitters import KSparseVector
+from gradsketch.heavyhitters import KSparseVector, heavymix
 from gradsketch.metrics import RoundRecord, write_metrics_csv
 from gradsketch import wire
-from gradsketch.optim import OptimizerConfig, exact_mean
+from gradsketch.optim import OptimizerConfig, exact_mean, make_states, theory_round
 from gradsketch.problems import QuadraticProblem, split_dataset, synth_data, LogisticProblem
-from gradsketch.sketch import SketchConfig, sketch_vector
+from gradsketch.sketch import SketchConfig, merge_all, sketch_vector
 
 
 def quadratic(d=32, noise=0.05, n=128, seed=5):
@@ -50,8 +50,8 @@ class TestMeteredChannel:
         out = ch.up_values(vals, worker=0)
         assert np.array_equal(out, vals)
         # frame (5) + count (4) + 3 float64
-        assert ch.up_bytes[0] == 5 + 4 + 24
-        assert ch.up_exact_elems[0] == 3
+        assert ch.uplink[0]["bytes_up"] == 5 + 4 + 24
+        assert ch.uplink[0]["up_exact_elems"] == 3
 
     def test_up_sketch_round_trip_and_bytes(self):
         cfg = SketchConfig(d=50, r=3, c=16, seed=9)
@@ -60,18 +60,18 @@ class TestMeteredChannel:
         out = ch.up_sketch(sk, worker=2)
         assert out.config == cfg
         assert np.array_equal(out.table, sk.table)
-        assert ch.up_sketch_elems[2] == 48
+        assert ch.uplink[2]["up_sketch_elems"] == 48
         # frame (5) + sketch header (30) + 48 cells
-        assert ch.up_bytes[2] == 5 + 30 + 48 * 8
+        assert ch.uplink[2]["bytes_up"] == 5 + 30 + 48 * 8
 
     def test_request_is_tallied_once_and_separately(self):
         ch = MeteredChannel()
         idx = np.array([1, 2, 300])
         out = ch.request_indices(idx)
         assert np.array_equal(out, idx)
-        assert ch.request_elems == 3
-        assert ch.request_bytes > 0
-        assert ch.up_bytes == {} and ch.down_bytes == 0
+        assert len(out) == 3
+        assert ch.downlink["bytes_request"] == 5 + len(wire.encode_indices(idx))
+        assert ch.uplink == {} and ch.downlink["bytes_down"] == ch.downlink["down_update_elems"] == 0
 
     def test_down_update_round_trip(self):
         ch = MeteredChannel()
@@ -79,21 +79,22 @@ class TestMeteredChannel:
         out = ch.down_update(vec)
         assert np.array_equal(out.indices, vec.indices)
         assert np.array_equal(out.values, vec.values)
-        assert ch.down_elems == 2
-        assert ch.down_bytes == 5 + 4 + 2 * 16
+        assert ch.downlink["down_update_elems"] == 2
+        assert ch.downlink["bytes_down"] == 5 + 4 + 2 * 16
 
     def test_up_sparse_counts_as_exact_elements(self):
         ch = MeteredChannel()
         vec = KSparseVector(d=20, indices=np.array([3]), values=np.array([1.0]))
         ch.up_sparse(vec, worker=1)
-        assert ch.up_exact_elems[1] == 1
-        assert ch.up_bytes[1] == 5 + 4 + 16
+        assert ch.uplink[1]["up_exact_elems"] == 1
+        assert ch.uplink[1]["bytes_up"] == 5 + 4 + 16
 
     def test_start_round_clears_tallies(self):
         ch = MeteredChannel()
         ch.up_values(np.ones(4), worker=0)
+        ch.request_indices(np.arange(4))
         ch.start_round()
-        assert ch.up_bytes == {} and ch.up_exact_elems == {}
+        assert ch.uplink == {} and not any(ch.downlink.values())
 
     def test_each_message_travels_under_its_own_tag(self, monkeypatch):
         expected = {
@@ -260,9 +261,39 @@ class TestExactLookupRound:
 
     def test_meters_request_and_replies(self):
         ch = MeteredChannel()
+        requests = []
+        send = ch.request_indices
+        ch.request_indices = lambda indices: requests.append(send(indices)) or requests[-1]
         exact_mean([np.arange(8.0), np.arange(8.0)], ch, np.array([2, 5]))
-        assert ch.request_elems == 2
-        assert ch.up_exact_elems == {0: 2, 1: 2}
+        assert [len(request) for request in requests] == [2]
+        assert {w: up["up_exact_elems"] for w, up in ch.uplink.items()} == {0: 2, 1: 2}
+
+    @pytest.mark.parametrize("w_workers", [1, 3, 4])
+    def test_theory_round_fetches_the_heavymix_support_exactly(self, w_workers, monkeypatch):
+        # heavymix only nominates; the round itself fetches the exact worker
+        # mean at the nominated support in one request and W replies
+        d, k, seed = 96, 6, 12345
+        skc = SketchConfig(d=d, r=5, c=24, seed=7)
+        config = OptimizerConfig(mode="theory", algorithm="sketched", k=k, w_workers=w_workers, xi=500.0)
+        rng = np.random.default_rng(w_workers)
+        states = make_states(np.zeros(d), w_workers)
+        for st in states:
+            st.accum = rng.standard_normal(d) * rng.choice([0.1, 10.0], size=d)
+        accums = [st.accum.copy() for st in states]
+        tags = []
+        frame = wire.frame
+        monkeypatch.setattr(wire, "frame", lambda tag, payload: tags.append(tag) or frame(tag, payload))
+        update = theory_round(states, [np.zeros(d)] * w_workers, 0.01, config, skc, seed, MeteredChannel())
+
+        merged = merge_all([sketch_vector(skc, a) for a in accums]).scale(1.0 / w_workers)
+        support = heavymix(merged, k, seed)
+        assert np.array_equal(update.indices, support)
+        expected = accums[0][support]
+        for a in accums[1:]:
+            expected = expected + a[support]
+        assert np.array_equal(update.values, expected / w_workers)
+        assert tags.count(wire.TAG_EXACT_REQUEST) == 1
+        assert tags.count(wire.TAG_EXACT_UP) == w_workers
 
 
 class TestRunTraining:

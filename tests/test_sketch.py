@@ -457,7 +457,9 @@ class TestKernelOracles:
         cell = st.one_of(special, st.floats(-4, 4), st.integers(-2, 2).map(float))
         cells = data.draw(st.lists(cell, min_size=r * cfg.c, max_size=r * cfg.c))
         s = CountSketch(cfg, _table=np.array(cells).reshape(r, cfg.c))
-        assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+        # +inf and -inf cells are drawn on purpose; both sides sum them to NaN
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
 
     def test_estimate_all_cases(self):
         for r in range(1, 10):
