@@ -18,7 +18,7 @@ import errno
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ExperimentConfigError(ValueError):
     """Raised for unparseable or inconsistent experiment configs."""
 
 
-def _parse_lr_points(raw: str) -> tuple[tuple[float, float], ...]:
+def _point_list(raw: str) -> tuple[tuple[float, float], ...]:
     points = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -59,56 +59,76 @@ def _parse_lr_points(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
-def _parse_bias(raw: str) -> tuple[int, ...]:
+def _int_list(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise ExperimentConfigError(f"bias_indices {raw!r} must be comma-separated integers") from None
 
 
-# [optimizer] key -> (OptimizerConfig field, parser).  Only the keys a config
-# sets are passed on, so every default is OptimizerConfig's own.
-_OPTIMIZER_KEYS = {
-    "mode": ("mode", str),
-    "algorithm": ("algorithm", str),
-    "k": ("k", int),
-    "p": ("p", int),
-    "t": ("t_rounds", int),
-    "w": ("w_workers", int),
-    "momentum": ("momentum", float),
-    "xi": ("xi", float),
-    "beta": ("beta", float),
-    "mu_scale": ("mu_scale", float),
-    "lr": ("lr", float),
-    "lr_points": ("lr_points", _parse_lr_points),
-    "bias_indices": ("bias_indices", _parse_bias),
-}
-_REQUIRED_OPTIMIZER_KEYS = ("mode", "t")
+def _bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
 
-_SECTION_KEYS = {
+
+REQUIRED = object()  # a table default: the key must be set
+
+# Key tables: key -> (parser, default or REQUIRED).  Each section is read
+# against one table, chosen by the run it configures, and a key outside that
+# table is rejected.  The [optimizer] defaults are OptimizerConfig's own.
+_SHARED = {"kind": (str, REQUIRED), "batch_size": (int, REQUIRED)}
+_CLASSIFIER = {"lambda": (float, 0.0)}
+_OPTIMIZER_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
+_KEY_TABLES = {
     "problem": {
-        "kind",
-        "dataset",
-        "test_dataset",
-        "normalize",
-        "add_intercept",
-        "positive_class",
-        "lambda",
-        "batch_size",
-        "synth_n",
-        "synth_d",
-        "synth_separation",
-        "synth_test_n",
-        "quad_d",
-        "quad_lambda_min",
-        "quad_lambda_max",
-        "quad_noise_sigma",
-        "quad_n_samples",
+        "quadratic runs": _SHARED | {
+            "quad_d": (int, REQUIRED),
+            "quad_lambda_min": (float, 1.0),
+            "quad_lambda_max": (float, 5.0),
+            "quad_noise_sigma": (float, 0.0),
+            "quad_n_samples": (int, 256),
+        },
+        "synthetic-blob runs": _SHARED | _CLASSIFIER | {
+            "synth_n": (int, REQUIRED),
+            "synth_d": (int, REQUIRED),
+            "synth_separation": (float, 2.0),
+            "synth_test_n": (int, None),  # unset: max(synth_n // 4, 1)
+        },
+        "dataset-file runs": _SHARED | _CLASSIFIER | {
+            "dataset": (str, REQUIRED),
+            "test_dataset": (str, REQUIRED),
+            "normalize": (_bool, True),
+            "add_intercept": (_bool, True),
+            "positive_class": (int, None),
+        },
     },
-    "optimizer": set(_OPTIMIZER_KEYS),
-    "sketch": {"rows", "cols", "size_k", "size_delta"},
-    "seeds": {"data", "sketch", "rng"},
-    "output": {"path"},
+    "optimizer": {
+        "any run": {
+            "mode": (str, REQUIRED),
+            "algorithm": (str, _OPTIMIZER_DEFAULTS["algorithm"]),
+            "k": (int, _OPTIMIZER_DEFAULTS["k"]),
+            "p": (int, _OPTIMIZER_DEFAULTS["p"]),
+            "t": (int, REQUIRED),
+            "w": (int, _OPTIMIZER_DEFAULTS["w_workers"]),
+            "momentum": (float, _OPTIMIZER_DEFAULTS["momentum"]),
+            "xi": (float, _OPTIMIZER_DEFAULTS["xi"]),
+            "beta": (float, _OPTIMIZER_DEFAULTS["beta"]),
+            "mu_scale": (float, _OPTIMIZER_DEFAULTS["mu_scale"]),
+            "lr": (float, _OPTIMIZER_DEFAULTS["lr"]),
+            "lr_points": (_point_list, _OPTIMIZER_DEFAULTS["lr_points"]),
+            "bias_indices": (_int_list, _OPTIMIZER_DEFAULTS["bias_indices"]),
+        },
+    },
+    "sketch": {
+        "rows/cols sizing": {"rows": (int, REQUIRED), "cols": (int, REQUIRED)},
+        "size_k/size_delta sizing": {"size_k": (int, REQUIRED), "size_delta": (float, REQUIRED)},
+    },
+    "seeds": {"any run": {"data": (int, REQUIRED), "sketch": (int, REQUIRED), "rng": (int, REQUIRED)}},
+    "output": {"any run": {"path": (str, None)}},
 }
 
 
@@ -126,30 +146,41 @@ class Experiment:
     extra_echo: dict[str, object]
 
 
-def _typed(section: configparser.SectionProxy, key: str, kind, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ExperimentConfigError(f"[{section.name}] is missing required key {key!r}")
-        return default
-    raw = section[key]
-    try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        value = kind(raw)
-    except ExperimentConfigError:
-        raise
-    except ValueError:
-        raise ExperimentConfigError(
-            f"[{section.name}] {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from None
-    if kind is float and not math.isfinite(value):
-        raise ExperimentConfigError(f"[{section.name}] {key} = {raw!r} is not finite")
-    return value
+def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, object]:
+    """Section ``[name]`` parsed against the key table of ``user``; an absent
+    section reads as an empty one."""
+    table = _KEY_TABLES[name][user]
+    section = parser[name] if parser.has_section(name) else {}
+    values = {}
+    for key, (parse, default) in table.items():
+        if key not in section:
+            if default is REQUIRED:
+                raise ExperimentConfigError(f"[{name}] is missing required key {key!r}")
+            values[key] = default
+            continue
+        raw = section[key]
+        try:
+            values[key] = parse(raw)
+        except ExperimentConfigError:
+            raise
+        except ValueError:
+            raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not a valid {parse.__name__.strip('_')}") from None
+        if parse is float and not math.isfinite(values[key]):
+            raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not finite")
+    for key in section:
+        if key not in table:
+            raise ExperimentConfigError(f"[{name}] {key} is not used by {user}")
+    return values
+
+
+def _problem_source(section: configparser.SectionProxy) -> str:
+    """The data source, and so the key table, of a [problem] section: the
+    quadratic's own, else the classifier source that leaves fewest keys unused."""
+    kind = section.get("kind")
+    if kind not in (None, "quadratic", "logistic", "hinge-svm"):
+        raise ExperimentConfigError(f"[problem] kind must be quadratic, logistic, or hinge-svm, got {kind!r}")
+    sources = ["quadratic runs"] if kind == "quadratic" else ["synthetic-blob runs", "dataset-file runs"]
+    return min(sources, key=lambda user: sum(key not in _KEY_TABLES["problem"][user] for key in section))
 
 
 def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str) -> Dataset:
@@ -163,33 +194,17 @@ def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str)
     return dataset
 
 
-def _build_problem(section: configparser.SectionProxy, data_seed: int):
-    kind = _typed(section, "kind", str, required=True)
-    echo: dict[str, object] = {}
+def _build_problem(spec: dict[str, object], data_seed: int):
+    kind = spec["kind"]
     if kind == "quadratic":
-        d = _typed(section, "quad_d", int, required=True)
-        lo = _typed(section, "quad_lambda_min", float, 1.0)
-        hi = _typed(section, "quad_lambda_max", float, 5.0)
-        sigma = _typed(section, "quad_noise_sigma", float, 0.0)
-        n = _typed(section, "quad_n_samples", int, 256)
+        d, lo, hi = spec["quad_d"], spec["quad_lambda_min"], spec["quad_lambda_max"]
         if d < 1 or lo <= 0 or hi < lo:
             raise ExperimentConfigError("quadratic needs quad_d >= 1 and 0 < quad_lambda_min <= quad_lambda_max")
-        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, n, seed=data_seed)
-        echo.update({"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma})
-        return problem, echo
-    if kind not in ("logistic", "hinge-svm"):
-        raise ExperimentConfigError(f"[problem] kind must be quadratic, logistic, or hinge-svm, got {kind!r}")
-    lam = _typed(section, "lambda", float, 0.0)
-    positive_class = _typed(section, "positive_class", int)
-    if "dataset" in section:
-        if "synth_n" in section or "synth_d" in section:
-            raise ExperimentConfigError("[problem] uses either dataset files or synth_* keys, not both")
-        train_path = section["dataset"]
-        test_path = _typed(section, "test_dataset", str)
-        if test_path is None:
-            raise ExperimentConfigError("[problem] file-backed runs need test_dataset alongside dataset")
-        normalize = _typed(section, "normalize", bool, True)
-        add_intercept = _typed(section, "add_intercept", bool, True)
+        sigma = spec["quad_noise_sigma"]
+        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, spec["quad_n_samples"], seed=data_seed)
+        return problem, {"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma}
+    if "dataset" in spec:
+        train_path, test_path, normalize = spec["dataset"], spec["test_dataset"], spec["normalize"]
         try:
             train = load_dataset(train_path)
             test = load_dataset(test_path)
@@ -197,68 +212,48 @@ def _build_problem(section: configparser.SectionProxy, data_seed: int):
             raise ExperimentConfigError(f"cannot read dataset: {exc}") from None
         except DatasetFormatError as exc:
             raise ExperimentConfigError(str(exc)) from None
-        train = _binarize_if_needed(train, positive_class, "train")
-        test = _binarize_if_needed(test, positive_class, "test")
+        train = _binarize_if_needed(train, spec["positive_class"], "train")
+        test = _binarize_if_needed(test, spec["positive_class"], "test")
         bounds = (float(train.features.min()), float(train.features.max())) if normalize else None
-        train = prepare_features(train, normalize, add_intercept)
-        test = prepare_features(test, normalize, add_intercept, bounds=bounds)
-        echo.update(
-            {
-                "problem.dataset": train_path,
-                "problem.test_dataset": test_path,
-                "problem.train_checksum": train.checksum,
-                "problem.test_checksum": test.checksum,
-                "problem.normalize": normalize,
-                "problem.add_intercept": add_intercept,
-            }
-        )
+        train = prepare_features(train, normalize, spec["add_intercept"])
+        test = prepare_features(test, normalize, spec["add_intercept"], bounds=bounds)
+        echo = {
+            "problem.dataset": train_path,
+            "problem.test_dataset": test_path,
+            "problem.train_checksum": train.checksum,
+            "problem.test_checksum": test.checksum,
+            "problem.normalize": normalize,
+            "problem.add_intercept": spec["add_intercept"],
+        }
     else:
-        n = _typed(section, "synth_n", int, required=True)
-        d = _typed(section, "synth_d", int, required=True)
-        separation = _typed(section, "synth_separation", float, 2.0)
-        test_n = _typed(section, "synth_test_n", int, max(n // 4, 1))
-        full = synth_data(n + test_n, d, separation, seed=data_seed)
+        n, test_n = spec["synth_n"], spec["synth_test_n"]
+        if test_n is None:
+            test_n = max(n // 4, 1)
+        full = synth_data(n + test_n, spec["synth_d"], spec["synth_separation"], seed=data_seed)
         train, test = split_dataset(full, n)
-        echo.update({"problem.data": full.name, "problem.checksum": full.checksum})
-    echo["problem.lambda"] = lam
+        echo = {"problem.data": full.name, "problem.checksum": full.checksum}
+    echo["problem.lambda"] = spec["lambda"]
     cls = LogisticProblem if kind == "logistic" else HingeSVMProblem
-    return cls(train, test, lam), echo
-
-
-def _build_optimizer(section: configparser.SectionProxy) -> OptimizerConfig:
-    kwargs = {
-        name: _typed(section, key, kind, required=True)
-        for key, (name, kind) in _OPTIMIZER_KEYS.items()
-        if key in section or key in _REQUIRED_OPTIMIZER_KEYS
-    }
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        raise ExperimentConfigError(f"[optimizer] {exc}") from None
+    return cls(train, test, spec["lambda"]), echo
 
 
 def _build_sketch(parser: configparser.ConfigParser, config: OptimizerConfig, d: int, sketch_seed: int):
     if config.algorithm != "sketched":
+        if parser.has_section("sketch"):
+            raise ExperimentConfigError(f"[sketch] is not used by {config.algorithm} runs")
         return None
     if not parser.has_section("sketch"):
         raise ExperimentConfigError("sketched runs need a [sketch] section")
-    section = parser["sketch"]
-    explicit = "rows" in section or "cols" in section
-    derived = "size_k" in section or "size_delta" in section
-    if explicit and derived:
+    sizings = [user for user, table in _KEY_TABLES["sketch"].items() if any(key in parser["sketch"] for key in table)]
+    if len(sizings) > 1:
         raise ExperimentConfigError("[sketch] takes rows/cols or size_k/size_delta, not both")
-    if explicit:
-        r = _typed(section, "rows", int, required=True)
-        c = _typed(section, "cols", int, required=True)
-    elif derived:
-        k = _typed(section, "size_k", int, required=True)
-        delta = _typed(section, "size_delta", float, required=True)
-    else:
+    if not sizings:
         raise ExperimentConfigError("[sketch] needs rows/cols or size_k/size_delta")
+    spec = _read(parser, "sketch", sizings[0])
     try:
-        if derived:
-            r, c = size_for(k, d, delta)
-        return SketchConfig(d=d, r=r, c=c, seed=sketch_seed)
+        if "size_k" in spec:
+            spec["rows"], spec["cols"] = size_for(spec["size_k"], d, spec["size_delta"])
+        return SketchConfig(d=d, r=spec["rows"], c=spec["cols"], seed=sketch_seed)
     except ValueError as exc:
         raise ExperimentConfigError(f"[sketch] {exc}") from None
 
@@ -278,21 +273,13 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
         raise ExperimentConfigError(f"{path}: {exc}") from None
 
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _KEY_TABLES:
             raise ExperimentConfigError(f"unknown config section [{name}]")
-        for key in parser[name]:
-            if key not in _SECTION_KEYS[name]:
-                raise ExperimentConfigError(f"unknown key {key!r} in section [{name}]")
     for required in ("problem", "optimizer", "seeds"):
         if not parser.has_section(required):
             raise ExperimentConfigError(f"config is missing the [{required}] section")
 
-    seeds = parser["seeds"]
-    seed_values = {
-        "data": _typed(seeds, "data", int, required=True),
-        "sketch": _typed(seeds, "sketch", int, required=True),
-        "rng": _typed(seeds, "rng", int, required=True),
-    }
+    seed_values = _read(parser, "seeds", "any run")
     for override in seed_overrides or []:
         key, sep, value = override.partition("=")
         if not sep or key not in seed_values:
@@ -305,27 +292,32 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
         if value < 0:
             raise ExperimentConfigError(f"[seeds] {key} = {value} must be a non-negative integer")
 
+    spec = _read(parser, "problem", _problem_source(parser["problem"]))
+    opt = _read(parser, "optimizer", "any run")
+    output_path = _read(parser, "output", "any run")["path"]
     try:
-        problem, echo = _build_problem(parser["problem"], seed_values["data"])
+        problem, echo = _build_problem(spec, seed_values["data"])
     except ExperimentConfigError:
         raise
     except ValueError as exc:  # the problem and dataset constructors' own checks
         raise ExperimentConfigError(f"[problem] {exc}") from None
-    config = _build_optimizer(parser["optimizer"])
+    try:
+        config = OptimizerConfig(t_rounds=opt.pop("t"), w_workers=opt.pop("w"), **opt)
+    except ValueError as exc:
+        raise ExperimentConfigError(f"[optimizer] {exc}") from None
     sketch_config = _build_sketch(parser, config, problem.d, seed_values["sketch"])
     try:
         config.validate_for_dimension(problem.d)
     except ValueError as exc:
         raise ExperimentConfigError(f"[optimizer] {exc}") from None
 
-    batch_size = _typed(parser["problem"], "batch_size", int, required=True)
+    batch_size = spec["batch_size"]
     if not 1 <= batch_size <= problem.n_train:
         raise ExperimentConfigError(f"[problem] batch_size = {batch_size} must be in [1, {problem.n_train}]")
     if batch_size < config.w_workers:
         raise ExperimentConfigError(
             f"[problem] batch_size = {batch_size} cannot cover [optimizer] w = {config.w_workers} workers"
         )
-    output_path = parser["output"]["path"] if parser.has_section("output") and "path" in parser["output"] else None
     return Experiment(
         problem=problem,
         config=config,

@@ -25,9 +25,10 @@ _MAGIC = "# gradsketch-metrics v1"
 class RoundRecord:
     """One row per round; ``t=0`` is the initial state with no traffic.
 
-    ``support_size`` is the l0 size of the broadcast update and
-    ``union_size`` the transmitted-support union (they differ only for the
-    local top-k baseline).  Byte counts come from actually serialized
+    ``support_size`` is the l0 size of the broadcast update.  ``union_size``
+    always equals it: ``run_training`` writes ``len(update)`` to both, local
+    top-k's update being the union itself.  The column stays so the file
+    format does not change.  Byte counts come from actually serialized
     messages: ``bytes_up`` per worker, ``bytes_down`` for the broadcast, and
     ``bytes_request`` for the excluded-by-convention index request.
     ``support_hash`` fingerprints the update indices for invariance checks.

@@ -3,7 +3,8 @@
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
-per-sample gradients whose mean a problem's batch gradient is, and the
+per-sample gradients whose mean a problem's batch gradient is, a candidate
+selection that ignores the sketch (the control of AC11), and the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
 families it draws from.
 """
@@ -69,6 +70,20 @@ def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     else:
         coeff = np.where(y * (X @ w) < 1.0, -y.astype(np.float64), 0.0)
     return X * coeff[:, None] + problem.lam * w
+
+
+def random_candidates(seed: int) -> Callable[[CountSketch, int, int], np.ndarray]:
+    """A stand-in for ``heavyhitters.top_pk_candidates`` that ignores the
+    sketch: each call draws ``min(p * k, d)`` distinct coordinates uniformly
+    from one stream seeded by ``seed``, sorted int64 like the real selection.
+    The control of AC11."""
+    rng = np.random.default_rng(seed)
+
+    def candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
+        d = sketch.config.d
+        return np.sort(rng.choice(d, size=min(p * k, d), replace=False)).astype(np.int64)
+
+    return candidates
 
 
 def gaussian_vector(rng: np.random.Generator, d: int) -> np.ndarray:

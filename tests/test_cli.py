@@ -3,6 +3,7 @@
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,28 @@ cols = 32
 data = 5
 sketch = 6
 rng = 7
+"""
+
+
+FILE_HINGE = """
+[problem]
+kind = hinge-svm
+dataset = {train}
+test_dataset = {test}
+positive_class = 0
+lambda = 0.01
+batch_size = 10
+
+[optimizer]
+mode = empirical
+algorithm = true-topk
+k = 2
+t = 3
+
+[seeds]
+data = 1
+sketch = 2
+rng = 3
 """
 
 
@@ -477,6 +500,84 @@ rng = 3
         a = read_metrics_csv(out_a)
         b = read_metrics_csv(out_b)
         assert a.records[-1].train_loss != b.records[-1].train_loss
+
+
+def _source_config(tmp_path, source):
+    """A config that runs, for each [problem] data source."""
+    if source == "quadratic runs":
+        return QUADRATIC_THEORY
+    if source == "synthetic-blob runs":
+        return SYNTH_LOGISTIC.format(out=tmp_path / "x.csv")
+    rng = np.random.default_rng(0)
+    for name in ("train.txt", "test.txt"):
+        rows = (f"{i % 3} " + " ".join(f"{v:.3f}" for v in rng.normal(size=3)) for i in range(20))
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+    return FILE_HINGE.format(train=tmp_path / "train.txt", test=tmp_path / "test.txt")
+
+
+def _default_text(default):
+    if default is cli.REQUIRED:
+        return "required"
+    if default is None or default == ():
+        return "unset" if default is None else "empty"
+    return str(default).lower() if isinstance(default, bool) else str(default)
+
+
+_PROBLEM_TABLES = cli._KEY_TABLES["problem"]
+_FOREIGN_PROBLEM_KEYS = [
+    (source, key)
+    for source, table in _PROBLEM_TABLES.items()
+    for key in sorted(set().union(*_PROBLEM_TABLES.values()) - set(table))
+]
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("source", list(_PROBLEM_TABLES))
+    def test_each_source_config_runs(self, tmp_path, source):
+        out = tmp_path / "x.csv"
+        assert main(["run", write_config(tmp_path, _source_config(tmp_path, source)), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("source, key", _FOREIGN_PROBLEM_KEYS)
+    def test_key_of_another_source_exits_2(self, tmp_path, capsys, source, key):
+        text = _source_config(tmp_path, source).replace("[problem]\n", f"[problem]\n{key} = 1\n", 1)
+        out = tmp_path / "x.csv"
+        assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert f"config error: [problem] {key} is not used by {source}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_key_of_another_source_exits_2(self, tmp_path, capsys):
+        text = QUADRATIC_THEORY.replace("batch_size = 16", "batch_size = 16\nlambda = banana")
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: [problem] lambda is not used by quadratic runs" in capsys.readouterr().err
+
+    def test_sketch_section_of_unsketched_run_exits_2(self, tmp_path, capsys):
+        text = QUADRATIC_THEORY.replace("algorithm = sketched", "algorithm = vanilla").replace("rows = 7", "rows = zero")
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: [sketch] is not used by vanilla runs" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_readme_key_table_matches_the_cli(self):
+        # (section, key) -> (type, default, the runs whose table holds the key)
+        rows = {}
+        for name, tables in cli._KEY_TABLES.items():
+            for user, table in tables.items():
+                for key, (parse, default) in table.items():
+                    kind = parse.__name__.strip("_").replace("_", " ")
+                    rows.setdefault((f"[{name}]", key), [kind, _default_text(default)]).append(user)
+        expected = {cell: (kind, default, ", ".join(users)) for cell, (kind, default, *users) in rows.items()}
+        readme = {}
+        with open(Path(__file__).parents[1] / "README.md", encoding="utf-8") as fh:
+            for line in fh:
+                cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+                if len(cells) == 5 and cells[0].startswith("["):
+                    readme[(cells[0], cells[1])] = tuple(cells[2:])
+        assert readme == expected
+
+    def test_fuzz_pools_hold_every_key(self):
+        for name, tables in cli._KEY_TABLES.items():
+            for table in tables.values():
+                assert set(table) <= set(_KEY_POOLS[name]), name
 
 
 class TestReportCommand:
