@@ -17,6 +17,10 @@ import numpy as np
 
 from gradsketch.sketch import CountSketch
 
+# topk_indices cuts an array of at least twice this many entries down to
+# candidates, from a strided sample of about this many magnitudes.
+_TOPK_SAMPLE = 4096
+
 
 @dataclass(frozen=True)
 class KSparseVector:
@@ -59,9 +63,19 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
     Ties in magnitude resolve to the lower index, and NaN entries rank below
     every number, lowest index first, so the selection is deterministic and
-    equals the first k of a stable sort by descending magnitude.  A partial
-    partition finds the k-th largest magnitude; every entry above it is
-    taken, then the lowest-index entries equal to it.
+    equals the first k of a stable sort by descending magnitude.
+
+    An array of at least ``2 * _TOPK_SAMPLE`` entries is first cut down to
+    candidates: a strided sample of about ``_TOPK_SAMPLE`` magnitudes, one
+    every ``step`` entries, gives its q-th largest, ``q = 2k/step + 8``, as
+    a lower bound, and the candidates are the entries at or above it, kept
+    in index order.  When at least k entries clear the bound, the k-th
+    largest magnitude and all its ties are among them, so the exact
+    selection over the candidates picks what it would over the whole array.
+    When fewer than k clear it (fewer than k non-NaN or nonzero entries, or
+    a sample that missed the large ones), or when it keeps more than half
+    the array, the exact selection runs over every entry, as it does for
+    smaller arrays.
     """
     values = np.asarray(values)
     if not 0 <= k <= values.size:
@@ -70,6 +84,25 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     neg = np.abs(values)
     np.negative(neg, out=neg)
+    step = neg.size // _TOPK_SAMPLE
+    if step >= 2:
+        sample = neg[::step]
+        # About 2k entries clear the q-th largest sampled magnitude; the
+        # doubling and the margin make falling short of k rare.
+        q = 2 * k // step + 8
+        if q < sample.size:
+            bound = np.partition(sample, q - 1)[q - 1]
+            candidates = np.flatnonzero(neg <= bound)
+            if k <= candidates.size <= neg.size // 2:
+                return candidates[_topk_of_negated(neg[candidates], k)]
+    return _topk_of_negated(neg, k)
+
+
+def _topk_of_negated(neg: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest entries of ``neg`` (negated magnitudes),
+    ascending, for ``1 <= k <= neg.size``: NaNs rank last, and ties go to
+    the lower position.  A partial partition finds the k-th smallest; every
+    entry below it is taken, then the lowest-position entries equal to it."""
     kth = np.partition(neg, k - 1)[k - 1]
     if np.isnan(kth):
         # Fewer than k non-NaN entries: all of them, then the first NaNs.

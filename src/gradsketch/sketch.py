@@ -251,11 +251,13 @@ class CountSketch:
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
-        The one-vector case of :func:`sketch_many`'s kernel, with its shape
-        check and its all-zero early return (an all-zero vector leaves the
-        table untouched, -0.0 cells included).
+        The one-vector case of :func:`sketch_many`'s kernel, after its shape
+        check; an all-zero vector returns early and leaves the table
+        untouched, -0.0 cells included.
         """
-        _add_dense(self._family, [self.table], [vec])
+        vec = _dense_vector(self.config, vec)
+        if vec.any():
+            _add_dense(self._family, [self.table], [vec])
 
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
@@ -347,6 +349,14 @@ class CountSketch:
         return cls(config, _table=table)
 
 
+def _dense_vector(config: SketchConfig, vec: np.ndarray) -> np.ndarray:
+    """``vec`` as a float64 array, checked to be of shape ``(d,)``."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (config.d,):
+        raise ValueError(f"expected vector of shape ({config.d},), got {vec.shape}")
+    return vec
+
+
 def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:
     """Add the sketch of ``vectors[i]`` into ``tables[i]`` under ``family``.
 
@@ -356,22 +366,16 @@ def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.nd
     buffer) sums each cell's addends in index order from +0.0, and the sum
     is added to the cell: bit for bit what adding the nonzeros one at a time
     in index order would give, since the zero coordinates add signed zeros,
-    which change no such sum.  Every shape is checked before any table
-    changes; all-zero vectors are skipped, so their tables keep -0.0 cells.
+    which change no such sum.  The callers check every shape (through
+    :func:`_dense_vector`) before any table changes.  An all-zero vector is
+    added too, and its +0.0 sums turn -0.0 cells into +0.0: the tables of
+    :func:`sketch_many` start at +0.0, and :meth:`CountSketch.update_dense`
+    skips such a vector itself.
     """
     cfg = family.config
-    live = []
-    for table, vec in zip(tables, vectors):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (cfg.d,):
-            raise ValueError(f"expected vector of shape ({cfg.d},), got {vec.shape}")
-        if vec.any():
-            live.append((table, vec))
-    if not live:
-        return
     weights = np.empty(cfg.d)
     for j, (buckets, signs) in enumerate(zip(family.buckets, family.signs)):
-        for table, vec in live:
+        for table, vec in zip(tables, vectors):
             table[j] += np.bincount(buckets, weights=np.multiply(signs, vec, out=weights), minlength=cfg.c)
 
 
@@ -382,6 +386,7 @@ def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSk
     vector gives on a fresh sketch; a vector of the wrong shape raises
     ``ValueError`` before any sketch is filled.
     """
+    vectors = [_dense_vector(config, vec) for vec in vectors]
     family = _family_for(config)
     sketches = [CountSketch(config, _family=family) for _ in vectors]
     _add_dense(family, [s.table for s in sketches], vectors)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradsketch import heavyhitters
 from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
 from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
 from oracles import contraction_ratio, gaussian_vector, ksparse_vector, zipf_vector
@@ -81,6 +82,106 @@ class TestTopkOracle:
         values = np.array([np.nan, 1.0, np.nan, np.nan, -2.0])
         assert list(topk_indices(values, 3)) == [0, 1, 4]
         assert list(topk_indices(values, 4)) == [0, 1, 2, 4]
+
+
+def _sampled_inputs(n):
+    # Inputs at a size where topk_indices samples a lower bound first, with
+    # what the sample sees rigged in each direction.
+    step = n // heavyhitters._TOPK_SAMPLE
+    rng = np.random.default_rng(11)
+    i = np.arange(n)
+    normal = rng.standard_normal(n)
+    tiers = np.ones(n)
+    upper = rng.choice(n, 3200, replace=False)
+    tiers[upper[:600]] = 3.0
+    tiers[upper[600:]] = 2.0
+    tiers *= rng.choice([-1.0, 1.0], n)
+    few_nonzero = np.zeros(n)
+    few_nonzero[rng.choice(n, 300, replace=False)] = rng.standard_normal(300)
+    few_numbers = normal.copy()
+    few_numbers[rng.random(n) < 0.995] = np.nan
+    return {
+        "normal": normal,
+        "sorted": np.sort(normal),
+        "reversed": np.sort(normal)[::-1].copy(),
+        # the sample reads only zeros; every large entry sits between samples
+        "periodic_unsampled": np.where(i % step == 0, 0.0, normal),
+        # every large entry is sampled, so the sample overstates how many
+        # there are eightfold and the bound can leave fewer than k above it
+        "periodic_sampled": np.where(i % (8 * step) == 0, 100.0 + normal, normal),
+        "tiers": tiers,
+        "few_nonzero": few_nonzero,
+        "signed_zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        "infinities": np.where(rng.random(n) < 0.01, rng.choice([np.inf, -np.inf], n), normal),
+        "few_numbers": few_numbers,
+    }
+
+
+class TestSampledTopk:
+    """Arrays large enough that topk_indices selects from candidates above a
+    sampled lower bound; the oracle is the same stable sort."""
+
+    N = 8 * heavyhitters._TOPK_SAMPLE
+
+    @pytest.fixture
+    def exact_sizes(self, monkeypatch):
+        # The sizes of the arrays the exact selection runs over.
+        sizes = []
+        exact = heavyhitters._topk_of_negated
+
+        def spy(neg, k):
+            sizes.append(neg.size)
+            return exact(neg, k)
+
+        monkeypatch.setattr(heavyhitters, "_topk_of_negated", spy)
+        return sizes
+
+    @pytest.mark.parametrize("name", sorted(_sampled_inputs(N)))
+    def test_matches_stable_argsort(self, name):
+        values = _sampled_inputs(self.N)[name]
+        for k in (1, 7, 100, 299, 300, 301, 1000, 3000, 3300, self.N // 3, self.N - 1, self.N):
+            got = topk_indices(values, k)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, _stable_argsort_topk(values, k)), (name, k)
+
+    def test_ks_around_the_cuts(self):
+        # The sampled path is tried only while q stays below the sample size,
+        # and taken only while the candidates are at most half the array.
+        n = self.N
+        step = n // heavyhitters._TOPK_SAMPLE
+        sample_size = len(range(0, n, step))
+        q_cut = next(k for k in range(1, n + 1) if 2 * k // step + 8 >= sample_size)
+        values = _sampled_inputs(n)["normal"]
+        for k in (q_cut - 1, q_cut, n // 4 - 1, n // 4, n // 4 + 1):
+            assert np.array_equal(topk_indices(values, k), _stable_argsort_topk(values, k)), k
+
+    def test_sizes_around_the_sampling_cut(self):
+        rng = np.random.default_rng(5)
+        for n in (2 * heavyhitters._TOPK_SAMPLE - 1, 2 * heavyhitters._TOPK_SAMPLE):
+            values = rng.integers(-50, 51, n).astype(np.float64)
+            for k in (1, 40, 500):
+                assert np.array_equal(topk_indices(values, k), _stable_argsort_topk(values, k)), (n, k)
+
+    def test_selects_from_candidates_only(self, exact_sizes):
+        values = _sampled_inputs(self.N)["normal"]
+        topk_indices(values, 1000)
+        assert len(exact_sizes) == 1 and 1000 <= exact_sizes[0] <= self.N // 2
+
+    def test_ties_at_the_bound_are_candidates(self, exact_sizes):
+        # The k-th magnitude is 2, which is also the sampled bound: with the
+        # bound inclusive, its 2,600 ties join the 600 entries at 3 as
+        # candidates, and the selection takes the first 400 of them.
+        values = _sampled_inputs(self.N)["tiers"]
+        got = topk_indices(values, 1000)
+        assert np.array_equal(got, _stable_argsort_topk(values, 1000))
+        assert exact_sizes == [3200]
+
+    @pytest.mark.parametrize("name", ["periodic_unsampled", "periodic_sampled", "few_nonzero", "few_numbers"])
+    def test_falls_back_to_every_entry(self, name, exact_sizes):
+        values = _sampled_inputs(self.N)[name]
+        got = topk_indices(values, 1000)
+        assert np.array_equal(got, _stable_argsort_topk(values, 1000))
+        assert exact_sizes == [self.N]
 
 
 class TestTopPkCandidates:
