@@ -87,15 +87,21 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     step = neg.size // _TOPK_SAMPLE
     if step >= 2:
         sample = neg[::step]
-        # About 2k entries clear the q-th largest sampled magnitude; the
-        # doubling and the margin make falling short of k rare.
-        q = 2 * k // step + 8
+        q = _bound_rank(k, step)
         if q < sample.size:
             bound = np.partition(sample, q - 1)[q - 1]
             candidates = np.flatnonzero(neg <= bound)
             if k <= candidates.size <= neg.size // 2:
                 return candidates[_topk_of_negated(neg[candidates], k)]
     return _topk_of_negated(neg, k)
+
+
+def _bound_rank(k: int, step: int) -> int:
+    """Rank q of the sampled magnitude used as the lower bound when every
+    ``step``-th of n entries is sampled to find the k largest: about 2k
+    entries clear the q-th largest sample, and the doubling and the margin
+    make falling short of k rare."""
+    return 2 * k // step + 8
 
 
 def _topk_of_negated(neg: np.ndarray, k: int) -> np.ndarray:
@@ -114,7 +120,23 @@ def _topk_of_negated(neg: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
-    """The min(P*k, d) coordinates with largest estimated magnitude.
+    """The m = min(P*k, d) coordinates with largest estimated magnitude.
+
+    Selects what ``topk_indices(sketch.estimate_all(), m)`` selects (ties to
+    the lower index), without estimating every coordinate when d is at
+    least ``2 * _TOPK_SAMPLE``: the estimates at every ``step``-th
+    coordinate give their q-th largest magnitude tau as a lower bound, with
+    ``topk_indices``'s sample step and rank q.  A median of r rows reaches
+    ``|est| >= tau`` only if ``ceil(r/2)`` of its cells do (see
+    :meth:`CountSketch.coordinates_reaching`), so the coordinates the sketch
+    names for tau are estimated exactly and those with ``|est| >= tau`` are
+    kept, in index order.  When at least m are kept, the m-th largest
+    magnitude and all its ties are among them, and one ``topk_indices``
+    call over them picks the same indices as over all d.  The full
+    estimate runs instead when the query declines (tau zero or not finite,
+    a non-finite cell or one of magnitude ``2**1022`` or more), when it
+    names more than half of d, when fewer than m estimates clear tau, or
+    when m is too close to d for a sampled bound.
 
     Args:
         sketch: merged sketch to query.
@@ -129,7 +151,21 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
         raise ValueError(f"candidate multiplier must be >= 1, got {p}")
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    return topk_indices(sketch.estimate_all(), min(p * k, d))
+    m = min(p * k, d)
+    step = d // _TOPK_SAMPLE
+    if step >= 2:
+        q = _bound_rank(m, step)
+        sampled = np.arange(0, d, step)
+        if q < sampled.size:
+            sample = np.abs(sketch.estimates_at(sampled))
+            tau = np.partition(sample, sample.size - q)[sample.size - q]
+            named = sketch.coordinates_reaching(tau)
+            if named is not None and named.size <= d // 2:
+                est = sketch.estimates_at(named)
+                kept = np.abs(est) >= tau
+                if np.count_nonzero(kept) >= m:
+                    return named[kept][topk_indices(est[kept], m)]
+    return topk_indices(sketch.estimate_all(), m)
 
 
 def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:

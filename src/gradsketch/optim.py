@@ -205,7 +205,7 @@ class IterateAverage:
         if self.weighted_sum is None:
             self.weighted_sum = q * w
         else:
-            self.weighted_sum = self.weighted_sum + q * w
+            self.weighted_sum += q * w
         self.total_weight += q
 
     def finalize(self) -> np.ndarray:

@@ -16,6 +16,13 @@ relies on:
   colliding coordinates, and the squared norm is recovered by the median
   over rows of the row's sum of squared cells.
 
+Since a median of r values has magnitude at least t only if ``ceil(r/2)``
+of the values do, the coordinates whose estimate can reach t are found from
+the cells alone (:meth:`CountSketch.coordinates_reaching`), without forming
+any median; this holds in float arithmetic as long as no even-r pair sum
+overflows, so a table with a cell of magnitude ``2**1022`` or more is not
+queried.
+
 Hashes are degree-3 polynomials over the Mersenne prime ``2**61 - 1`` with
 coefficients drawn from a counter-based Philox stream keyed by the config
 seed, so a config fully determines the hash family on every platform.
@@ -34,9 +41,12 @@ MERSENNE_P = (1 << 61) - 1
 # Indices per block when a hash family is built: small enough that the
 # evaluation's (r, block) temporaries stay in cache and never grow with d.
 _BUILD_BLOCK = 1 << 12
-# Indices per block of estimate_all: the r gathered rows of a block stay in
-# cache through the whole median network.
+# Indices per block of estimate_all and estimates_at: the r gathered rows of
+# a block stay in cache through the whole median network.
 _ESTIMATE_BLOCK = 1 << 14
+# From this cell magnitude on, the two middle values of an even-r median can
+# overflow their sum, so coordinates_reaching declines to bound the median.
+_OVERFLOW_CELL = 2.0 ** 1022
 
 _HEADER = struct.Struct("<4sHQIIQ")
 _MAGIC = b"CSK1"
@@ -263,42 +273,88 @@ class CountSketch:
         """Point estimates for every coordinate as a dense length-d vector.
 
         Works through the indices in blocks of ``_ESTIMATE_BLOCK``, written
-        into one preallocated output: per block, one gather per row, then the
-        median over rows by a compare-exchange network of elementwise
-        min/max, so cost is Theta(d * r^2) flops with no sort and the block's
-        r gathered rows stay in cache.  Every step is elementwise, so the
-        result is bit for bit ``np.median`` over the gathered rows: an odd
-        row count takes the middle value plus +0.0 and an even one
-        ``(0.0 + lower + upper) / 2``, the sum numpy's mean forms; any NaN in
-        a column makes its estimate NaN.
+        into one preallocated output, each block through :meth:`_median_into`:
+        one gather per row, then the median over rows by a compare-exchange
+        network of elementwise min/max, so cost is Theta(d * r^2) flops with
+        no sort and the block's r gathered rows stay in cache.  Every step is
+        elementwise, so the result is bit for bit ``np.median`` over the
+        gathered rows: an odd row count takes the middle value plus +0.0 and
+        an even one ``(0.0 + lower + upper) / 2``, the sum numpy's mean
+        forms; any NaN in a column makes its estimate NaN.
+        """
+        out = np.empty(self.config.d)
+        for start in range(0, self.config.d, _ESTIMATE_BLOCK):
+            block = slice(start, start + _ESTIMATE_BLOCK)
+            self._median_into(out[block], block)
+        return out
+
+    def estimates_at(self, indices) -> np.ndarray:
+        """Point estimates at a 1-d array of coordinate ``indices``, in their
+        order: bit for bit ``estimate_all()[indices]``, by the same median
+        network, at a cost that grows with ``indices.size`` and not with d."""
+        indices = np.asarray(indices, dtype=np.intp)
+        if indices.ndim != 1:
+            raise ValueError(f"expected a 1-d index array, got shape {indices.shape}")
+        out = np.empty(indices.size)
+        for start in range(0, indices.size, _ESTIMATE_BLOCK):
+            block = slice(start, start + _ESTIMATE_BLOCK)
+            self._median_into(out[block], indices[block])
+        return out
+
+    def _median_into(self, dest: np.ndarray, coords) -> None:
+        # Median over rows of the signed cells of the coordinates ``coords``
+        # (a slice or an index array), written into ``dest``.
+        fam, r = self._family, self.config.r
+        rows = []
+        for row, buckets, signs in zip(self.table, fam.buckets[:, coords], fam.signs[:, coords]):
+            gathered = row[buckets]
+            gathered *= signs
+            rows.append(gathered)
+        spare = np.empty_like(rows[0])
+        for lo, hi, need_min, need_max in _median_network(r):
+            a, b = rows[lo], rows[hi]
+            if need_min:
+                rows[lo] = np.minimum(a, b, out=spare)
+                spare = a
+            if need_max:
+                rows[hi] = np.maximum(a, b, out=b)
+        m = r // 2
+        if r % 2:
+            np.add(rows[m], 0.0, out=dest)
+        else:
+            np.add(rows[m - 1], 0.0, out=dest)
+            dest += rows[m]
+            dest /= 2.0
+
+    def coordinates_reaching(self, threshold: float) -> np.ndarray | None:
+        """Ascending indices of every coordinate whose estimate can have
+        magnitude at least ``threshold``, or None when the table cannot
+        bound that.
+
+        A median of r values reaches ``|median| >= t > 0`` only if at least
+        ``ceil(r/2)`` of the values do: an odd median is the middle value,
+        and an even one ``(0.0 + lower + upper) / 2`` lies between lower and
+        upper, because rounding is monotone and doubling is exact unless
+        ``lower + upper`` overflows.  So the query
+        marks each row's cells with ``|cell| >= threshold``, counts the
+        marked cells of each coordinate over the rows, and returns those
+        with at least ``ceil(r/2)``: a superset of the coordinates whose
+        :meth:`estimate_all` entry has magnitude at least ``threshold``.
+        It reads every row's buckets but no sign and forms no median.
+
+        Returns None when ``threshold`` is not a finite positive number, or
+        when a cell is not finite or has magnitude at least ``2**1022``,
+        where an even-r pair sum can overflow.
         """
         cfg, fam = self.config, self._family
-        network = _median_network(cfg.r)
-        m = cfg.r // 2
-        out = np.empty(cfg.d)
-        for start in range(0, cfg.d, _ESTIMATE_BLOCK):
-            block = slice(start, start + _ESTIMATE_BLOCK)
-            rows = []
-            for row, buckets, signs in zip(self.table, fam.buckets[:, block], fam.signs[:, block]):
-                gathered = row[buckets]
-                gathered *= signs
-                rows.append(gathered)
-            spare = np.empty_like(rows[0])
-            for lo, hi, need_min, need_max in network:
-                a, b = rows[lo], rows[hi]
-                if need_min:
-                    rows[lo] = np.minimum(a, b, out=spare)
-                    spare = a
-                if need_max:
-                    rows[hi] = np.maximum(a, b, out=b)
-            dest = out[block]
-            if cfg.r % 2:
-                np.add(rows[m], 0.0, out=dest)
-            else:
-                np.add(rows[m - 1], 0.0, out=dest)
-                dest += rows[m]
-                dest /= 2.0
-        return out
+        mags = np.abs(self.table)
+        if not (0.0 < threshold < math.inf and mags.max() < _OVERFLOW_CELL):
+            return None
+        marked = (mags >= threshold).view(np.uint8)
+        counts = np.zeros(cfg.d, dtype=np.uint8 if cfg.r < 256 else np.int64)
+        for row_marked, buckets in zip(marked, fam.buckets):
+            counts += row_marked[buckets]
+        return np.flatnonzero(counts >= (cfg.r + 1) // 2)
 
     def l2_squared_estimate(self) -> float:
         """Median over rows of the row-wise sum of squared cells.

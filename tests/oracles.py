@@ -3,7 +3,8 @@
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
-per-sample gradients whose mean a problem's batch gradient is, a candidate
+per-sample gradients whose mean a problem's batch gradient is, the top-P*k
+candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), and the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
 families it draws from.
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from gradsketch.heavyhitters import heavymix
+from gradsketch.heavyhitters import heavymix, topk_indices
 from gradsketch.problems import _sigmoid
 from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, size_for, sketch_vector
 
@@ -70,6 +71,12 @@ def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     else:
         coeff = np.where(y * (X @ w) < 1.0, -y.astype(np.float64), 0.0)
     return X * coeff[:, None] + problem.lam * w
+
+
+def top_pk_from_every_estimate(sketch: CountSketch, p: int, k: int) -> np.ndarray:
+    """``heavyhitters.top_pk_candidates`` without the sketch query: the
+    top ``min(p * k, d)`` of every coordinate's estimate."""
+    return topk_indices(sketch.estimate_all(), min(p * k, sketch.config.d))
 
 
 def random_candidates(seed: int) -> Callable[[CountSketch, int, int], np.ndarray]:

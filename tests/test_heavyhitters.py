@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradsketch import heavyhitters
+from gradsketch import OptimizerConfig, QuadraticProblem, heavyhitters
+from gradsketch.cluster import run_training
 from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
 from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
-from oracles import contraction_ratio, gaussian_vector, ksparse_vector, zipf_vector
+from oracles import (
+    contraction_ratio,
+    gaussian_vector,
+    ksparse_vector,
+    top_pk_from_every_estimate,
+    zipf_vector,
+)
 
 
 class TestKSparseVector:
@@ -310,6 +317,164 @@ class TestHeavymix:
         assert out.dtype == np.int64
         assert out.size == k
         assert np.all(np.diff(out) > 0)
+
+
+_QUERY_D = 2 * heavyhitters._TOPK_SAMPLE
+
+
+def _query_sketch(kind, d, r, c, seed):
+    # A sketch of about 2 * _TOPK_SAMPLE coordinates, from a vector or a
+    # drawn table, for the top-P*k selection that queries before it estimates.
+    cfg = SketchConfig(d=d, r=r, c=c, seed=seed)
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return sketch_vector(cfg, rng.standard_normal(d) * np.linspace(1.0, 3.0, d))
+    if kind == "zipf":
+        return sketch_vector(cfg, zipf_vector(rng, d))
+    if kind == "sparse":
+        return sketch_vector(cfg, ksparse_vector(rng, d, 20, 5.0) + rng.normal(0.0, 0.01, d))
+    if kind == "integer table":
+        return CountSketch(cfg, _table=rng.integers(-3, 4, size=(r, c)).astype(np.float64))
+    if kind == "zeros":
+        return CountSketch(cfg)
+    raise ValueError(kind)
+
+
+def _query_sketch_with_cell(cell, r=5, seed=0, rows=None):
+    # A gaussian sketch with one cell of each of ``rows`` (by default the
+    # middle row) replaced by ``cell``.
+    s = _query_sketch("gaussian", _QUERY_D, r, 256, seed)
+    s.table[[r // 2] if rows is None else rows, 7] = cell
+    return s
+
+
+def _periodic_sketch():
+    # Every 4th coordinate is large and every other one zero: the sampled
+    # bound, the q-th largest of the samples with q = m/2 + 8, expects
+    # about 4q coordinates to clear it, but only about m/2 do.
+    d = 2 * _QUERY_D
+    cfg = SketchConfig(d=d, r=5, c=1 << 15, seed=4)
+    vec = np.zeros(d)
+    vec[:: d // heavyhitters._TOPK_SAMPLE] = np.linspace(1.0, 2.0, heavyhitters._TOPK_SAMPLE)
+    return sketch_vector(cfg, vec)
+
+
+def _constant_sketch(c=16):
+    # Every estimate is +-1, so any positive bound up to 1 names all of d.
+    return CountSketch(SketchConfig(d=_QUERY_D, r=5, c=c, seed=1), _table=np.ones((5, c)))
+
+
+@pytest.fixture
+def full_estimates(monkeypatch):
+    """The sketches ``CountSketch.estimate_all`` is called on."""
+    calls = []
+    original = CountSketch.estimate_all
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CountSketch, "estimate_all", spy)
+    return calls
+
+
+class TestQueriedTopPk:
+    """``top_pk_candidates`` queries the sketch for the coordinates that can
+    clear its sampled bound; it must select exactly what it selects from
+    every coordinate's estimate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "zipf", "sparse", "integer table", "zeros"]),
+        r=st.integers(1, 8),
+        d=st.integers(_QUERY_D - 2, _QUERY_D + 300),
+        c=st.integers(8, 600),
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 10),
+        k=st.integers(1, 64),
+    )
+    def test_matches_its_reference(self, kind, r, d, c, seed, p, k):
+        s = _query_sketch(kind, d, r, c, seed)
+        got = top_pk_candidates(s, p, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, top_pk_from_every_estimate(s, p, k))
+
+    @pytest.mark.parametrize("r, k", [(2, 10), (2, 30), (3, 10), (3, 30), (4, 10), (5, 10)])
+    def test_ties_at_the_bound_take_the_query(self, r, k, full_estimates):
+        # Integer cells put hundreds of estimates at the sampled bound, and
+        # the (10k)-th largest magnitude among them, except for r = 4.
+        s = _query_sketch("integer table", _QUERY_D, r, 64, r)
+        expected = top_pk_from_every_estimate(s, 10, k)
+        full_estimates.clear()
+        assert np.array_equal(top_pk_candidates(s, 10, k), expected)
+        assert full_estimates == []
+
+    @pytest.mark.parametrize("kind", ["gaussian", "zipf", "sparse", "integer table"])
+    def test_normal_inputs_never_estimate_every_coordinate(self, kind, full_estimates):
+        for r in (3, 4, 5):
+            s = _query_sketch(kind, _QUERY_D + 5, r, 300, r)
+            expected = top_pk_from_every_estimate(s, 10, 10)
+            full_estimates.clear()
+            assert np.array_equal(top_pk_candidates(s, 10, 10), expected)
+            assert full_estimates == []
+
+    @pytest.mark.parametrize("name, make, p, k", [
+        ("below the sampling size", lambda: _query_sketch("gaussian", _QUERY_D - 1, 5, 256, 0), 10, 10),
+        ("m too close to d", lambda: _query_sketch("gaussian", _QUERY_D, 5, 256, 0), 8, 512),
+        ("all-zero sketch", lambda: _query_sketch("zeros", _QUERY_D, 5, 256, 0), 10, 10),
+        ("nan cell", lambda: _query_sketch_with_cell(np.nan), 10, 10),
+        ("inf cell", lambda: _query_sketch_with_cell(-np.inf), 10, 10),
+        ("cell at 2**1022", lambda: _query_sketch_with_cell(2.0**1022), 10, 10),
+        ("query names more than half of d", _constant_sketch, 10, 10),
+        ("fewer than m clear the bound", _periodic_sketch, 10, 300),
+    ])
+    def test_falls_back_once(self, name, make, p, k, full_estimates):
+        s = make()
+        with np.errstate(invalid="ignore"):  # the inf cell's estimates
+            expected = top_pk_from_every_estimate(s, p, k)
+            full_estimates.clear()
+            assert np.array_equal(top_pk_candidates(s, p, k), expected)
+        assert full_estimates == [s]
+
+    @pytest.mark.parametrize("r", [4, 5])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, 1e200, 1.5e308])
+    def test_special_cells_match_the_references(self, r, cell):
+        s = _query_sketch_with_cell(cell, r=r, seed=r, rows=range(r))
+        # even-r pairs of 1.5e308 overflow on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, k in ((10, 10), (2, 200)):
+                assert np.array_equal(top_pk_candidates(s, p, k), top_pk_from_every_estimate(s, p, k))
+
+
+class TestQueryOnAnErrorFeedbackRun:
+    """A small empirical run shaped like the d = 10^6 benchmark (linspace
+    spectrum, r = 5, c = d/100, P*k = d/1000): ``top_pk_candidates`` must
+    keep taking the query, and the query must stay small, or a later change
+    could lose the fast path with every result still right."""
+
+    # The query named 1,538-1,871 of the 131,072 coordinates a round
+    # (seeds 0-3, 5 rounds each).
+    MAX_NAMED = 4000
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_round_estimates_every_coordinate(self, seed, full_estimates, monkeypatch):
+        named = []
+        query = CountSketch.coordinates_reaching
+
+        def spy(self, threshold):
+            out = query(self, threshold)
+            named.append(None if out is None else out.size)
+            return out
+
+        monkeypatch.setattr(CountSketch, "coordinates_reaching", spy)
+        d, k = 1 << 17, 13
+        config = OptimizerConfig(mode="empirical", algorithm="sketched", k=k, p=10, t_rounds=5, w_workers=4, lr=3e-4)
+        problem = QuadraticProblem(np.linspace(1.0, 3.0, d), 0.1, 16, seed=seed + 3)
+        sketch_config = SketchConfig(d=d, r=5, c=d // 100, seed=seed + 2)
+        run_training(problem, config, sketch_config, batch_size=16, data_seed=seed + 3, rng_seed=seed + 4)
+        assert len(named) == 5
+        assert None not in named and max(named) <= self.MAX_NAMED
+        assert full_estimates == []
 
 
 class TestContraction:

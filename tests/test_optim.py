@@ -127,6 +127,20 @@ class TestIterateAverage:
         with pytest.raises(ValueError):
             IterateAverage(xi=3.0).finalize()
 
+    def test_in_place_sum_has_the_bits_of_a_fresh_sum(self):
+        rng = np.random.default_rng(5)
+        iterates = [rng.standard_normal(1000) * 10.0**e for e in (-3, 0, 5, 0, -8, 2)]
+        kept = [w.copy() for w in iterates]
+        avg = IterateAverage(xi=7.5)
+        expected = None
+        for t, w in enumerate(iterates, start=1):
+            avg.add(t, w)
+            q = (7.5 + t) ** 2
+            expected = q * w if expected is None else expected + q * w
+            assert avg.weighted_sum.tobytes() == expected.tobytes()
+        assert all(np.array_equal(w, v) for w, v in zip(iterates, kept))
+        assert avg.finalize().tobytes() == (expected / avg.total_weight).tobytes()
+
 
 class TestTheoryRound:
     def _config(self, k, xi, workers):

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gradsketch.sketch import (
     _BUILD_BLOCK,
@@ -486,3 +486,115 @@ class TestKernelOracles:
             s = CountSketch(cfg, _table=table)
             with np.errstate(invalid="ignore"):  # inf + -inf in both medians
                 assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+
+
+def _marked_counts(sketch, threshold):
+    # Per coordinate, the number of rows whose cell has magnitude at least
+    # threshold, read cell by cell.
+    fam = sketch._family
+    return (np.abs(np.take_along_axis(sketch.table, fam.buckets, axis=1)) >= threshold).sum(axis=0)
+
+
+_SPECIAL_CELLS = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+
+
+class TestSketchQuery:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        r=st.integers(1, 9),
+        d=st.sampled_from([1, 7, 40, _ESTIMATE_BLOCK + 3]),
+        seed=st.integers(0, 2**16),
+        special=st.booleans(),
+    )
+    def test_estimates_at_matches_estimate_all(self, data, r, d, seed, special):
+        cfg = SketchConfig(d=d, r=r, c=data.draw(st.integers(1, 9)), seed=seed)
+        rng = np.random.default_rng(seed)
+        table = rng.integers(-2, 3, size=(r, cfg.c)).astype(np.float64)
+        if special:
+            table = np.where(rng.random((r, cfg.c)) < 0.3, rng.choice(_SPECIAL_CELLS, (r, cfg.c)), table)
+        s = CountSketch(cfg, _table=table)
+        # empty, unsorted and repeated indices alike
+        idx = np.array(data.draw(st.lists(st.integers(0, d - 1), max_size=60)), dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # inf + -inf in both medians
+            assert _same_bits(s.estimates_at(idx), s.estimate_all()[idx])
+
+    @pytest.mark.parametrize("r", [1, 4, 5])
+    def test_estimates_at_across_block_edges(self, r):
+        cfg = SketchConfig(d=3 * _ESTIMATE_BLOCK + 5, r=r, c=11, seed=r)
+        s = CountSketch(cfg, _table=np.random.default_rng(r).standard_normal((r, cfg.c)))
+        everything = s.estimate_all()
+        rng = np.random.default_rng(r + 1)
+        for size in (_ESTIMATE_BLOCK - 1, _ESTIMATE_BLOCK, _ESTIMATE_BLOCK + 1, 2 * _ESTIMATE_BLOCK + 7):
+            idx = rng.integers(0, cfg.d, size)
+            assert _same_bits(s.estimates_at(idx), everything[idx])
+        assert _same_bits(s.estimates_at(np.arange(cfg.d)), everything)
+        assert _same_bits(s.estimates_at([]), np.empty(0))
+
+    def test_estimates_at_rejects_a_2d_index_array(self):
+        s = CountSketch(SketchConfig(d=8, r=3, c=4, seed=0))
+        with pytest.raises(ValueError, match="1-d"):
+            s.estimates_at(np.zeros((2, 2), dtype=np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_names_the_coordinates_with_half_the_rows_marked(self, data, r, seed):
+        # Integer cells tie often, and the threshold is drawn from the
+        # estimates' magnitudes, so cells sit exactly at it.
+        cfg = SketchConfig(d=200, r=r, c=data.draw(st.integers(1, 12)), seed=seed)
+        rng = np.random.default_rng(seed)
+        s = CountSketch(cfg, _table=rng.integers(-3, 4, size=(r, cfg.c)).astype(np.float64))
+        est = s.estimate_all()
+        mags = np.abs(est[est != 0.0])
+        assume(mags.size)
+        threshold = float(data.draw(st.sampled_from(sorted(set(mags.tolist())))))
+        named = s.coordinates_reaching(threshold)
+        assert named.dtype == np.intp
+        assert np.array_equal(named, np.flatnonzero(_marked_counts(s, threshold) >= (r + 1) // 2))
+        assert set(np.flatnonzero(np.abs(est) >= threshold)) <= set(named)
+
+    @pytest.mark.parametrize("r", [2, 4, 6, 8])
+    def test_even_rows_need_only_half_the_cells(self, r):
+        # Half the rows hold 4 and the other half 0, so the estimate is
+        # (0.0 + 0 + 4) / 2 = 2 with exactly r/2 cells at or above 2.
+        cfg = SketchConfig(d=50, r=r, c=64, seed=r)
+        s = CountSketch(cfg)
+        fam = s._family
+        i = 17
+        for j in range(r // 2):
+            s.table[j, fam.buckets[j, i]] = 4.0 * fam.signs[j, i]
+        assert abs(s.estimates_at([i])[0]) == 2.0
+        assert i in s.coordinates_reaching(2.0)
+
+    def test_declines_what_it_cannot_bound(self):
+        cfg = SketchConfig(d=64, r=4, c=8, seed=1)
+        table = np.random.default_rng(1).standard_normal((cfg.r, cfg.c))
+        s = CountSketch(cfg, _table=table)
+        for threshold in (0.0, -1.0, np.nan, np.inf):
+            assert s.coordinates_reaching(threshold) is None
+        assert s.coordinates_reaching(np.float64(0.5)) is not None
+        for cell in (np.nan, np.inf, -np.inf, 2.0**1022, -1.5e308):
+            bad = table.copy()
+            bad[2, 3] = cell
+            assert CountSketch(cfg, _table=bad).coordinates_reaching(0.5) is None
+        bad = table.copy()
+        bad[2, 3] = np.nextafter(2.0**1022, 0.0)
+        assert CountSketch(cfg, _table=bad).coordinates_reaching(0.5) is not None
+
+    def test_near_overflow_cells_would_break_the_even_bound(self):
+        # Two 1.5e308 cells sum to inf, so an estimate can exceed every one
+        # of its cells: the reason the query declines such a table.
+        cfg = SketchConfig(d=8, r=2, c=4, seed=3)
+        s = CountSketch(cfg)
+        fam = s._family
+        for j in range(2):
+            s.table[j, fam.buckets[j, 5]] = 1.5e308 * fam.signs[j, 5]
+        with np.errstate(over="ignore"):
+            assert s.estimates_at([5])[0] == np.inf
+        assert s.coordinates_reaching(1.7e308) is None
+
+    def test_counts_past_255_rows(self):
+        # 300 marked rows must not wrap a one-byte count around to 44
+        cfg = SketchConfig(d=10, r=300, c=3, seed=2)
+        s = CountSketch(cfg, _table=np.ones((cfg.r, cfg.c)))
+        assert np.array_equal(s.coordinates_reaching(1.0), np.arange(10))
