@@ -195,11 +195,14 @@ def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str)
 
 
 def _build_problem(spec: dict[str, object], data_seed: int):
+    for key in ("quad_d", "quad_n_samples", "synth_n", "synth_d", "synth_test_n"):
+        if spec.get(key) is not None and spec[key] < 1:
+            raise ExperimentConfigError(f"[problem] {key} = {spec[key]} must be at least 1")
     kind = spec["kind"]
     if kind == "quadratic":
         d, lo, hi = spec["quad_d"], spec["quad_lambda_min"], spec["quad_lambda_max"]
-        if d < 1 or lo <= 0 or hi < lo:
-            raise ExperimentConfigError("quadratic needs quad_d >= 1 and 0 < quad_lambda_min <= quad_lambda_max")
+        if lo <= 0 or hi < lo:
+            raise ExperimentConfigError("[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max")
         sigma = spec["quad_noise_sigma"]
         problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, spec["quad_n_samples"], seed=data_seed)
         return problem, {"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma}

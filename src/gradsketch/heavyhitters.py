@@ -11,15 +11,14 @@ error lives in which coordinates were nominated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from gradsketch.sketch import CountSketch
 
-# topk_indices cuts an array of at least twice this many entries down to
-# candidates, from a strided sample of about this many magnitudes.
-_TOPK_SAMPLE = 4096
+_TOPK_SAMPLE = 4096  # the strided sample size of _topk_above_sampled_bound
 
 
 @dataclass(frozen=True)
@@ -63,45 +62,55 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
     Ties in magnitude resolve to the lower index, and NaN entries rank below
     every number, lowest index first, so the selection is deterministic and
-    equals the first k of a stable sort by descending magnitude.
-
-    An array of at least ``2 * _TOPK_SAMPLE`` entries is first cut down to
-    candidates: a strided sample of about ``_TOPK_SAMPLE`` magnitudes, one
-    every ``step`` entries, gives its q-th largest, ``q = 2k/step + 8``, as
-    a lower bound, and the candidates are the entries at or above it, kept
-    in index order.  When at least k entries clear the bound, the k-th
-    largest magnitude and all its ties are among them, so the exact
-    selection over the candidates picks what it would over the whole array.
-    When fewer than k clear it (fewer than k non-NaN or nonzero entries, or
-    a sample that missed the large ones), or when it keeps more than half
-    the array, the exact selection runs over every entry, as it does for
-    smaller arrays.
+    equals the first k of a stable sort by descending magnitude.  It selects
+    over every entry only where :func:`_topk_above_sampled_bound` declines.
     """
     values = np.asarray(values)
     if not 0 <= k <= values.size:
         raise ValueError(f"k={k} out of range for {values.size} values")
     if k == 0:
         return np.empty(0, dtype=np.intp)
-    neg = np.abs(values)
-    np.negative(neg, out=neg)
-    step = neg.size // _TOPK_SAMPLE
-    if step >= 2:
-        sample = neg[::step]
-        q = _bound_rank(k, step)
-        if q < sample.size:
-            bound = np.partition(sample, q - 1)[q - 1]
-            candidates = np.flatnonzero(neg <= bound)
-            if k <= candidates.size <= neg.size // 2:
-                return candidates[_topk_of_negated(neg[candidates], k)]
-    return _topk_of_negated(neg, k)
+    mags = np.abs(values)
+    top = _topk_above_sampled_bound(mags.size, k, mags.take, lambda bound: np.flatnonzero(mags >= bound))
+    return top if top is not None else _topk_of_negated(np.negative(mags, out=mags), k)
 
 
-def _bound_rank(k: int, step: int) -> int:
-    """Rank q of the sampled magnitude used as the lower bound when every
-    ``step``-th of n entries is sampled to find the k largest: about 2k
-    entries clear the q-th largest sample, and the doubling and the margin
-    make falling short of k rare."""
-    return 2 * k // step + 8
+def _topk_above_sampled_bound(
+    n: int, m: int, magnitudes_at: Callable[[np.ndarray], np.ndarray], reaching: Callable[[float], np.ndarray | None]
+) -> np.ndarray | None:
+    """The top m of n magnitudes, ascending, selected among those at or above
+    a sampled lower bound, or None for the caller's selection over every entry.
+
+    The bound is the q-th largest of every ``step = n // _TOPK_SAMPLE``-th
+    magnitude, read by ``magnitudes_at(indices)``, NaN ranking below every
+    number, with ``q = 2m/step + 8``: about 2m entries clear it, and the
+    doubling and the margin make falling short of m rare.  ``reaching(bound)``
+    names, ascending, a superset of the entries that clear it, and those whose
+    magnitudes do are kept.  When at least m are, the m-th largest magnitude
+    and all its ties are among them, so the exact selection over them (ties
+    to the lower index) picks what it would over all n.
+
+    None when ``step < 2``, when q is not below the sample size, when
+    ``reaching`` returns None or names more than n/2 entries, or when fewer
+    than m named entries clear the bound (fewer than m non-NaN or nonzero
+    magnitudes, or a sample that missed the large ones).
+    """
+    step = n // _TOPK_SAMPLE
+    if step < 2:
+        return None
+    sampled = np.arange(0, n, step)
+    q = 2 * m // step + 8
+    if q >= sampled.size:
+        return None
+    bound = -np.partition(-magnitudes_at(sampled), q - 1)[q - 1]
+    named = reaching(bound)
+    if named is None or named.size > n // 2:
+        return None
+    mags = magnitudes_at(named)
+    kept = mags >= bound
+    if np.count_nonzero(kept) < m:
+        return None
+    return named[kept][_topk_of_negated(-mags[kept], m)]
 
 
 def _topk_of_negated(neg: np.ndarray, k: int) -> np.ndarray:
@@ -123,20 +132,12 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
     """The m = min(P*k, d) coordinates with largest estimated magnitude.
 
     Selects what ``topk_indices(sketch.estimate_all(), m)`` selects (ties to
-    the lower index), without estimating every coordinate when d is at
-    least ``2 * _TOPK_SAMPLE``: the estimates at every ``step``-th
-    coordinate give their q-th largest magnitude tau as a lower bound, with
-    ``topk_indices``'s sample step and rank q.  A median of r rows reaches
-    ``|est| >= tau`` only if ``ceil(r/2)`` of its cells do (see
-    :meth:`CountSketch.coordinates_reaching`), so the coordinates the sketch
-    names for tau are estimated exactly and those with ``|est| >= tau`` are
-    kept, in index order.  When at least m are kept, the m-th largest
-    magnitude and all its ties are among them, and one ``topk_indices``
-    call over them picks the same indices as over all d.  The full
-    estimate runs instead when the query declines (tau zero or not finite,
-    a non-finite cell or one of magnitude ``2**1022`` or more), when it
-    names more than half of d, when fewer than m estimates clear tau, or
-    when m is too close to d for a sampled bound.
+    the lower index), but estimates only the coordinates that
+    :meth:`CountSketch.coordinates_reaching` names for the bound of
+    :func:`_topk_above_sampled_bound` (a median of r rows reaches it only if
+    ``ceil(r/2)`` of its cells do).  Where the routine declines, the query's
+    refusals included (bound zero or not finite, a non-finite cell or one of
+    magnitude ``2**1022`` or more), it estimates every coordinate.
 
     Args:
         sketch: merged sketch to query.
@@ -152,20 +153,8 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     m = min(p * k, d)
-    step = d // _TOPK_SAMPLE
-    if step >= 2:
-        q = _bound_rank(m, step)
-        sampled = np.arange(0, d, step)
-        if q < sampled.size:
-            sample = np.abs(sketch.estimates_at(sampled))
-            tau = np.partition(sample, sample.size - q)[sample.size - q]
-            named = sketch.coordinates_reaching(tau)
-            if named is not None and named.size <= d // 2:
-                est = sketch.estimates_at(named)
-                kept = np.abs(est) >= tau
-                if np.count_nonzero(kept) >= m:
-                    return named[kept][topk_indices(est[kept], m)]
-    return topk_indices(sketch.estimate_all(), m)
+    top = _topk_above_sampled_bound(d, m, lambda idx: np.abs(sketch.estimates_at(idx)), sketch.coordinates_reaching)
+    return top if top is not None else topk_indices(sketch.estimate_all(), m)
 
 
 def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:
@@ -194,7 +183,8 @@ def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     est = sketch.estimate_all()
     l2_hat = sketch.l2_squared_estimate()
-    est_sq = est * est
+    with np.errstate(over="ignore"):  # an overflowing square reads inf
+        est_sq = est * est
     # A coordinate estimated at exactly zero carries no estimated mass and is
     # never treated as heavy; this also keeps the zero vector's heavy set
     # empty instead of degenerate-everything.

@@ -323,7 +323,8 @@ class CountSketch:
             np.add(rows[m], 0.0, out=dest)
         else:
             np.add(rows[m - 1], 0.0, out=dest)
-            dest += rows[m]
+            with np.errstate(over="ignore"):  # inf, as np.median gives
+                dest += rows[m]
             dest /= 2.0
 
     def coordinates_reaching(self, threshold: float) -> np.ndarray | None:
@@ -362,7 +363,8 @@ class CountSketch:
         Each row's sum of squares is an unbiased estimate of the summarized
         vector's squared l2 norm; the median tightens the tail.
         """
-        return float(np.median(np.sum(self.table * self.table, axis=1)))
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf
+            return float(np.median(np.sum(self.table * self.table, axis=1)))
 
     def scale(self, alpha: float) -> "CountSketch":
         """New sketch with every cell multiplied by finite scalar ``alpha``."""

@@ -427,6 +427,24 @@ rng = 3
         assert f"config error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [
+            (QUADRATIC_THEORY, "quad_d = 32", "quad_d = 0"),
+            (QUADRATIC_THEORY, "quad_n_samples = 128", "quad_n_samples = 0"),
+            (QUADRATIC_THEORY, "quad_n_samples = 128", "quad_n_samples = -3"),
+            (SYNTH_LOGISTIC, "synth_n = 200", "synth_n = 0"),
+            (SYNTH_LOGISTIC, "synth_d = 12", "synth_d = 0"),
+            (SYNTH_LOGISTIC, "synth_test_n = 80", "synth_test_n = 0"),
+        ],
+        ids=["quad_d", "quad_n_samples-zero", "quad_n_samples-negative", "synth_n", "synth_d", "synth_test_n"],
+    )
+    def test_non_positive_problem_size_exits_2(self, tmp_path, capsys, text, old, new):
+        cfg = write_config(tmp_path, text.replace(old, new).format(out=tmp_path / "x.csv"))
+        assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: [problem] {new} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_bytes(QUADRATIC_THEORY.replace("quadratic", "quadr\xe4tic").encode("latin-1"))

@@ -1,5 +1,7 @@
 """Tests for approximate top-k extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,18 @@ class TestSampledTopk:
         assert np.array_equal(got, _stable_argsort_topk(values, 1000))
         assert exact_sizes == [self.N]
 
+    def test_sampled_nans_rank_below_the_bound(self, exact_sizes):
+        # Sampled NaNs rank below every number, so they cannot raise the
+        # bound: these arrays keep the sampled path (about 1,900-2,100
+        # candidates each), which a bound that ranked NaN highest would lose.
+        rng = np.random.default_rng(3)
+        for frac in (0.01, 0.05, 0.2):
+            values = rng.standard_normal(self.N)
+            values[rng.random(self.N) < frac] = np.nan
+            exact_sizes.clear()
+            assert np.array_equal(topk_indices(values, 1000), _stable_argsort_topk(values, 1000)), frac
+            assert len(exact_sizes) == 1 and exact_sizes[0] < self.N, (frac, exact_sizes)
+
 
 class TestTopPkCandidates:
     def test_clamps_to_dimension(self):
@@ -306,6 +320,19 @@ class TestHeavymix:
         for bad in (0, 9):
             with pytest.raises(ValueError):
                 heavymix(s, bad, 0)
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_finite_cells_whose_squares_overflow_do_not_warn(self, r):
+        # The squared cells and estimates of 1e200 read inf, and the spike
+        # still heads the heavy set.
+        v = np.zeros(1000)
+        v[3] = 1e200
+        s = sketch_vector(SketchConfig(d=1000, r=r, c=50, seed=0), v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.l2_squared_estimate() == np.inf
+            out = heavymix(s, 10, 0)
+        assert out.size == 10 and 3 in out
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 16))
@@ -439,9 +466,10 @@ class TestQueriedTopPk:
     @pytest.mark.parametrize("r", [4, 5])
     @pytest.mark.parametrize("cell", [np.nan, np.inf, 1e200, 1.5e308])
     def test_special_cells_match_the_references(self, r, cell):
+        # Even-r pairs of 1.5e308 overflow to inf without a warning; pairs
+        # of opposite infinities still warn as they make NaN.
         s = _query_sketch_with_cell(cell, r=r, seed=r, rows=range(r))
-        # even-r pairs of 1.5e308 overflow on both sides
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             for p, k in ((10, 10), (2, 200)):
                 assert np.array_equal(top_pk_candidates(s, p, k), top_pk_from_every_estimate(s, p, k))
 
