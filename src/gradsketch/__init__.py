@@ -4,7 +4,6 @@ from gradsketch.cluster import (
     MeteredChannel,
     TrainingDivergedError,
     TrainingResult,
-    config_compression_factor,
     run_training,
 )
 from gradsketch.heavyhitters import KSparseVector, heavymix, topk_indices
@@ -47,7 +46,6 @@ __all__ = [
     "SketchConfig",
     "TrainingDivergedError",
     "TrainingResult",
-    "config_compression_factor",
     "heavymix",
     "load_dataset",
     "lr_theory",

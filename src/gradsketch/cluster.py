@@ -2,13 +2,12 @@
 
 Workers and server live in one process, but every message still crosses a
 channel that serializes it with the wire codecs, decodes it back, and meters
-both bytes and element counts.  Every metrics row's traffic counts, and the
-byte compression factor summed from them, are therefore measured from real
-serialized frames, never estimated.  The element compression factor is not
-measured: ``config_compression_factor`` evaluates its formula from the
-configuration (per worker and per round, the sketch upload, the exact-value
-upload, and the broadcast update; the index request is excluded by
-convention), so it leaves out the bias coordinates a round moves.
+both bytes and element counts.  Every metrics row's traffic counts, and
+both compression factors summed from them, are therefore measured from real
+serialized frames, never estimated.  The element factor counts, per worker
+and per round, the sketch upload, the exact-value upload (bias coordinates
+included) and the broadcast update; the index request is excluded by
+convention.
 
 ``run_training`` drives the optimizer rounds over a problem: draw a batch,
 split it contiguously across workers, run the configured round function
@@ -132,7 +131,7 @@ def account_round(
     upload (value replies plus any sparse entries), and the broadcast update
     each worker receives.  ``bytes_up`` is per worker, ``bytes_down`` is the
     broadcast frame, and ``bytes_request`` is the index request the element
-    formula excludes.
+    factor excludes.
 
     Enforces the protocol the accounting relies on: every worker uploaded
     the same byte and element counts, and a sketched round's uploads are
@@ -202,30 +201,6 @@ def _config_echo(problem, config: OptimizerConfig, sketch_config, batch_size, da
         echo["sketch.c"] = sketch_config.c
         echo["sketch.seed"] = sketch_config.seed
     return echo
-
-
-def config_compression_factor(config: OptimizerConfig, sketch_config, d: int, mean_union: float | None = None) -> float:
-    """The element formula evaluated from configuration alone, not counted.
-
-    Sketched rounds move the sketch, the exact values (``P*k`` candidates in
-    empirical mode, k in theory mode), and the k-sparse update.  Dense
-    baselines move d up and d down (factor 1), true top-k moves d up and k
-    down, and local top-k moves k up and the measured mean union down (it
-    has no configured down size; that is the one measured term).  The bias
-    coordinates of an empirical round, uploaded and broadcast every round,
-    are not in the formula, so with ``bias_indices`` set it reads above the
-    factor the rows' element counts give.
-    """
-    if config.algorithm == "sketched":
-        table = sketch_config.r * sketch_config.c
-        second = min(config.p * config.k, d) if config.mode == "empirical" else config.k
-        return 2.0 * d / (table + second + config.k)
-    if config.algorithm == "vanilla":
-        return 1.0
-    if config.algorithm == "true-topk":
-        return 2.0 * d / (d + config.k)
-    union = config.k if mean_union is None else mean_union
-    return 2.0 * d / (config.k + union)
 
 
 def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
@@ -366,19 +341,20 @@ def run_training(
     past = metrics.records[1:]
     bytes_up_total = config.w_workers * sum(rec.bytes_up for rec in past)
     bytes_down_total = config.w_workers * sum(rec.bytes_down for rec in past)
-    mean_union = sum(rec.support_size for rec in past) / rounds
-    summary["compression_factor"] = config_compression_factor(
-        config, sketch_config, d, mean_union if config.algorithm == "local-topk" else None
-    )
     if config.t_rounds >= 1:
+        # per worker and round, against d up and d down for dense SGD
+        up = sum(rec.up_sketch_elems + rec.up_exact_elems for rec in past) / config.t_rounds
+        down = sum(rec.down_update_elems for rec in past) / config.t_rounds
+        summary["compression_factor"] = 2.0 * d / (up + down)
         per_worker_moved = (bytes_up_total + bytes_down_total) / (config.w_workers * config.t_rounds)
         summary["byte_compression_factor"] = 16.0 * d / per_worker_moved
     else:
+        summary["compression_factor"] = 1.0
         summary["byte_compression_factor"] = 1.0
     summary["bytes_up_total"] = bytes_up_total
     summary["bytes_down_total"] = bytes_down_total
     summary["bytes_request_total"] = config.w_workers * sum(rec.bytes_request for rec in past)
-    summary["mean_union_size"] = mean_union
+    summary["mean_union_size"] = sum(rec.support_size for rec in past) / rounds
     summary["grad_sq_max"] = grad_sq_max
     summary["grad_dispersion"] = dispersion_sum / rounds
     metrics.summary = summary

@@ -62,10 +62,11 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
     Ties in magnitude resolve to the lower index, and NaN entries rank below
     every number, lowest index first, so the selection is deterministic and
-    equals the first k of a stable sort by descending magnitude.  It selects
-    over every entry only where :func:`_topk_above_sampled_bound` declines.
+    equals the first k of a stable sort by descending magnitude.  Integer and
+    bool input is ranked by its float64 magnitude.  It selects over every
+    entry only where :func:`_topk_above_sampled_bound` declines.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.float64)
     if not 0 <= k <= values.size:
         raise ValueError(f"k={k} out of range for {values.size} values")
     if k == 0:

@@ -115,40 +115,14 @@ def size_for(k: int, d: int, delta: float) -> tuple[int, int]:
     return max(r, 1), 6 * k
 
 
-def _mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Product modulo 2**61 - 1 on uint64 arrays with all values < 2**61.
-    # Splits each factor at 32 bits so no intermediate overflows, then folds
-    # the high parts back with 2**61 = 1 (mod p).
-    mask32 = np.uint64(0xFFFFFFFF)
-    p = np.uint64(MERSENNE_P)
-    ah, al = a >> np.uint64(32), a & mask32
-    bh, bl = b >> np.uint64(32), b & mask32
-    mid = ah * bl + al * bh
-    mid_hi, mid_lo = mid >> np.uint64(29), mid & np.uint64((1 << 29) - 1)
-    lo = al * bl
-    lo = (lo >> np.uint64(61)) + (lo & p)
-    s = ((ah * bh) << np.uint64(3)) + mid_hi + (mid_lo << np.uint64(32)) + lo
-    s = (s >> np.uint64(61)) + (s & p)
-    return np.where(s >= p, s - p, s)
-
-
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation of per-row degree-3 polynomials mod ``2**61 - 1``.
 
     ``coeffs`` is ``(rows, 4)`` uint64, each below p, highest degree first;
-    ``x`` is ``(n,)`` uint64.  Returns ``(rows, n)`` uint64 values fully
-    reduced below p.  A block whose indices are all below 2**32 (every block
-    of a table that fits in memory) takes the lazily reduced kernel; any
-    larger index takes the general ``_mulmod_p61`` step, reduced each time.
+    ``x`` is ``(n,)`` uint64, each below 2**32 (``HashFamily`` admits no
+    larger index).  Returns ``(rows, n)`` uint64 values fully reduced below p.
     """
     p = np.uint64(MERSENNE_P)
-    if x.size and int(x.max()) >= 1 << 32:
-        acc = np.broadcast_to(coeffs[:, :1], (coeffs.shape[0], x.size)).copy()
-        for deg in range(1, coeffs.shape[1]):
-            acc = _mulmod_p61(acc, x[None, :])
-            acc += coeffs[:, deg][:, None]
-            np.subtract(acc, p, out=acc, where=acc >= p)
-        return acc
     # Each step s <- s*x + c keeps s < 2**61 + 8 instead of reducing it
     # below p; with 2**61 = 1 (mod p) and x < 2**32:
     # - h = s >> 31 <= 2**30, so h*x < 2**62, and h*x*2**31 folds to
@@ -200,11 +174,13 @@ class HashFamily:
     """
 
     def __init__(self, config: SketchConfig):
+        # every index must fit the Horner kernel's 32-bit operand; such
+        # tables would already take 64 GiB per row
+        if config.d > 1 << 32:
+            raise ValueError(f"dimension d={config.d} exceeds the hash family's limit of 2**32 indices")
         self.config = config
         rng = np.random.Generator(np.random.Philox(key=config.seed))
         coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)
-        if config.d > MERSENNE_P:
-            raise ValueError("dimension exceeds the hash field size")
         self.buckets = np.empty((config.r, config.d), dtype=np.int64)
         self.signs = np.empty((config.r, config.d), dtype=np.float64)
         for start in range(0, config.d, _BUILD_BLOCK):

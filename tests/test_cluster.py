@@ -14,7 +14,6 @@ from gradsketch.cluster import (
     MeteredChannel,
     TrainingDivergedError,
     account_round,
-    config_compression_factor,
     partition_batch,
     run_training,
 )
@@ -24,6 +23,7 @@ from gradsketch import wire
 from gradsketch.optim import OptimizerConfig, exact_mean, make_states, theory_round
 from gradsketch.problems import QuadraticProblem, split_dataset, synth_data, LogisticProblem
 from gradsketch.sketch import SketchConfig, merge_all, sketch_vector
+from oracles import paper_compression_factor
 
 
 def quadratic(d=32, noise=0.05, n=128, seed=5):
@@ -198,29 +198,41 @@ class TestAccounting:
             account_round(cfg, _sketched("theory", k=8), d=64, channel=ch)
         assert account_round(cfg, _sketched("theory", k=9), d=64, channel=ch)["up_exact_elems"] == 9
 
+    @staticmethod
+    def _counted_factor(config, sketch_config, d=784):
+        # a short quadratic run's counted compression factor and mean union
+        prob = QuadraticProblem(np.linspace(1.0, 3.0, d), 0.1, 64, seed=3)
+        summary = run_training(prob, config, sketch_config, batch_size=16, data_seed=3, rng_seed=4).metrics.summary
+        return summary["compression_factor"], summary["mean_union_size"]
+
     def test_config_formula_values(self):
         # the appendix-style analog: table 280, P*k 100, k 10 at d=784
-        emp = OptimizerConfig(mode="empirical", algorithm="sketched", k=10, p=10)
         skc = SketchConfig(d=784, r=7, c=40, seed=0)
-        assert config_compression_factor(emp, skc, 784) == pytest.approx(2 * 784 / 390.0)
-        # theory mode requests exactly k exact values, not P*k
-        theo = OptimizerConfig(mode="theory", algorithm="sketched", k=10, p=10, xi=500.0)
-        assert config_compression_factor(theo, skc, 784) == pytest.approx(2 * 784 / 300.0)
-        assert config_compression_factor(
-            OptimizerConfig(mode="empirical", algorithm="vanilla"), None, 784
-        ) == 1.0
-        assert config_compression_factor(
-            OptimizerConfig(mode="empirical", algorithm="true-topk", k=16), None, 784
-        ) == pytest.approx(2 * 784 / 800.0)
-        assert config_compression_factor(
-            OptimizerConfig(mode="empirical", algorithm="local-topk", k=16), None, 784, mean_union=48.0
-        ) == pytest.approx(2 * 784 / 64.0)
+        runs = [
+            (OptimizerConfig(mode="empirical", algorithm="sketched", k=10, p=10, t_rounds=3, w_workers=2, lr=0.05),
+             skc, 2 * 784 / 390.0),
+            # theory mode requests exactly k exact values, not P*k
+            (OptimizerConfig(mode="theory", algorithm="sketched", k=10, p=10, t_rounds=3, w_workers=2, xi=500.0),
+             skc, 2 * 784 / 300.0),
+            (OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=3, w_workers=2, lr=0.05), None, 1.0),
+            (OptimizerConfig(mode="empirical", algorithm="true-topk", k=16, t_rounds=3, w_workers=2, lr=0.05),
+             None, 2 * 784 / 800.0),
+        ]
+        for cfg, sketch_config, expected in runs:
+            factor, _ = self._counted_factor(cfg, sketch_config)
+            assert factor == paper_compression_factor(cfg, sketch_config, 784) == pytest.approx(expected)
+        # local top-k moves k up and the union down, which W = 4 grows past k
+        cfg = OptimizerConfig(mode="empirical", algorithm="local-topk", k=16, t_rounds=3, w_workers=4, lr=0.05)
+        factor, mean_union = self._counted_factor(cfg, None)
+        assert mean_union > 16
+        assert factor == paper_compression_factor(cfg, None, 784, mean_union) == pytest.approx(2 * 784 / (16 + mean_union))
 
     def test_no_compression_boundary(self):
         # table + k + k = 2d makes the factor exactly 1
-        cfg = OptimizerConfig(mode="theory", algorithm="sketched", k=5, xi=500.0)
+        cfg = OptimizerConfig(mode="theory", algorithm="sketched", k=5, t_rounds=3, w_workers=2, xi=500.0)
         skc = SketchConfig(d=32, r=2, c=27, seed=0)
-        assert config_compression_factor(cfg, skc, 32) == pytest.approx(1.0)
+        factor, _ = self._counted_factor(cfg, skc, d=32)
+        assert factor == paper_compression_factor(cfg, skc, 32) == 1.0
 
 
 class TestPartition:
@@ -304,6 +316,8 @@ class TestRunTraining:
         assert len(res.metrics.records) == 1
         assert res.metrics.records[0].t == 0
         assert res.metrics.summary["bytes_up_total"] == 0
+        assert res.metrics.summary["compression_factor"] == 1.0
+        assert res.metrics.summary["byte_compression_factor"] == 1.0
         assert res.averaged_w is None
         assert np.array_equal(res.final_w, prob.initial_point(3))
 
@@ -595,12 +609,12 @@ class TestGoldenDigests:
     MATRIX = {
         "quadratic-sketched-empirical-W1-bias0-m0": "eb4ac0893bf2f41fa7c4c41282e43311c8ec924ebe1c3c76c52cecc8efc92d78",
         "quadratic-sketched-empirical-W1-bias0-m0.9": "ca3c8763852814ded565556fee65ef527700a935ecf09837e97b131541303f44",
-        "quadratic-sketched-empirical-W1-bias1-m0": "3eebcdfdcba3b3f7f30e45cef4b92509fb9e9f526aa3819de664f26bd717e904",
-        "quadratic-sketched-empirical-W1-bias1-m0.9": "89e3ffb6672764e3c9993782d181b4ce6ac2e7ba66263eed1c3877f877c2018c",
+        "quadratic-sketched-empirical-W1-bias1-m0": "0f745a0ecad6a80a4e516f94a1649701a279e81a6d6271c1969c2b58409870df",
+        "quadratic-sketched-empirical-W1-bias1-m0.9": "73c8a183e29c66a7f8e61ddda588c47d504e6ead65d0233cbd04c0efd3c9f5bf",
         "quadratic-sketched-empirical-W4-bias0-m0": "073bd91c59313c2962115f66bd6529e0143456cd90a1bcb2486a54a3f408f959",
         "quadratic-sketched-empirical-W4-bias0-m0.9": "54a0f0e0697da04adeb946abceb417e8f7cf332273d619ad4d11c777da345e1c",
-        "quadratic-sketched-empirical-W4-bias1-m0": "79cc402ba6847e390ec845ef64c96648a7bf4cb0fdb9694bb4b9a501d72346af",
-        "quadratic-sketched-empirical-W4-bias1-m0.9": "6f2e1454170ea1e27b94448c17dd9d7dc6ce93532c98f3a81a3dbb657c7159a4",
+        "quadratic-sketched-empirical-W4-bias1-m0": "8457a47cd452579400fed3db45e9e5af2ed3e7dd47effb85a351eb7a622ca1df",
+        "quadratic-sketched-empirical-W4-bias1-m0.9": "d0b6eb8b217e8b8bb7647f7f322cf8b8af204c07f58a50a00d281674791b322a",
         "quadratic-sketched-theory-W1-bias0-m0": "f24f652328522440b8e403cc77e9c768b60ccbf97e27de63aedab782561a9102",
         "quadratic-sketched-theory-W4-bias0-m0": "11131620a07d9b36cccb2412d139852f57c84bee8e8a8ddf32e3c6642d514c4e",
         "quadratic-vanilla-empirical-W1-bias0-m0": "d70a4e49c1cba415143d328fa470e985aaaa0e5aef8536600f8fde0a64244b90",
@@ -635,12 +649,12 @@ class TestGoldenDigests:
         "quadratic-local-topk-theory-W4-bias0-m0": "e79fdcb94971dd11f5387255db2eec81aaa21657964327eeac3f541cfe5394af",
         "logistic-sketched-empirical-W1-bias0-m0": "f8a4e3a72f823a0f683831b053e76d303f050a100d14466ab8b46813663c8ed2",
         "logistic-sketched-empirical-W1-bias0-m0.9": "01796ceba6d57b16babbf3c44305db91fc754d5c845d4778ce6f5431b90e1d00",
-        "logistic-sketched-empirical-W1-bias1-m0": "fc4b1da30b98a3800c8c50a426d7bbe646d547041a3fa1a9aa88a537f429d802",
-        "logistic-sketched-empirical-W1-bias1-m0.9": "018e7965c2b1a06c47e36b56c466affed4de3f9dd256a722a02e5958a1f123ab",
+        "logistic-sketched-empirical-W1-bias1-m0": "a5aa354c89d94011e416294a57d32892219212d08af7e3c6cb5aa30f241eef38",
+        "logistic-sketched-empirical-W1-bias1-m0.9": "36bb9e4a7d199a81247cb16612bf1951cdff28eed1d6b9fde1f0896ea5faf72f",
         "logistic-sketched-empirical-W4-bias0-m0": "a717c31b6c9f36e0b831e0b8c7ae5850f333d6aea82b58ec9e679889844af035",
         "logistic-sketched-empirical-W4-bias0-m0.9": "db0e461cb5b597883664ff2fc23cd0fde30b9c6862ce49fbf0b22d8805b6fd84",
-        "logistic-sketched-empirical-W4-bias1-m0": "1fa0f45b19b5fab021ec891110358a904559fb6e94392860d6d7802bb4d274f5",
-        "logistic-sketched-empirical-W4-bias1-m0.9": "e811e39c6c0697c9cc18599854c49d8253ef07c9d9d9a7cd52feb4b10d9780a5",
+        "logistic-sketched-empirical-W4-bias1-m0": "0ac4e320e93e4782013e34b93eaa26d0d60987f7a4222c3521bcaf9666a5756f",
+        "logistic-sketched-empirical-W4-bias1-m0.9": "7b15099013d424362d0c1463fb26f45672911134933e33c568c03bf629db2300",
         "logistic-sketched-theory-W1-bias0-m0": "f28b6c598208ed81dea3fbe4d11ca1eff5f3e30f9768ba2ec5c0830c43e12ac8",
         "logistic-sketched-theory-W4-bias0-m0": "f60f3794540ed3f20134d32aa33492dfbc8b96ccf93bf98d8c4e25be125f6341",
         "logistic-vanilla-empirical-W1-bias0-m0": "2fb8614e8894564ab4fbc1e333457e0660b8558958ede4f447a3bcec57fbee4b",
@@ -677,7 +691,21 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("row_id", sorted(MATRIX))
     def test_config_matrix(self, row_id, tmp_path):
-        assert _matrix_digest(_MATRIX_ROWS[row_id], tmp_path) == self.MATRIX[row_id]
+        d, cfg, skc, res = _matrix_run(_MATRIX_ROWS[row_id])
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(str(path), res.metrics)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.MATRIX[row_id]
+        # the factor counted from the rows is the paper's formula, bit for
+        # bit, except where a sketched round also moves bias coordinates,
+        # which the formula leaves out
+        summary, past = res.metrics.summary, res.metrics.records[1:]
+        formula = paper_compression_factor(cfg, skc, d, summary["mean_union_size"])
+        if cfg.algorithm == "sketched" and cfg.bias_indices:
+            up = sum(rec.up_sketch_elems + rec.up_exact_elems for rec in past) / cfg.t_rounds
+            down = sum(rec.down_update_elems for rec in past) / cfg.t_rounds
+            assert summary["compression_factor"] == 2.0 * d / (up + down) < formula
+        else:
+            assert summary["compression_factor"] == formula
 
 
 def _matrix_rows():
@@ -710,7 +738,8 @@ def _matrix_problem(kind):
     return LogisticProblem(train, test, lam=0.01)
 
 
-def _matrix_digest(row, tmp_path):
+def _matrix_run(row):
+    """The row's run: its dimension, configs and training result."""
     kind, algorithm, mode, workers, bias, momentum = row
     prob = _matrix_problem(kind)
     d = prob.d
@@ -721,6 +750,4 @@ def _matrix_digest(row, tmp_path):
     )
     skc = SketchConfig(d=d, r=5, c=20, seed=2) if algorithm == "sketched" else None
     res = run_training(prob, cfg, skc, batch_size=16, data_seed=7, rng_seed=11)
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(str(path), res.metrics)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return d, cfg, skc, res

@@ -87,6 +87,24 @@ class TestTopkOracle:
             for k in {0, 1, 7, min(500, values.size), values.size // 2, values.size - 1, values.size}:
                 assert np.array_equal(topk_indices(values, k), _stable_argsort_topk(values, k))
 
+    @pytest.mark.parametrize("pool", [
+        np.arange(256, dtype=np.uint8),
+        np.array([0, 1, 7, 2**32, 2**53, 2**63, 2**64 - 2**11], dtype=np.uint64),
+        np.array([False, True]),
+        np.array([0, 1, -1, -7, 2**53, -2**53, 2**62, -2**63], dtype=np.int64),
+    ], ids=lambda pool: pool.dtype.name)
+    def test_integer_and_bool_input(self, pool):
+        # ranked by float64 magnitude, which every pool value keeps exactly;
+        # a negated unsigned magnitude wraps, and abs(-2**63) overflows int64
+        rng = np.random.default_rng(3)
+        for n in (3, 300, 20_000):
+            values = rng.choice(pool, size=n)
+            assert values.dtype == pool.dtype
+            for k in {0, 1, 7 % (n + 1), n // 2, n}:
+                assert np.array_equal(topk_indices(values, k), _stable_argsort_topk(values.astype(np.float64), k))
+        assert list(topk_indices(np.array([0, 5, 3], dtype=np.uint8), 1)) == [1]
+        assert list(topk_indices(np.array([5, -2**63, 3], dtype=np.int64), 1)) == [1]
+
     def test_fills_with_lowest_index_nans(self):
         values = np.array([np.nan, 1.0, np.nan, np.nan, -2.0])
         assert list(topk_indices(values, 3)) == [0, 1, 4]
