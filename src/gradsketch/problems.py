@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,21 +40,25 @@ class Dataset:
         features: (n, d) float64 matrix.
         labels: (n,) int64; -1/+1 for binary tasks, class ids otherwise.
         name: human-readable provenance tag.
-        checksum: sha256 over the canonical bytes of features and labels.
+
+    ``checksum`` is computed on first read, not at construction, so do not
+    mutate ``features`` or ``labels`` before reading it.
     """
 
     features: np.ndarray
     labels: np.ndarray
     name: str
-    checksum: str = field(default="")
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with one label per row")
-        if not self.checksum:
-            self.checksum = _checksum(self.features, self.labels)
+
+    @cached_property
+    def checksum(self) -> str:
+        """sha256 over the canonical bytes of features and labels."""
+        return _checksum(self.features, self.labels)
 
     @property
     def n(self) -> int:
@@ -73,8 +77,9 @@ class Dataset:
 def _checksum(features: np.ndarray, labels: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(np.asarray(features.shape, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(features, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(labels, dtype="<i8").tobytes())
+    # hashed through the buffer protocol: no copy of a contiguous array
+    h.update(np.ascontiguousarray(features, dtype="<f8"))
+    h.update(np.ascontiguousarray(labels, dtype="<i8"))
     return h.hexdigest()
 
 
@@ -87,14 +92,19 @@ def synth_data(n: int, d: int, class_separation: float, seed: int) -> Dataset:
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if class_separation < 0:
-        raise ValueError("class separation must be nonnegative")
+    if not (math.isfinite(class_separation) and class_separation >= 0):
+        raise ValueError(f"class separation must be finite and nonnegative, got {class_separation}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
     n_pos = (n + 1) // 2
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n - n_pos, dtype=np.int64)])
-    features = rng.standard_normal((n, d)) + np.outer(labels, 0.5 * class_separation * direction)
+    # Shifting the rows in place gives the bits of adding
+    # np.outer(labels, shift): (+-1.0) * shift is exact, and z + (-s) is z - s.
+    features = rng.standard_normal((n, d))
+    shift = 0.5 * class_separation * direction
+    features[:n_pos] += shift
+    features[n_pos:] -= shift
     perm = rng.permutation(n)
     return Dataset(features[perm], labels[perm], f"blobs(n={n},d={d},sep={class_separation:g},seed={seed})")
 
@@ -171,12 +181,23 @@ def prepare_features(
     bias term; the flags are echoed in run metadata.
     """
     X = dataset.features
-    if normalize:
+    n, d = X.shape
+    out = np.empty((n, d + 1) if add_intercept else (n, d))
+    # Scaled into the output buffer itself: the same operations as
+    # (X - lo) / (hi - lo), without a temporary or a stacking copy.
+    scaled = out[:, :d]
+    if not normalize:
+        scaled[...] = X
+    else:
         lo, hi = bounds if bounds is not None else (X.min(), X.max())
-        X = (X - lo) / (hi - lo) if hi > lo else np.zeros_like(X)
+        if hi > lo:
+            np.subtract(X, lo, out=scaled)
+            scaled /= hi - lo
+        else:
+            scaled.fill(0.0)
     if add_intercept:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
-    return Dataset(X, dataset.labels, f"{dataset.name}|prepared")
+        out[:, d] = 1.0
+    return Dataset(out, dataset.labels, f"{dataset.name}|prepared")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -319,8 +340,8 @@ class _ErmProblem:
     """Shared batching/eval glue for dataset-backed problems."""
 
     def __init__(self, train: Dataset, test: Dataset, lam: float):
-        if lam < 0:
-            raise ValueError("regularization strength must be nonnegative")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"regularization strength must be finite and nonnegative, got {lam}")
         if train.d != test.d:
             raise ValueError("train and test dimension mismatch")
         self.train = train

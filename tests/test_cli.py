@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import gradsketch.cli as cli
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
-from gradsketch.problems import DatasetFormatError, QuadraticProblem, load_dataset
+from gradsketch.problems import DatasetFormatError, QuadraticProblem, _checksum, load_dataset
 from gradsketch.sketch import size_for
 
 SYNTH_LOGISTIC = """
@@ -253,6 +253,41 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", out_b]) == 0
         with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_synth_run_echoes_the_data_checksum(self, tmp_path):
+        # 1600 + 400 rows of data seed 3: synth_data(2000, 10, 0.0, seed=3)
+        text = (
+            SYNTH_LOGISTIC.replace("synth_n = 200", "synth_n = 1600")
+            .replace("synth_d = 12", "synth_d = 10")
+            .replace("synth_separation = 3.0", "synth_separation = 0.0")
+            .replace("synth_test_n = 80", "synth_test_n = 400")
+            .replace("data = 11", "data = 3")
+            .replace("t = 12", "t = 1")
+        )
+        out = tmp_path / "metrics.csv"
+        assert main(["run", write_config(tmp_path, text.format(out=out))]) == 0
+        echo = read_metrics_csv(str(out)).config_echo
+        assert echo["problem.checksum"] == "f62a7555280026da1b8b02f9fe7b1d9fecfba33420fb270d6300101177b0a906"
+
+    def test_file_run_echoes_the_prepared_checksums(self, tmp_path):
+        rng = np.random.default_rng(8)
+        paths = {}
+        for role, n in (("train", 30), ("test", 12)):
+            paths[role] = tmp_path / f"{role}.txt"
+            rows = [f"{i % 3} " + " ".join(f"{v:.3f}" for v in rng.normal(size=3)) for i in range(n)]
+            paths[role].write_text("\n".join(rows) + "\n")
+        out = tmp_path / "metrics.csv"
+        text = FILE_HINGE.format(train=paths["train"], test=paths["test"])
+        text = text.replace("positive_class = 0", "positive_class = 0\nnormalize = true")
+        assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 0
+        echo = read_metrics_csv(str(out)).config_echo
+        # binarized one-vs-all, scaled by the train range, intercept appended
+        raw = {role: np.loadtxt(path) for role, path in paths.items()}
+        lo, hi = raw["train"][:, 1:].min(), raw["train"][:, 1:].max()
+        for role, data in raw.items():
+            features = np.hstack([(data[:, 1:] - lo) / (hi - lo), np.ones((len(data), 1))])
+            labels = np.where(data[:, 0] == 0, 1, -1)
+            assert echo[f"problem.{role}_checksum"] == _checksum(features, labels)
 
     def test_missing_output_path_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUADRATIC_THEORY)

@@ -1,10 +1,12 @@
 """Gradient oracles, dataset generation, and loader error paths."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gradsketch.problems as problems_module
 from gradsketch.problems import (
     Dataset,
     DatasetFormatError,
@@ -17,6 +19,7 @@ from gradsketch.problems import (
     load_dataset,
     logistic_gradient,
     logistic_loss,
+    _checksum,
     prepare_features,
     split_dataset,
     synth_data,
@@ -219,6 +222,56 @@ class TestSynthData:
         w = ds.features[ds.labels == 1].mean(axis=0) - ds.features[ds.labels == -1].mean(axis=0)
         assert abs(classification_error(w, ds) - 0.5) < 0.1
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((5000, 784, 4.0, 3), "dac975e4b1da8fa76ec65e0bc60952e7694d47795a13c624e74842b44dab02b8"),
+            ((2000, 10, 0.0, 3), "f62a7555280026da1b8b02f9fe7b1d9fecfba33420fb270d6300101177b0a906"),
+        ],
+    )
+    def test_pinned_checksums(self, args, digest):
+        # pins the drawn rows and the digest's byte layout together
+        n, d, separation, seed = args
+        assert synth_data(n, d, separation, seed=seed).checksum == digest
+
+    def test_view_checksum_equals_copy_checksum(self):
+        full = synth_data(301, 7, 2.0, seed=5)
+        for rows in (slice(None, 200), slice(200, None), slice(None, None, 3)):
+            view = Dataset(full.features[rows], full.labels[rows], "view")
+            copy = Dataset(full.features[rows].copy(), full.labels[rows].copy(), "copy")
+            assert view.checksum == copy.checksum
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_separation(self, separation):
+        # a NaN separation fails `< 0` and used to surface only at the loss
+        with pytest.raises(ValueError, match=f"class separation must be finite and nonnegative, got {separation}"):
+            synth_data(10, 3, separation, seed=0)
+
+    def test_checksum_is_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(features, labels):
+            calls.append(features.shape)
+            return _checksum(features, labels)
+
+        monkeypatch.setattr(problems_module, "_checksum", counting)
+        train, test = split_dataset(synth_data(300, 6, 3.0, seed=0), 200)
+        assert calls == []
+        assert train.checksum == train.checksum
+        assert calls == [(200, 6)]
+
+    def test_blob_build_peak_memory(self):
+        # the drawn rows and their permuted copy, no more: no hashing
+        # copies, no shift matrix, no copies for the split
+        n, d = 5000, 784
+        tracemalloc.start()
+        try:
+            split_dataset(synth_data(n, d, 4.0, seed=3), 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * d * 8
+
     def test_binarize(self):
         ds = Dataset(np.eye(3), np.array([0, 1, 2]), "toy")
         bin2 = ds.binarize(2)
@@ -283,6 +336,29 @@ class TestLoader:
         assert ds.features[:, :2].min() == 0.0 and ds.features[:, :2].max() == 1.0
         assert np.array_equal(ds.features[:, 2], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"bounds": (-1.5, 2.25)},
+            {"add_intercept": False},
+            {"bounds": (0.5, 0.5)},
+            {"normalize": False},
+            {"normalize": False, "add_intercept": False},
+        ],
+        ids=["matrix-range", "bounds", "no-intercept", "degenerate-range", "no-normalize", "neither"],
+    )
+    def test_prepare_features_keeps_bits(self, kwargs):
+        X = np.random.default_rng(6).standard_normal((40, 5)) * 3.0
+        got = prepare_features(Dataset(X, np.ones(40), "x"), **kwargs).features
+        want = X
+        if kwargs.get("normalize", True):
+            lo, hi = kwargs.get("bounds", (X.min(), X.max()))
+            want = (X - lo) / (hi - lo) if hi > lo else np.zeros_like(X)
+        if kwargs.get("add_intercept", True):
+            want = np.hstack([want, np.ones((40, 1))])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestErmProblems:
     def _problem(self, cls, lam=0.01):
@@ -332,3 +408,10 @@ class TestErmProblems:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             self._problem(LogisticProblem, lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cls", [LogisticProblem, HingeSVMProblem])
+    def test_rejects_non_finite_lambda(self, cls, lam):
+        # a NaN lambda fails `< 0` and used to surface only at the loss
+        with pytest.raises(ValueError, match=f"regularization strength must be finite and nonnegative, got {lam}"):
+            self._problem(cls, lam=lam)
