@@ -353,6 +353,8 @@ def cmd_run(args) -> int:
         return _cannot_write(out, os.strerror(errno.EISDIR))
     if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         return _cannot_write(out, os.strerror(errno.ENOENT))
+    # load_experiment ran every check run_training raises ValueError for, so
+    # anything but divergence is a defect and propagates
     try:
         result = run_training(
             exp.problem,
@@ -366,9 +368,6 @@ def cmd_run(args) -> int:
     except TrainingDivergedError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     try:
         write_metrics_csv(out, result.metrics)
     except OSError as exc:

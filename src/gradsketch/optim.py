@@ -227,11 +227,9 @@ def exact_mean(vectors: list[np.ndarray], channel, indices: np.ndarray | None = 
     return total / len(vectors)
 
 
-def _accumulate(
-    states: list[WorkerState], grads: list[np.ndarray], momentum: float = 0.0, eta: float | None = None
-) -> None:
-    """Error accumulation in place: the analyzed recursion adds ``eta * g``;
-    the other rounds run momentum first and scale by the step at apply time.
+def _accumulate(states: list[WorkerState], grads: list[np.ndarray], momentum: float) -> None:
+    """The momentum recursion in place: ``m = momentum * m + g``, then
+    ``accum += m``; the step scales the update at apply time.
 
     At momentum 0 the gradient goes straight into ``accum``, with no
     momentum buffer, and the bits are those of ``m *= 0; m += g; accum +=
@@ -246,9 +244,7 @@ def _accumulate(
     a factor above 0 starts from the zeros the recursion starts from.
     """
     for st, g in zip(states, grads):
-        if eta is not None:
-            st.accum += eta * g
-        elif momentum == 0.0:
+        if momentum == 0.0:
             st.accum += g
         else:
             if st.momentum is None:
@@ -298,13 +294,14 @@ def theory_round(
 ) -> KSparseVector:
     """One analyzed-mode round; mutates states in place, returns the update.
 
-    Per worker: fold the step size ``lr_t`` into the gradient, add it to the
-    error accumulator, sketch, and send.  The server merges to the worker
-    mean, extracts k coordinates, fetches their exact mean values, and
-    broadcasts.  Every worker applies the update unscaled and subtracts the
-    full global update from its accumulator.
+    Per worker: add ``lr_t * g`` to the error accumulator (the step size is
+    folded in here, not at apply time), sketch, and send.  The server
+    merges to the worker mean, extracts k coordinates, fetches their exact
+    mean values, and broadcasts.  Every worker applies the update unscaled
+    and subtracts the full global update from its accumulator.
     """
-    _accumulate(states, grads, eta=lr_t)
+    for st, g in zip(states, grads):
+        st.accum += lr_t * g
     accums = [st.accum for st in states]
     support = heavymix(_merged_sketch(accums, sketch_config, channel), config.k, rng_seed)
     values = exact_mean(accums, channel, support)
@@ -321,34 +318,33 @@ def empirical_round(
 ) -> KSparseVector:
     """One practical-mode round; mutates states in place, returns the update.
 
-    Momentum and error accumulation run per worker on raw gradients; the
-    sketch summarizes the accumulator (bias coordinates excluded when
-    ``bias_indices`` is set).  The server takes the top ``min(P*k, d)``
-    estimated coordinates, fetches exact mean values, keeps the k largest,
-    and broadcasts; bias coordinates ride along exactly every round.  The
-    update is applied scaled by ``lr_t`` and the accumulators are zeroed on
-    the updated support.
+    Momentum and error accumulation run per worker on raw gradients.  When
+    ``bias_indices`` is set, the server first fetches the bias coordinates'
+    exact mean values, and every worker then clears them in its accumulator,
+    so the sketch summarizes only the compressible coordinates.  The server
+    takes the top ``min(P*k, d)`` estimated coordinates, fetches exact mean
+    values, keeps the k largest, and broadcasts them with the bias values.
+    The update is applied scaled by ``lr_t`` and the accumulators are
+    zeroed on the updated support.
     """
     del rng_seed  # candidate selection is deterministic in this mode
     bias = np.asarray(config.bias_indices, dtype=np.int64)
     _accumulate(states, grads, config.momentum)
-    compressible = [st.accum for st in states]
+    accums = [st.accum for st in states]
     if bias.size:
-        compressible = [vec.copy() for vec in compressible]
-        for vec in compressible:
-            vec[bias] = 0.0
-    candidates = top_pk_candidates(_merged_sketch(compressible, sketch_config, channel), config.p, config.k)
+        bias_values = exact_mean(accums, channel, bias)
+        for accum in accums:
+            accum[bias] = 0.0
+    candidates = top_pk_candidates(_merged_sketch(accums, sketch_config, channel), config.p, config.k)
     if bias.size:
         candidates = candidates[~np.isin(candidates, bias)]
-    exact = exact_mean(compressible, channel, candidates)
-    keep = topk_indices(exact, min(config.k, exact.size))
+    exact = exact_mean(accums, channel, candidates)
+    keep = topk_indices(exact, config.k)
     support = candidates[keep]
     values = exact[keep]
     if bias.size:
-        # bias values live in the raw accumulators; the compressible copies
-        # had them zeroed out before sketching
         support = np.concatenate([support, bias])
-        values = np.concatenate([values, exact_mean([st.accum for st in states], channel, bias)])
+        values = np.concatenate([values, bias_values])
         order = np.argsort(support)
         support, values = support[order], values[order]
     update = channel.down_update(KSparseVector(d=sketch_config.d, indices=support, values=values))

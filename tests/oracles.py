@@ -5,7 +5,8 @@ in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
 per-sample gradients whose mean a problem's batch gradient is, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
-selection that ignores the sketch (the control of AC11), the paper's
+selection that ignores the sketch (the control of AC11), a sign table of
+all +1 (the control of the sign check), the paper's
 element compression formula evaluated from the configuration, and the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
 families it draws from.
@@ -13,13 +14,14 @@ families it draws from.
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
 from gradsketch.heavyhitters import heavymix, topk_indices
 from gradsketch.problems import _sigmoid
-from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, size_for, sketch_vector
+from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for, size_for, sketch_vector
 
 
 def accumulate(sketch: CountSketch, index: int, weight: float) -> None:
@@ -92,6 +94,20 @@ def random_candidates(seed: int) -> Callable[[CountSketch, int, int], np.ndarray
         return np.sort(rng.choice(d, size=min(p * k, d), replace=False)).astype(np.int64)
 
     return candidates
+
+
+@contextmanager
+def unsigned_hashes(config: SketchConfig) -> Iterator[None]:
+    """Inside the block, every sketch of ``config`` hashes each coordinate
+    with sign +1: the cached hash family's sign table is swapped for ones,
+    and the real table is put back on exit.  The control of the sign check."""
+    family = _family_for(config)
+    signs = family.signs
+    family.signs = np.ones_like(signs)
+    try:
+        yield
+    finally:
+        family.signs = signs
 
 
 def paper_compression_factor(config, sketch_config, d: int, mean_union: float | None = None) -> float:

@@ -1,7 +1,10 @@
 """End-to-end tests of the config-driven runner and reporter."""
 
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
 from gradsketch.problems import DatasetFormatError, QuadraticProblem, _checksum, load_dataset
 from gradsketch.sketch import size_for
+from gradsketch.wire import WireError
 
 SYNTH_LOGISTIC = """
 [problem]
@@ -288,6 +292,85 @@ class TestRunCommand:
             features = np.hstack([(data[:, 1:] - lo) / (hi - lo), np.ones((len(data), 1))])
             labels = np.where(data[:, 0] == 0, 1, -1)
             assert echo[f"problem.{role}_checksum"] == _checksum(features, labels)
+
+    def test_file_run_without_normalization_echoes_it(self, tmp_path):
+        data = tmp_path / "data.txt"
+        data.write_text("0 0.5 0.25\n1 0.1 0.9\n0 0.2 0.3\n1 0.7 0.4\n")
+        text = FILE_HINGE.format(train=data, test=data).replace("batch_size = 10", "batch_size = 2")
+        text = text.replace("positive_class = 0", "positive_class = 0\nnormalize = false")
+        out = tmp_path / "metrics.csv"
+        assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert read_metrics_csv(str(out)).config_echo["problem.normalize"] == "False"
+
+    @pytest.mark.parametrize(
+        "text, old, new, named",
+        [
+            (FILE_HINGE, "positive_class = 0", "positive_class = 0\nnormalize = maybe",
+             "[problem] normalize = 'maybe' is not a valid bool"),
+            (QUADRATIC_THEORY, "quad_lambda_min = 1.0", "quad_lambda_min = 4.0",
+             "[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1", "lr_points entry '1' is not t:lr"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1:x", "lr_points entry '1:x' is not numeric"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "bias_indices = x", "bias_indices 'x' must be comma-separated integers"),
+            (QUADRATIC_THEORY, "rows = 7\ncols = 32\n", "", "[sketch] needs rows/cols or size_k/size_delta"),
+            (QUADRATIC_THEORY, "kind = quadratic", "kind = lasso",
+             "[problem] kind must be quadratic, logistic, or hinge-svm, got 'lasso'"),
+        ],
+        ids=["normalize", "quad_lambda_order", "lr_points-no-colon", "lr_points-not-numeric", "bias_indices",
+             "sketch-sizing", "kind"],
+    )
+    def test_rejected_value_exits_2(self, tmp_path, capsys, text, old, new, named):
+        text = text.replace(old, new).format(out=tmp_path / "x.csv", train="unused.txt", test="unused.txt")
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {named}"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_multiclass_labels_without_positive_class_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("0 0.5 0.25\n1 0.1 0.9\n2 0.2 0.3\n")
+        text = FILE_HINGE.format(train=data, test=data).replace("positive_class = 0\n", "")
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: train labels are [0, 1, 2]; set positive_class to binarize"
+        ]
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.ini"
+        assert main(["run", str(missing), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: ") and str(missing) in err
+
+    def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        text = FILE_HINGE.format(train=missing, test=missing)
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read dataset: ") and str(missing) in err
+
+    def test_defect_in_training_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # load_experiment has run every configuration check; what training
+        # raises besides divergence is a defect, and escapes main
+        def corrupt(*args, **kwargs):
+            raise WireError("corrupt frame")
+
+        monkeypatch.setattr(cli, "run_training", corrupt)
+        cfg = write_config(tmp_path, QUADRATIC_THEORY)
+        with pytest.raises(WireError, match="corrupt frame"):
+            main(["run", cfg, "--out", str(tmp_path / "x.csv")])
+        assert "config error" not in capsys.readouterr().err
+
+    def test_module_entry_point_runs(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "metrics.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradsketch.cli", "run", write_config(tmp_path, QUADRATIC_THEORY), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"wrote {out}: sketched/theory")
+        assert len(read_metrics_csv(str(out)).records) == 11
 
     def test_missing_output_path_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUADRATIC_THEORY)
@@ -692,6 +775,21 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", out_a]) == 2
         assert f"parse error: {out_a}:{header + 2}:" in capsys.readouterr().err
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        # beyond the csv module's 131,072-character field limit
+        out_a, _ = self._run_two(tmp_path)
+        with open(out_a) as fh:
+            lines = fh.read().split("\n")
+        header = next(i for i, line in enumerate(lines) if line.startswith("t,"))
+        row = lines[header + 1].split(",")
+        row[-1] = "x" * 140_000
+        lines[header + 1] = ",".join(row)
+        with open(out_a, "w") as fh:
+            fh.write("\n".join(lines))
+        capsys.readouterr()
+        assert main(["report", out_a]) == 2
+        assert f"parse error: {out_a}:{header + 2}: field larger than field limit" in capsys.readouterr().err
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         out_a, _ = self._run_two(tmp_path)

@@ -348,6 +348,20 @@ class TestRunTraining:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
+    def test_diverged_replicas_raise(self, monkeypatch):
+        # a round that leaves worker 1's parameters one ulp off worker 0's
+        real_round = cluster.empirical_round
+
+        def drifting(states, *args):
+            update = real_round(states, *args)
+            states[1].w[0] = np.nextafter(states[1].w[0], np.inf)
+            return update
+
+        monkeypatch.setattr(cluster, "empirical_round", drifting)
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=3, w_workers=2, lr=0.05)
+        with pytest.raises(RuntimeError, match="round 1: worker replicas diverged"):
+            run_training(quadratic(), cfg, SketchConfig(d=32, r=7, c=32, seed=2), batch_size=16, data_seed=3, rng_seed=4)
+
     def test_vanilla_noise_free_descent_is_monotone(self):
         prob = quadratic(noise=0.0)
         cfg = OptimizerConfig(

@@ -15,6 +15,7 @@ from oracles import (
     gaussian_vector,
     ksparse_vector,
     top_pk_from_every_estimate,
+    unsigned_hashes,
     zipf_vector,
 )
 
@@ -239,6 +240,23 @@ class TestTopPkCandidates:
         cand = top_pk_candidates(sketch_vector(SketchConfig(d=d, r=r, c=c, seed=5), g), p=2, k=8)
         assert cand.size == 16
         assert set(heavy) <= set(cand)
+
+    def test_needs_the_sign_hashes(self):
+        # 20 heavy coordinates at +1 over a background of -c/d: with every
+        # sign +1 a bucket's background sums to about -1 and cancels the
+        # heavy coordinate it holds; with the real signs it sums to noise
+        d, r, c, k = 10_000, 5, 600, 20
+        signed, unsigned = [], []
+        for seed in range(20):
+            heavy = np.random.default_rng(seed).choice(d, k, replace=False)
+            g = np.full(d, -c / d)
+            g[heavy] = 1.0
+            cfg = SketchConfig(d=d, r=r, c=c, seed=seed + 1)
+            with unsigned_hashes(cfg):
+                unsigned.append(int(np.isin(heavy, top_pk_candidates(sketch_vector(cfg, g), 2, k)).sum()))
+            signed.append(int(np.isin(heavy, top_pk_candidates(sketch_vector(cfg, g), 2, k)).sum()))
+        assert signed == [k] * 20
+        assert sum(unsigned) <= k  # of 400 heavy coordinates; 0 measured
 
     def test_rejects_bad_parameters(self):
         s = sketch_vector(SketchConfig(d=8, r=3, c=4, seed=0), np.ones(8))

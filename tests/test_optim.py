@@ -1,5 +1,8 @@
 """Round-level tests for the sketched optimizers and their baselines."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from gradsketch.optim import (
     _union,
     empirical_round,
     local_topk_step,
+    lr_at,
     lr_theory,
     make_states,
     min_xi,
@@ -34,6 +38,14 @@ class TestSchedule:
     def test_lr_is_one_based(self):
         with pytest.raises(ValueError):
             lr_theory(0, 3.0)
+
+    def test_lr_at_is_one_based_in_empirical_mode(self):
+        with pytest.raises(ValueError, match="round index is 1-based, got 0"):
+            lr_at(0, OptimizerConfig(mode="empirical"))
+
+    def test_lr_theory_rejects_non_positive_mu_scale(self):
+        with pytest.raises(ValueError, match="mu_scale must be positive"):
+            lr_theory(1, 10.0, mu_scale=0)
 
     def test_rho_value(self):
         assert rho_for(5.0) == pytest.approx(5.0 / 9.0)
@@ -88,6 +100,26 @@ class TestOptimizerConfig:
     def test_rejects_non_finite_lr_points(self, point):
         with pytest.raises(ValueError, match="lr_points must be finite"):
             OptimizerConfig(mode="empirical", lr_points=((0.0, 0.5), point))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mu_scale": 0.0}, "mu_scale must be positive"),
+            ({"mu_scale": -1.0}, "mu_scale must be positive"),
+            ({"lr": 0.0}, "lr must be positive, got 0.0"),
+            ({"lr": -0.5}, "lr must be positive, got -0.5"),
+            ({"lr_points": ((0.5, 0.1),)}, "need t >= 1 and lr > 0, got (0.5, 0.1)"),
+            ({"lr_points": ((1.0, 0.0),)}, "need t >= 1 and lr > 0, got (1.0, 0.0)"),
+            ({"lr_points": ((2.0, 0.1), (1.0, 0.1))}, "breakpoints must be strictly increasing in t"),
+            ({"lr_points": ((1.0, 0.1), (1.0, 0.2))}, "breakpoints must be strictly increasing in t"),
+            ({"t_rounds": -1}, "round count must be nonnegative, got -1"),
+        ],
+        ids=["mu_scale-zero", "mu_scale-negative", "lr-zero", "lr-negative", "lr_points-t",
+             "lr_points-lr", "lr_points-decreasing", "lr_points-repeated", "t_rounds"],
+    )
+    def test_rejects_out_of_range_values(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(mode="empirical", **fields)
 
     def test_rejects_duplicate_bias(self):
         with pytest.raises(ValueError):
@@ -306,6 +338,26 @@ class TestEmpiricalRound:
         assert len(update) == 5
         assert np.all(np.diff(update.indices) > 0)
         assert {0, 7} <= set(update.indices.tolist())
+
+    def test_bias_round_copies_no_accumulator(self):
+        # the bias coordinates are cleared in the live accumulators, so a
+        # round's traced peak stays near one d-length buffer (1.20 x 8d);
+        # copying the W = 4 accumulators first peaked at 5.20 x 8d
+        d, workers = 1 << 16, 4
+        cfg = OptimizerConfig(mode="empirical", k=50, p=4, w_workers=workers, bias_indices=(0, 7, 99))
+        cfg.validate_for_dimension(d)
+        skc = SketchConfig(d=d, r=5, c=600, seed=3)
+        states = make_states(np.zeros(d), workers)
+        rng = np.random.default_rng(5)
+        grads = [rng.standard_normal(d) for _ in range(workers)]
+        empirical_round(states, grads, 0.1, cfg, skc, rng_seed=0, channel=MeteredChannel())  # builds the family
+        tracemalloc.start()
+        try:
+            empirical_round(states, grads, 0.1, cfg, skc, rng_seed=1, channel=MeteredChannel())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * d
 
 
 def _baseline(algorithm, k=1):

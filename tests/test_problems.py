@@ -247,6 +247,24 @@ class TestSynthData:
         with pytest.raises(ValueError, match=f"class separation must be finite and nonnegative, got {separation}"):
             synth_data(10, 3, separation, seed=0)
 
+    def test_rejects_empty_data(self):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 1, got n=0, d=3"):
+            synth_data(0, 3, 1.0, 0)
+
+    def test_split_leaves_a_test_row(self):
+        ds = synth_data(10, 3, 1.0, seed=0)
+        with pytest.raises(ValueError, match=re.escape("n_train must be in (0, 10), got 10")):
+            split_dataset(ds, ds.n)
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [(np.zeros(3), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2)), (np.zeros((3, 2)), np.zeros((3, 1)))],
+        ids=["flat-features", "short-labels", "label-matrix"],
+    )
+    def test_dataset_rejects_mismatched_shapes(self, features, labels):
+        with pytest.raises(ValueError, match=re.escape("features must be (n, d) with one label per row")):
+            Dataset(features, labels, "bad")
+
     def test_checksum_is_computed_once_on_first_read(self, monkeypatch):
         calls = []
 
