@@ -161,8 +161,8 @@ def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, 
         raw = section[key]
         try:
             values[key] = parse(raw)
-        except ExperimentConfigError:
-            raise
+        except ExperimentConfigError as exc:
+            raise ExperimentConfigError(f"[{name}] {exc}") from None
         except ValueError:
             raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not a valid {parse.__name__.strip('_')}") from None
         if parse is float and not math.isfinite(values[key]):

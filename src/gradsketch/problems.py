@@ -105,8 +105,14 @@ def synth_data(n: int, d: int, class_separation: float, seed: int) -> Dataset:
     shift = 0.5 * class_separation * direction
     features[:n_pos] += shift
     features[n_pos:] -= shift
-    perm = rng.permutation(n)
-    return Dataset(features[perm], labels[perm], f"blobs(n={n},d={d},sep={class_separation:g},seed={seed})")
+    # rng.permutation(n) is rng.shuffle(arange(n)), so shuffling the labels
+    # and then the rows from one generator state gives labels[perm] and
+    # features[perm]; a void view makes each row one item, swapped in place.
+    state = rng.bit_generator.state
+    rng.shuffle(labels)
+    rng.bit_generator.state = state
+    rng.shuffle(features.view(np.dtype((np.void, d * features.itemsize)))[:, 0])
+    return Dataset(features, labels, f"blobs(n={n},d={d},sep={class_separation:g},seed={seed})")
 
 
 def split_dataset(dataset: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
@@ -269,8 +275,12 @@ class QuadraticProblem:
         self.b = rng.standard_normal(self.spectrum.size)
         self.noise = rng.normal(0.0, noise_sigma, size=(n_samples, self.spectrum.size)) if noise_sigma > 0 else np.zeros((n_samples, self.spectrum.size))
         self.noise_sigma = noise_sigma
-        self.w_star = self.b / self.spectrum
         self._f_star = self._objective(self.w_star)
+
+    @property
+    def w_star(self) -> np.ndarray:
+        """The optimum ``A^-1 b``, built on each read rather than kept."""
+        return self.b / self.spectrum
 
     @property
     def d(self) -> int:

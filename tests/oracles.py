@@ -3,7 +3,8 @@
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
-per-sample gradients whose mean a problem's batch gradient is, the top-P*k
+per-sample gradients whose mean a problem's batch gradient is, the blob
+data drawn with a shift matrix and permuted by copying, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), a sign table of
 all +1 (the control of the sign check), the paper's
@@ -74,6 +75,20 @@ def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     else:
         coeff = np.where(y * (X @ w) < 1.0, -y.astype(np.float64), 0.0)
     return X * coeff[:, None] + problem.lam * w
+
+
+def blobs_by_copy(n: int, d: int, class_separation: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The features and labels of ``problems.synth_data``, built from the
+    same draws by adding a shift matrix and indexing with
+    ``rng.permutation(n)``, each step a new array."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    n_pos = (n + 1) // 2
+    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n - n_pos, dtype=np.int64)])
+    features = rng.standard_normal((n, d)) + np.outer(labels, 0.5 * class_separation * direction)
+    perm = rng.permutation(n)
+    return features[perm], labels[perm]
 
 
 def top_pk_from_every_estimate(sketch: CountSketch, p: int, k: int) -> np.ndarray:

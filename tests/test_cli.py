@@ -309,9 +309,9 @@ class TestRunCommand:
              "[problem] normalize = 'maybe' is not a valid bool"),
             (QUADRATIC_THEORY, "quad_lambda_min = 1.0", "quad_lambda_min = 4.0",
              "[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max"),
-            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1", "lr_points entry '1' is not t:lr"),
-            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1:x", "lr_points entry '1:x' is not numeric"),
-            (SYNTH_LOGISTIC, "lr = 0.5", "bias_indices = x", "bias_indices 'x' must be comma-separated integers"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1", "[optimizer] lr_points entry '1' is not t:lr"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1:x", "[optimizer] lr_points entry '1:x' is not numeric"),
+            (SYNTH_LOGISTIC, "lr = 0.5", "bias_indices = x", "[optimizer] bias_indices 'x' must be comma-separated integers"),
             (QUADRATIC_THEORY, "rows = 7\ncols = 32\n", "", "[sketch] needs rows/cols or size_k/size_delta"),
             (QUADRATIC_THEORY, "kind = quadratic", "kind = lasso",
              "[problem] kind must be quadratic, logistic, or hinge-svm, got 'lasso'"),

@@ -24,7 +24,7 @@ from gradsketch.problems import (
     split_dataset,
     synth_data,
 )
-from oracles import per_sample_gradients
+from oracles import blobs_by_copy, per_sample_gradients
 
 
 def _bits(x):
@@ -105,6 +105,19 @@ class TestHinge:
 
 
 class TestQuadratic:
+    def test_keeps_only_its_draws(self):
+        # b and the noise rows, no stored optimum
+        d, n = 50_000, 3
+        spectrum = np.linspace(1.0, 2.0, d)
+        tracemalloc.start()
+        try:
+            p = QuadraticProblem(spectrum, 0.1, n, seed=0)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= (n + 1) * d * 8 + 4096
+        assert np.array_equal(p.w_star, p.b / spectrum)
+
     def test_gradient_zero_at_optimum(self):
         p = QuadraticProblem(np.array([1.0, 2.0, 4.0]), noise_sigma=0.0, n_samples=8, seed=0)
         assert np.allclose(p.gradient(p.w_star, np.arange(p.n_train)), 0.0)
@@ -234,6 +247,15 @@ class TestSynthData:
         n, d, separation, seed = args
         assert synth_data(n, d, separation, seed=seed).checksum == digest
 
+    @pytest.mark.parametrize(
+        "n, d", [(1, 1), (1, 3), (2, 1), (7, 1), (301, 7), (5000, 784), (20000, 50), (200000, 2)]
+    )
+    def test_in_place_permutation_matches_copy(self, n, d):
+        ds = synth_data(n, d, 3.0, seed=n + d)
+        features, labels = blobs_by_copy(n, d, 3.0, seed=n + d)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
     def test_view_checksum_equals_copy_checksum(self):
         full = synth_data(301, 7, 2.0, seed=5)
         for rows in (slice(None, 200), slice(200, None), slice(None, None, 3)):
@@ -279,8 +301,8 @@ class TestSynthData:
         assert calls == [(200, 6)]
 
     def test_blob_build_peak_memory(self):
-        # the drawn rows and their permuted copy, no more: no hashing
-        # copies, no shift matrix, no copies for the split
+        # the drawn rows alone: they are shifted and permuted in place, and
+        # neither hashing nor the split copies them
         n, d = 5000, 784
         tracemalloc.start()
         try:
@@ -288,7 +310,7 @@ class TestSynthData:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * d * 8
+        assert peak <= 1.1 * n * d * 8
 
     def test_binarize(self):
         ds = Dataset(np.eye(3), np.array([0, 1, 2]), "toy")
