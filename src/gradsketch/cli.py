@@ -159,6 +159,8 @@ def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, 
             values[key] = default
             continue
         raw = section[key]
+        if "\n" in raw or "\r" in raw:  # a metrics file keeps each echoed value on one line
+            raise ExperimentConfigError(f"[{name}] {key} = {raw!r} spans more than one line")
         try:
             values[key] = parse(raw)
         except ExperimentConfigError as exc:

@@ -119,12 +119,7 @@ class MeteredChannel:
         return self._send("down_values", values)
 
 
-def account_round(
-    sketch_config: SketchConfig | None,
-    config: OptimizerConfig,
-    d: int,
-    channel: MeteredChannel,
-) -> dict[str, int]:
+def account_round(sketch_config: SketchConfig | None, config: OptimizerConfig, channel: MeteredChannel) -> dict[str, int]:
     """One round's channel tallies as the ``RoundRecord`` traffic fields.
 
     Element counts are per worker: the sketch upload (r*c cells), the exact
@@ -134,9 +129,10 @@ def account_round(
     factor excludes.
 
     Enforces the protocol the accounting relies on: every worker uploaded
-    the same byte and element counts, and a sketched round's uploads are
-    exactly the configured table size and exactly k (theory) or at most
-    ``min(P*k, d)`` plus the bias coordinates (empirical) exact values.
+    the same byte and element counts, a sketched round (``sketch_config``
+    given) uploaded exactly the configured table size and exactly k
+    (theory) or at most ``min(P*k, d)`` plus the bias coordinates
+    (empirical) exact values, and any other round uploaded no sketch.
     """
     uplinks = [channel.uplink.get(w, dict.fromkeys(_UPLINK_FIELDS, 0)) for w in range(config.w_workers)]
     for name in _UPLINK_FIELDS:
@@ -144,14 +140,13 @@ def account_round(
         if len(set(counts)) > 1:
             raise RuntimeError(f"asymmetric per-worker upload {name} counts: {counts}")
     sketch_elems, exact_elems = uplinks[0]["up_sketch_elems"], uplinks[0]["up_exact_elems"]
-    if sketch_config is not None and sketch_elems not in (0, sketch_config.r * sketch_config.c):
-        raise RuntimeError(
-            f"sketch upload of {sketch_elems} cells does not match configured {sketch_config.r}x{sketch_config.c}"
-        )
-    if sketch_elems:
+    configured = 0 if sketch_config is None else sketch_config.r * sketch_config.c
+    if sketch_elems != configured:
+        raise RuntimeError(f"sketch upload of {sketch_elems} cells does not match the configured {configured}")
+    if sketch_config is not None:
         if config.mode == "theory" and exact_elems != config.k:
             raise RuntimeError(f"exact upload of {exact_elems} values, theory mode sends exactly k={config.k}")
-        budget = min(config.p * config.k, d) + len(config.bias_indices)
+        budget = min(config.p * config.k, sketch_config.d) + len(config.bias_indices)
         if config.mode == "empirical" and exact_elems > budget:
             raise RuntimeError(f"exact upload of {exact_elems} values exceeds the candidate budget {budget}")
     return {**uplinks[0], **channel.downlink}
@@ -166,12 +161,11 @@ def partition_batch(batch: np.ndarray, w_workers: int) -> list[np.ndarray]:
 
 @dataclass
 class TrainingResult:
-    """What a run hands back: metrics plus the raw vectors tests care about."""
+    """What a run hands back: metrics plus the final and averaged iterates."""
 
     metrics: RunMetrics
     final_w: np.ndarray
     averaged_w: np.ndarray | None
-    update_supports: list[np.ndarray]
 
 
 def _config_echo(problem, config: OptimizerConfig, sketch_config, batch_size, data_seed, rng_seed):
@@ -197,9 +191,7 @@ def _config_echo(problem, config: OptimizerConfig, sketch_config, batch_size, da
         "seeds.rng": rng_seed,
     }
     if sketch_config is not None:
-        echo["sketch.r"] = sketch_config.r
-        echo["sketch.c"] = sketch_config.c
-        echo["sketch.seed"] = sketch_config.seed
+        echo |= {"sketch.r": sketch_config.r, "sketch.c": sketch_config.c, "sketch.seed": sketch_config.seed}
     return echo
 
 
@@ -248,15 +240,16 @@ def run_training(
     non-finite gradient (before it reaches any accumulator), a merged
     sketch holds a non-finite cell (naming the worker whose sketch has
     one), or the train loss goes non-finite, and ValueError for
-    inconsistent configuration.
+    inconsistent configuration, a sketch configuration on a run that is not
+    sketched included.
     """
     d = problem.d
     config.validate_for_dimension(d)
-    if config.algorithm == "sketched":
-        if sketch_config is None:
-            raise ValueError("sketched runs need a sketch configuration")
-        if sketch_config.d != d:
-            raise ValueError(f"sketch dimension {sketch_config.d} does not match problem dimension {d}")
+    # from here on, a sketch config means a sketched run
+    if (config.algorithm == "sketched") != (sketch_config is not None):
+        raise ValueError(f"{config.algorithm} runs {'need a' if sketch_config is None else 'take no'} sketch configuration")
+    if sketch_config is not None and sketch_config.d != d:
+        raise ValueError(f"sketch dimension {sketch_config.d} does not match problem dimension {d}")
     if not 1 <= batch_size <= problem.n_train:
         raise ValueError(f"batch size must be in [1, {problem.n_train}], got {batch_size}")
     if batch_size < config.w_workers:
@@ -281,7 +274,6 @@ def run_training(
     loss0, metric0 = problem.evaluate(states[0].w)
     metrics.records.append(RoundRecord(t=0, train_loss=loss0, test_metric=metric0))
 
-    supports: list[np.ndarray] = []
     grad_sq_max = 0.0
     dispersion_sum = 0.0
 
@@ -315,7 +307,6 @@ def run_training(
         loss, test_metric = problem.evaluate(states[0].w)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"round {t}: non-finite train loss {loss!r}")
-        supports.append(np.array(update.indices, dtype=np.int64))
         metrics.records.append(
             RoundRecord(
                 t=t,
@@ -324,12 +315,11 @@ def run_training(
                 support_size=len(update),
                 union_size=len(update),
                 support_hash=support_fingerprint(update.indices),
-                **account_round(sketch_config, config, d, channel),
+                **account_round(sketch_config, config, channel),
             )
         )
 
     averaged_w = None
-    final_w = states[0].w.copy()
     summary: dict[str, object] = {
         "final_train_loss": metrics.records[-1].train_loss,
         "final_test_metric": metrics.records[-1].test_metric,
@@ -359,9 +349,4 @@ def run_training(
     summary["grad_dispersion"] = dispersion_sum / rounds
     metrics.summary = summary
 
-    return TrainingResult(
-        metrics=metrics,
-        final_w=final_w,
-        averaged_w=averaged_w,
-        update_supports=supports,
-    )
+    return TrainingResult(metrics=metrics, final_w=states[0].w, averaged_w=averaged_w)

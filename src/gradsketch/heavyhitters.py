@@ -51,11 +51,6 @@ class KSparseVector:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.d, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of ``|values|``, ascending.

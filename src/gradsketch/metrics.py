@@ -67,11 +67,6 @@ class RunMetrics:
     records: list[RoundRecord] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in _COLUMNS:
-            raise KeyError(f"unknown metrics column {name!r}")
-        return np.array([getattr(rec, name) for rec in self.records])
-
 
 def _format_value(value: object) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -84,7 +79,12 @@ def _format_value(value: object) -> str:
 
 
 def write_metrics_csv(path: str, metrics: RunMetrics) -> None:
-    """Write a run atomically (temp file + rename in the target directory)."""
+    """Write a run atomically (temp file + rename in the target directory);
+    a config or summary line that would hold a line break raises ValueError first."""
+    for kind, items in (("config", metrics.config_echo), ("summary", metrics.summary)):
+        for key, value in items.items():
+            if {"\n", "\r"} & set(f"{key} = {_format_value(value)}"):
+                raise ValueError(f"{kind} {key!r} would contain a line break")
     directory = os.path.dirname(os.path.abspath(path))
     handle = tempfile.NamedTemporaryFile(
         "w", dir=directory, prefix=".metrics-", suffix=".tmp", delete=False, newline=""

@@ -267,8 +267,8 @@ class QuadraticProblem:
 
     def __init__(self, spectrum: np.ndarray, noise_sigma: float, n_samples: int, seed: int):
         self.spectrum = np.asarray(spectrum, dtype=np.float64)
-        if self.spectrum.ndim != 1 or not np.all(np.isfinite(self.spectrum)) or np.any(self.spectrum <= 0):
-            raise ValueError("spectrum must be a 1-d array of finite positive eigenvalues")
+        if self.spectrum.ndim != 1 or not self.spectrum.size or not np.all(np.isfinite(self.spectrum) & (self.spectrum > 0)):
+            raise ValueError("spectrum must be a nonempty 1-d array of finite positive eigenvalues")
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma}")
         rng = np.random.default_rng(seed)

@@ -65,7 +65,7 @@ class SketchConfig:
     are equal field-for-field.
 
     Attributes:
-        d: dimension of the summarized vectors.
+        d: dimension of the summarized vectors, at most 2**32.
         r: number of table rows (independent hash pairs).
         c: number of buckets per row.
         seed: hash-family seed; must fit in an unsigned 64-bit integer.
@@ -83,8 +83,10 @@ class SketchConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.r >= 1 << 32 or self.c >= 1 << 32:
             raise ValueError(f"table dims r={self.r}, c={self.c} exceed u32 range")
-        if self.d >= 1 << 64:
-            raise ValueError(f"dimension d={self.d} exceeds u64 range")
+        # every index must fit the Horner kernel's 32-bit operand; such
+        # tables would already take 64 GiB per row
+        if self.d > 1 << 32:
+            raise ValueError(f"dimension d={self.d} exceeds the hash family's limit of 2**32 indices")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
@@ -119,7 +121,7 @@ def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation of per-row degree-3 polynomials mod ``2**61 - 1``.
 
     ``coeffs`` is ``(rows, 4)`` uint64, each below p, highest degree first;
-    ``x`` is ``(n,)`` uint64, each below 2**32 (``HashFamily`` admits no
+    ``x`` is ``(n,)`` uint64, each below 2**32 (``SketchConfig`` admits no
     larger index).  Returns ``(rows, n)`` uint64 values fully reduced below p.
     """
     p = np.uint64(MERSENNE_P)
@@ -174,10 +176,6 @@ class HashFamily:
     """
 
     def __init__(self, config: SketchConfig):
-        # every index must fit the Horner kernel's 32-bit operand; such
-        # tables would already take 64 GiB per row
-        if config.d > 1 << 32:
-            raise ValueError(f"dimension d={config.d} exceeds the hash family's limit of 2**32 indices")
         self.config = config
         rng = np.random.Generator(np.random.Philox(key=config.seed))
         coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)

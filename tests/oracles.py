@@ -8,9 +8,10 @@ data drawn with a shift matrix and permuted by copying, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), a sign table of
 all +1 (the control of the sign check), the paper's
-element compression formula evaluated from the configuration, and the
+element compression formula evaluated from the configuration, the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
-families it draws from.
+families it draws from, a sparse vector written out densely, and the exact
+update supports of a run, recorded at its round function.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from gradsketch.heavyhitters import heavymix, topk_indices
+import gradsketch.cluster as cluster
+from gradsketch.heavyhitters import KSparseVector, heavymix, topk_indices
 from gradsketch.problems import _sigmoid
 from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for, size_for, sketch_vector
 
@@ -123,6 +125,34 @@ def unsigned_hashes(config: SketchConfig) -> Iterator[None]:
         yield
     finally:
         family.signs = signs
+
+
+def dense(vec: KSparseVector) -> np.ndarray:
+    """``vec`` as a length-d float64 array, zero off its support."""
+    out = np.zeros(vec.d)
+    out[vec.indices] = vec.values
+    return out
+
+
+@contextmanager
+def recorded_supports(round_name: str) -> Iterator[list[np.ndarray]]:
+    """Inside the block, every call of the round that ``run_training`` looks
+    up as ``gradsketch.cluster.<round_name>`` appends a copy of its update's
+    indices to the yielded list, in round order; the real round is put back
+    on exit."""
+    real = getattr(cluster, round_name)
+    supports: list[np.ndarray] = []
+
+    def recording(*args):
+        update = real(*args)
+        supports.append(np.array(update.indices, dtype=np.int64))
+        return update
+
+    setattr(cluster, round_name, recording)
+    try:
+        yield supports
+    finally:
+        setattr(cluster, round_name, real)
 
 
 def paper_compression_factor(config, sketch_config, d: int, mean_union: float | None = None) -> float:

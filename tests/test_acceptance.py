@@ -31,7 +31,15 @@ from gradsketch.problems import (
     synth_data,
 )
 from gradsketch.sketch import SketchConfig, merge_all, size_for, sketch_vector
-from oracles import contraction_ratio, gaussian_vector, paper_compression_factor, random_candidates, zipf_vector
+from oracles import (
+    contraction_ratio,
+    dense,
+    gaussian_vector,
+    paper_compression_factor,
+    random_candidates,
+    recorded_supports,
+    zipf_vector,
+)
 
 
 def _stiff_quadratic_finals(seed: int, monkeypatch) -> tuple[float, float, float]:
@@ -156,10 +164,11 @@ class TestAcceptance:
                 mode="theory", algorithm="sketched", k=8, t_rounds=40,
                 w_workers=workers, xi=40.0,
             )
-            res = run_training(prob, cfg, skc, batch_size=32, data_seed=31, rng_seed=37)
+            with recorded_supports("theory_round") as recorded:
+                res = run_training(prob, cfg, skc, batch_size=32, data_seed=31, rng_seed=37)
             finals.append(res.final_w)
-            supports.append([tuple(s) for s in res.update_supports])
-        same_supports = supports[0] == supports[1] == supports[2]
+            supports.append([tuple(s) for s in recorded])
+        same_supports = len(supports[0]) == 40 and supports[0] == supports[1] == supports[2]
         gap = max(
             float(np.max(np.abs(finals[0] - finals[1]))),
             float(np.max(np.abs(finals[0] - finals[2]))),
@@ -350,7 +359,7 @@ class TestAcceptance:
         for t in range(1, 501):
             g = rng.standard_normal(d)
             update = theory_round(states, [g], lr_theory(t, cfg.xi), cfg, skc, int(fills[t - 1]), MeteredChannel())
-            applied += update.to_dense()
+            applied += dense(update)
             scaled += lr_theory(t, cfg.xi) * g
             worst = max(
                 worst, float(np.max(np.abs(states[0].accum + applied - scaled)))

@@ -340,6 +340,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config: ") and str(missing) in err
 
+    def test_value_spanning_lines_exits_2(self, tmp_path, capsys):
+        # configparser joins an indented line onto the value before it; echoed
+        # into the metrics file, such a value would split its line in two
+        train, test = tmp_path / "tr\nain.txt", tmp_path / "test.txt"
+        rng = np.random.default_rng(0)
+        for path in (train, test):
+            path.write_text("".join(f"{i % 3} {' '.join(f'{v:.3f}' for v in rng.normal(size=3))}\n" for i in range(30)))
+        text = FILE_HINGE.format(train=f"{tmp_path}/tr\n    ain.txt", test=test)
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: [problem] dataset = {str(train)!r} spans more than one line"
+        ]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         text = FILE_HINGE.format(train=missing, test=missing)

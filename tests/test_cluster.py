@@ -23,7 +23,7 @@ from gradsketch import wire
 from gradsketch.optim import OptimizerConfig, exact_mean, make_states, theory_round
 from gradsketch.problems import QuadraticProblem, split_dataset, synth_data, LogisticProblem
 from gradsketch.sketch import SketchConfig, merge_all, sketch_vector
-from oracles import paper_compression_factor
+from oracles import paper_compression_factor, recorded_supports
 
 
 def quadratic(d=32, noise=0.05, n=128, seed=5):
@@ -160,7 +160,7 @@ class TestAccounting:
     def test_round_stats_from_tallies(self):
         ch = MeteredChannel()
         cfg = self._fill(ch, workers=3)
-        stats = account_round(cfg, _sketched(p=2, k=4, w_workers=3), d=64, channel=ch)
+        stats = account_round(cfg, _sketched(p=2, k=4, w_workers=3), channel=ch)
         assert stats["up_sketch_elems"] == 24
         assert stats["up_exact_elems"] == 5
         assert stats["down_update_elems"] == 4
@@ -175,14 +175,27 @@ class TestAccounting:
         ch = MeteredChannel()
         ch.up_values(np.ones(5), worker=0)  # worker 1 sent nothing
         with pytest.raises(RuntimeError, match="asymmetric"):
-            account_round(None, _sketched(p=1, k=1, w_workers=2), d=8, channel=ch)
+            account_round(None, _sketched(p=1, k=1, w_workers=2), channel=ch)
 
     def test_sketch_size_mismatch_rejected(self):
         ch = MeteredChannel()
         cfg = self._fill(ch, workers=1)
         wrong = SketchConfig(d=64, r=5, c=8, seed=1)
         with pytest.raises(RuntimeError, match="does not match"):
-            account_round(wrong, _sketched(p=2, k=4, w_workers=1), d=64, channel=ch)
+            account_round(wrong, _sketched(p=2, k=4, w_workers=1), channel=ch)
+
+    def test_sketch_upload_only_in_sketched_rounds(self):
+        # a sketched round that uploaded no sketch
+        ch = MeteredChannel()
+        ch.up_values(np.ones(5), worker=0)
+        with pytest.raises(RuntimeError, match="0 cells does not match the configured 24"):
+            account_round(SketchConfig(d=64, r=3, c=8, seed=1), _sketched(p=2, k=4, w_workers=1), channel=ch)
+        # and a round that is not sketched but uploaded one
+        ch = MeteredChannel()
+        self._fill(ch, workers=1)
+        local = OptimizerConfig(mode="empirical", algorithm="local-topk", k=4, w_workers=1)
+        with pytest.raises(RuntimeError, match="24 cells does not match the configured 0"):
+            account_round(None, local, channel=ch)
 
     def test_exact_upload_bounded_per_mode(self):
         ch = MeteredChannel()
@@ -191,12 +204,12 @@ class TestAccounting:
         ch.up_values(np.ones(9), worker=0)
         # empirical: at most min(P*k, d) candidates plus the bias coordinates
         with pytest.raises(RuntimeError, match="budget"):
-            account_round(cfg, _sketched(p=2, k=4), d=64, channel=ch)
-        assert account_round(cfg, _sketched(p=2, k=4, bias_indices=(0,)), d=64, channel=ch)["up_exact_elems"] == 9
+            account_round(cfg, _sketched(p=2, k=4), channel=ch)
+        assert account_round(cfg, _sketched(p=2, k=4, bias_indices=(0,)), channel=ch)["up_exact_elems"] == 9
         # theory: exactly k values
         with pytest.raises(RuntimeError, match="exactly"):
-            account_round(cfg, _sketched("theory", k=8), d=64, channel=ch)
-        assert account_round(cfg, _sketched("theory", k=9), d=64, channel=ch)["up_exact_elems"] == 9
+            account_round(cfg, _sketched("theory", k=8), channel=ch)
+        assert account_round(cfg, _sketched("theory", k=9), channel=ch)["up_exact_elems"] == 9
 
     @staticmethod
     def _counted_factor(config, sketch_config, d=784):
@@ -332,7 +345,6 @@ class TestRunTraining:
             assert rec.up_exact_elems == 8
             assert rec.down_update_elems == 4
             assert rec.support_hash != "-"
-        assert len(res.update_supports) == 7
 
     def test_bias_order_leaves_the_metrics_bytes_unchanged(self, tmp_path):
         # the bias goes out as one index request, which must be increasing
@@ -362,13 +374,20 @@ class TestRunTraining:
         with pytest.raises(RuntimeError, match="round 1: worker replicas diverged"):
             run_training(quadratic(), cfg, SketchConfig(d=32, r=7, c=32, seed=2), batch_size=16, data_seed=3, rng_seed=4)
 
+    @pytest.mark.parametrize("algorithm", ["vanilla", "local-topk"])
+    def test_unsketched_run_rejects_a_sketch_config(self, algorithm):
+        # even one of the problem's own dimension: the run would never use it
+        cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=4, t_rounds=2, w_workers=2, lr=0.05)
+        with pytest.raises(ValueError, match=f"{algorithm} runs take no sketch configuration"):
+            run_training(quadratic(), cfg, SketchConfig(d=32, r=3, c=4, seed=1), batch_size=16, data_seed=3, rng_seed=4)
+
     def test_vanilla_noise_free_descent_is_monotone(self):
         prob = quadratic(noise=0.0)
         cfg = OptimizerConfig(
             mode="empirical", algorithm="vanilla", t_rounds=30, w_workers=2, lr=0.5 / prob.spectrum.max()
         )
         res = run_training(prob, cfg, None, batch_size=16, data_seed=1, rng_seed=1)
-        losses = res.metrics.column("train_loss")
+        losses = [rec.train_loss for rec in res.metrics.records]
         assert np.all(np.diff(losses) < 0)
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
@@ -393,9 +412,11 @@ class TestRunTraining:
         results = []
         for workers in (1, 2):
             cfg = OptimizerConfig(mode="theory", algorithm="sketched", k=4, t_rounds=15, w_workers=workers, xi=40.0)
-            results.append(run_training(prob, cfg, skc, batch_size=16, data_seed=9, rng_seed=13))
-        solo, duo = results
-        for s_a, s_b in zip(solo.update_supports, duo.update_supports):
+            with recorded_supports("theory_round") as supports:
+                results.append((run_training(prob, cfg, skc, batch_size=16, data_seed=9, rng_seed=13), supports))
+        (solo, solo_supports), (duo, duo_supports) = results
+        assert len(solo_supports) == len(duo_supports) == 15
+        for s_a, s_b in zip(solo_supports, duo_supports):
             assert np.array_equal(s_a, s_b)
         assert np.max(np.abs(solo.final_w - duo.final_w)) <= 1e-9
         hashes = [rec.support_hash for rec in solo.metrics.records[1:]]

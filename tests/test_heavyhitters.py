@@ -12,6 +12,7 @@ from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, 
 from gradsketch.sketch import CountSketch, SketchConfig, size_for, sketch_vector
 from oracles import (
     contraction_ratio,
+    dense,
     gaussian_vector,
     ksparse_vector,
     top_pk_from_every_estimate,
@@ -23,8 +24,8 @@ from oracles import (
 class TestKSparseVector:
     def test_valid_round_trip(self):
         v = KSparseVector(d=10, indices=np.array([1, 4, 7]), values=np.array([1.0, -2.0, 0.5]))
-        dense = v.to_dense()
-        assert dense[4] == -2.0 and np.count_nonzero(dense) == 3
+        written = dense(v)
+        assert written[4] == -2.0 and np.count_nonzero(written) == 3
         assert len(v) == 3
 
     def test_rejects_unsorted_or_duplicate_indices(self):

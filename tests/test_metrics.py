@@ -1,6 +1,7 @@
 """Metrics serialization: config echo, per-round rows, summary, determinism."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ class TestRoundTrip:
         write_metrics_csv(path, _sample_metrics())
         assert os.listdir(tmp_path) == ["run.csv"]
 
+    @pytest.mark.parametrize("block", ["config_echo", "summary"])
+    @pytest.mark.parametrize("key, value", [("problem.dataset", "tr\nain.txt"), ("problem.dataset", "a\rb"),
+                                            ("two\nlines", "x"), ("final_train_loss", "1\r\n")])
+    def test_line_break_rejected_before_any_file(self, tmp_path, block, key, value):
+        # the reader splits lines at \n and \r, so such a line would not read back
+        metrics = _sample_metrics()
+        getattr(metrics, block)[key] = value
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            write_metrics_csv(str(tmp_path / "run.csv"), metrics)
+        assert os.listdir(tmp_path) == []
+
 
 class Testvalidation:
     def test_rejects_wrong_magic(self, tmp_path):
@@ -129,13 +141,6 @@ class Testvalidation:
 
 
 class TestAccessors:
-    def test_column_accessor(self):
-        metrics = _sample_metrics()
-        assert np.array_equal(metrics.column("t"), [0, 1])
-        assert np.array_equal(metrics.column("train_loss"), [12.5, 10.25])
-        with pytest.raises(KeyError):
-            metrics.column("nope")
-
     def test_support_fingerprint(self):
         a = support_fingerprint(np.array([1, 5, 9]))
         assert a == support_fingerprint(np.array([1, 5, 9]))

@@ -27,6 +27,7 @@ from gradsketch.optim import (
     vanilla_step,
 )
 from gradsketch.sketch import SketchConfig
+from oracles import dense
 
 
 class TestSchedule:
@@ -217,7 +218,7 @@ class TestTheoryRound:
             update = theory_round(states, [g], lr_theory(t, xi), cfg, skc, rng_seed=1000 + t, channel=MeteredChannel())
             assert len(update) == k
             scaled_grads += lr_theory(t, xi) * g
-            applied += update.to_dense()
+            applied += dense(update)
         assert np.allclose(states[0].accum, scaled_grads - applied, rtol=0.0, atol=1e-12)
         assert np.allclose(states[0].w, -applied, rtol=0.0, atol=1e-12)
 

@@ -178,6 +178,10 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0]), -0.5, 4, 0)
 
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            QuadraticProblem(np.array([]), 0.0, 4, seed=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_spectrum(self, bad):
         with pytest.raises(ValueError, match="finite"):

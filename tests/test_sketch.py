@@ -170,16 +170,17 @@ class TestHashFamily:
             assert row == [(((c3 * x + c2) * x + c1) * x + c0) % MERSENNE_P for x in xs]
 
     def test_rejects_dimension_above_2_32(self):
-        cfg = SketchConfig(d=2**32 + 1, r=1, c=4, seed=0)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"2\*\*32"):
-                HashFamily(cfg)
+                SketchConfig(d=2**32 + 1, r=1, c=4, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # nothing near a table row (2**32 cells) was requested
         assert peak < 1 << 20
+        # the largest admitted dimension still makes a config (no family is built here)
+        assert SketchConfig(d=2**32, r=1, c=4, seed=0).d == 2**32
 
     def test_seed_changes_hashes(self):
         a = HashFamily(SketchConfig(d=256, r=5, c=16, seed=1))

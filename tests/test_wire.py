@@ -302,6 +302,8 @@ class TestDecoderFuzz:
         for other in (SketchConfig(d=16, r=2, c=3, seed=8), SketchConfig(d=17, r=2, c=3, seed=7)):
             with pytest.raises(WireError):
                 decode_sketch(CountSketch(other).to_bytes(), _SKETCH)
-        for bad in (b"XXXX" + good[4:], good[:-1], good[:10], _HEADER.pack(b"CSK1", 2, 16, 2, 3, 7) + good[_HEADER.size:]):
+        for bad in (b"XXXX" + good[4:], good[:-1], good[:10], _HEADER.pack(b"CSK1", 2, 16, 2, 3, 7) + good[_HEADER.size:],
+                    # a dimension no SketchConfig admits
+                    _HEADER.pack(b"CSK1", 1, 2**32 + 1, 2, 3, 7) + good[_HEADER.size:]):
             with pytest.raises(WireError):
                 decode_sketch(bad, _SKETCH)
