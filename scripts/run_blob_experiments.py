@@ -4,6 +4,8 @@ Trains vanilla SGD, exact top-k, and the sketched pipeline on logistic
 and hinge losses over a shared seed list, then prints mean final test
 error and compression factor per cell.  With --out-dir every run's
 per-round metrics file is kept for later plotting via `gradsketch report`.
+--momentum applies to the error-feedback algorithms; vanilla runs without
+momentum, which it does not read.
 """
 
 import argparse
@@ -48,7 +50,7 @@ def run_cell(kind, algo, seed, args):
         p=args.p,
         t_rounds=args.rounds,
         w_workers=args.workers,
-        momentum=args.momentum,
+        momentum=0.0 if algo == "vanilla" else args.momentum,
         lr=args.lr,
         lr_points=((1, args.lr), (3 * args.rounds // 4, args.lr), (args.rounds, args.lr / 5)),
     )

@@ -241,7 +241,7 @@ def run_training(
     sketch holds a non-finite cell (naming the worker whose sketch has
     one), or the train loss goes non-finite, and ValueError for
     inconsistent configuration, a sketch configuration on a run that is not
-    sketched included.
+    sketched and an ``extra_echo`` key the run echoes itself included.
     """
     d = problem.d
     config.validate_for_dimension(d)
@@ -265,11 +265,12 @@ def run_training(
     round_fn = {"vanilla": vanilla_step, "true-topk": true_topk_step, "local-topk": local_topk_step,
                 "sketched": theory_round if config.mode == "theory" else empirical_round}[config.algorithm]
 
-    metrics = RunMetrics(config_echo={})
     echo = _config_echo(problem, config, sketch_config, batch_size, data_seed, rng_seed)
-    if extra_echo:
-        echo.update(extra_echo)
-    metrics.config_echo = {key: str(value) for key, value in echo.items()}
+    for key, value in (extra_echo or {}).items():
+        if key in echo:
+            raise ValueError(f"extra_echo would overwrite the run's own {key}")
+        echo[key] = value
+    metrics = RunMetrics(config_echo={key: str(value) for key, value in echo.items()})
 
     loss0, metric0 = problem.evaluate(states[0].w)
     metrics.records.append(RoundRecord(t=0, train_loss=loss0, test_metric=metric0))

@@ -24,6 +24,7 @@ which serializes, decodes and meters it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -35,6 +36,17 @@ from gradsketch.sketch import sketch_vector  # noqa: F401  (perfbench/spans.py t
 
 MODES = ("theory", "empirical")
 ALGORITHMS = ("sketched", "vanilla", "true-topk", "local-topk")
+# The one rule for which runs read an OptimizerConfig field that not every run
+# reads: field -> (mode, algorithms).  On any other run it keeps its default.
+_READ_BY = {
+    "momentum": ("empirical", ("sketched", "true-topk", "local-topk")),
+    "bias_indices": ("empirical", ("sketched",)),
+    "lr": ("empirical", ALGORITHMS),
+    "lr_points": ("empirical", ALGORITHMS),
+    "xi": ("theory", ALGORITHMS),
+    "mu_scale": ("theory", ALGORITHMS),
+    "beta": ("theory", ("sketched",)),
+}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -83,10 +95,9 @@ def lr_at(t: int, config: "OptimizerConfig") -> float:
 class OptimizerConfig:
     """Everything the round functions need besides the problem itself.
 
-    ``xi``/``beta`` only matter in theory mode, ``momentum``/``bias_indices``
-    only in empirical mode; ``p`` is the candidate multiplier of the second
-    communication round.  ``mu_scale`` rescales the theory step size (1 keeps
-    the analyzed schedule).
+    ``p`` is the candidate multiplier of the second communication round and
+    ``mu_scale`` rescales the theory step size (1 keeps the analyzed
+    schedule).  A field the run does not read (``_READ_BY``) keeps its default.
     """
 
     mode: str
@@ -108,6 +119,10 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        counts = [("k", self.k), ("p", self.p), ("t_rounds", self.t_rounds), ("w_workers", self.w_workers)]
+        for name, value in counts + [("bias_indices entry", b) for b in self.bias_indices]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.p < 1:
@@ -127,10 +142,6 @@ class OptimizerConfig:
         if self.mu_scale <= 0:
             raise ValueError("mu_scale must be positive")
         if self.mode == "theory":
-            if self.momentum != 0.0:
-                raise ValueError("theory mode does not take momentum")
-            if self.bias_indices:
-                raise ValueError("uncompressed bias coordinates are an empirical-mode feature")
             if self.xi is None:
                 raise ValueError("theory mode requires xi (it defines the step-size schedule)")
             if self.xi <= 0:
@@ -149,6 +160,10 @@ class OptimizerConfig:
         times = [t_point for t_point, _ in self.lr_points]
         if sorted(times) != times or len(set(times)) != len(times):
             raise ValueError("lr schedule breakpoints must be strictly increasing in t")
+        for name, (mode, algorithms) in _READ_BY.items():
+            unread = self.mode != mode or self.algorithm not in algorithms
+            if unread and getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{self.mode} {self.algorithm} runs do not read {name}")
 
     def validate_for_dimension(self, d: int) -> None:
         """Dimension-dependent checks deferred until the problem is known."""

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import gradsketch.cli as cli
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
+from gradsketch.optim import ALGORITHMS, _READ_BY
 from gradsketch.problems import DatasetFormatError, QuadraticProblem, _checksum, load_dataset
 from gradsketch.sketch import size_for
 from gradsketch.wire import WireError
@@ -706,6 +707,22 @@ class TestKeyTables:
         assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
         assert "config error: [sketch] is not used by vanilla runs" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_optimizer_key_the_run_does_not_read_exits_2(self, tmp_path, capsys):
+        text = QUADRATIC_THEORY.replace("mode = theory", "mode = empirical").replace("xi = 40.0", "momentum = 0.9")
+        text = text.replace("algorithm = sketched", "algorithm = vanilla").replace("[sketch]\nrows = 7\ncols = 32\n", "")
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: [optimizer] empirical vanilla runs do not read momentum" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_readme_run_list_matches_the_optimizer_rule(self):
+        # README lists, per [optimizer] key that not every run reads, the runs that read it
+        expected = {
+            name: f"every {mode} run" if algorithms == ALGORITHMS else f"{mode} {', '.join(algorithms)} runs"
+            for name, (mode, algorithms) in _READ_BY.items()
+        }
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert dict(re.findall(r"^- `(\w+)`: (.+)$", readme, re.MULTILINE)) == expected
 
     def test_readme_key_table_matches_the_cli(self):
         # (section, key) -> (type, default, the runs whose table holds the key)

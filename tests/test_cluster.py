@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import inspect
+import re
 import warnings
 from pathlib import Path
 
@@ -530,8 +531,8 @@ class TestRunTraining:
             return gradient(w, idx, *rest)
 
         prob.gradient = recording
-        cfg = OptimizerConfig(mode=mode, algorithm=algorithm, k=4, p=2, t_rounds=t_rounds, w_workers=w_workers,
-                              lr=0.05, xi=50.0 if mode == "theory" else None)
+        step = dict(xi=50.0) if mode == "theory" else dict(lr=0.05)
+        cfg = OptimizerConfig(mode=mode, algorithm=algorithm, k=4, p=2, t_rounds=t_rounds, w_workers=w_workers, **step)
         sketch = SketchConfig(d=32, r=3, c=16, seed=1) if algorithm == "sketched" else None
         run_training(prob, cfg, sketch, batch_size=batch_size, data_seed=data_seed, rng_seed=1)
         assert len(calls) == w_workers * t_rounds
@@ -555,6 +556,22 @@ class TestRunTraining:
             run_training(prob, vanilla, None, batch_size=4, data_seed=1, rng_seed=1)
         with pytest.raises(ValueError, match="batch"):
             run_training(prob, vanilla, None, batch_size=1000, data_seed=1, rng_seed=1)
+
+    def test_extra_echo_cannot_overwrite_the_runs_own_echo(self):
+        prob = quadratic()
+
+        def no_round(*args):
+            raise AssertionError("the run started a round")
+
+        prob.gradient = no_round
+        cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=2, w_workers=2)
+        for extra, key in [({"optimizer.algorithm": "sketched"}, "optimizer.algorithm"),
+                           ({"problem.note": "x", "seeds.data": "77"}, "seeds.data")]:
+            with pytest.raises(ValueError, match=re.escape(f"extra_echo would overwrite the run's own {key}")):
+                run_training(prob, cfg, None, batch_size=16, data_seed=3, rng_seed=1, extra_echo=extra)
+        cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=0)
+        res = run_training(prob, cfg, None, batch_size=16, data_seed=3, rng_seed=1, extra_echo={"problem.note": "x"})
+        assert res.metrics.config_echo["problem.note"] == "x" and res.metrics.config_echo["seeds.data"] == "3"
 
     def test_local_topk_reports_union_sizes(self):
         prob = quadratic(d=64, noise=1.0)
@@ -653,33 +670,19 @@ class TestGoldenDigests:
         "quadratic-sketched-theory-W1-bias0-m0": "f24f652328522440b8e403cc77e9c768b60ccbf97e27de63aedab782561a9102",
         "quadratic-sketched-theory-W4-bias0-m0": "11131620a07d9b36cccb2412d139852f57c84bee8e8a8ddf32e3c6642d514c4e",
         "quadratic-vanilla-empirical-W1-bias0-m0": "d70a4e49c1cba415143d328fa470e985aaaa0e5aef8536600f8fde0a64244b90",
-        "quadratic-vanilla-empirical-W1-bias0-m0.9": "0976f3bc75b5f961c69be2f8937aaa9e872e2ebdef425e3062bb17e602adfd0d",
-        "quadratic-vanilla-empirical-W1-bias1-m0": "cf853d3897ea50dee6b62b6a5cb8e8867d3aef05fbfffae5eccf12b8ffc19d58",
-        "quadratic-vanilla-empirical-W1-bias1-m0.9": "0c59252af1a7882056b4388c23d5f8bc038432cb04997e551fa1865977f9292a",
         "quadratic-vanilla-empirical-W4-bias0-m0": "6549b7b36d2828ec70ab7c48fda91edb3a8595982856dc1c0efe987b22c3243e",
-        "quadratic-vanilla-empirical-W4-bias0-m0.9": "c221ca97b6446279f9ed1f8df73268a9de353b84c21f8224f4a391ce7bdc8343",
-        "quadratic-vanilla-empirical-W4-bias1-m0": "1c98472a024a7a1ebfea711eccc4044cb2105cc228c7b040437351fe4817b9be",
-        "quadratic-vanilla-empirical-W4-bias1-m0.9": "bf44dd51f3b1a60a8afaa88c30f5b0f207a022bed9c6e37b5876f7b8ea4020f4",
         "quadratic-vanilla-theory-W1-bias0-m0": "7e9761ad999dc7566c71e802012580e88bb2ee3637405e557420591872f45ca5",
         "quadratic-vanilla-theory-W4-bias0-m0": "ec1a5734de6485801661b4395ab105fdba30b3ce1637f15626566464798e5c30",
         "quadratic-true-topk-empirical-W1-bias0-m0": "2efce5d72b2704d9ae36417254a3ce62acd4aa8266af5ac4d4d7fa7e6dc2946f",
         "quadratic-true-topk-empirical-W1-bias0-m0.9": "c6de9c41f2f3644ae670ad26f1610c6595cd0dc79b31deb7fa20ee00897195b5",
-        "quadratic-true-topk-empirical-W1-bias1-m0": "3e212d21ca08ecc8d0bfcde0a8cd08562086ee3a6edbb70a93e17e69610d7c5c",
-        "quadratic-true-topk-empirical-W1-bias1-m0.9": "75baa71c9de80e66e71b79f89e078524f983d6ae159f409080bf584fd14ad712",
         "quadratic-true-topk-empirical-W4-bias0-m0": "30da7dab77d12d09aeed8adb534b5ff016ba26dfb214d802cb21914c988107b0",
         "quadratic-true-topk-empirical-W4-bias0-m0.9": "78ba31830cce8f88179bef653a8e352444a94360680849a74fca41b493b9fa34",
-        "quadratic-true-topk-empirical-W4-bias1-m0": "85d3e0e558cd27cafa0afa19e4bc144d1ec1c511dc2664bf2c99e228428463d9",
-        "quadratic-true-topk-empirical-W4-bias1-m0.9": "b52c264dc8330946d5e35469761b81bb473ad8e9da45715b42b4311ecf03f060",
         "quadratic-true-topk-theory-W1-bias0-m0": "8a73742b3cbd2214a62c321d9b2e1efc0b35e128cc69ac55c1ff7540d754832b",
         "quadratic-true-topk-theory-W4-bias0-m0": "ba036d49a9ab0bf6237b2c75311139438039e8653c9a371d8fb6223af269a3c1",
         "quadratic-local-topk-empirical-W1-bias0-m0": "b8ff46940256852abf7c9446f576bf02cbb233d03e6a47d65738b07b985f9b01",
         "quadratic-local-topk-empirical-W1-bias0-m0.9": "5c4eecf7e3093e6472469c28d7a133434c1a69592f5c5ca7564a0f21f6413c6c",
-        "quadratic-local-topk-empirical-W1-bias1-m0": "a50efdbba5526c55a900e9c1c6e2bec23978158a2c745ecd6bf3b6f11b44aaf2",
-        "quadratic-local-topk-empirical-W1-bias1-m0.9": "da7e95663acfbadde4a0472d0cff0513246713779246782e13b158f7361e08ab",
         "quadratic-local-topk-empirical-W4-bias0-m0": "b4826bed9f79a7316a0176dbcd9a2d9c5ef25a7899df9f3ac78111b84045ab75",
         "quadratic-local-topk-empirical-W4-bias0-m0.9": "c959608e06e4d7397571d9e20f9c05ac54db88263b44daef4becf90b054454ec",
-        "quadratic-local-topk-empirical-W4-bias1-m0": "cd785b167333cce982e31d2a4ba7d6cb3f94c70e3ec2d0c9fa90c52f0c062499",
-        "quadratic-local-topk-empirical-W4-bias1-m0.9": "0ac6267db2541d5f5f35ef2452dcddcccf17f1b1d3ceecd80b04e7a8ed98bb51",
         "quadratic-local-topk-theory-W1-bias0-m0": "4841a0817316545518c8946b54292b4ec0ba4e232d531b1ed659b6357704c13e",
         "quadratic-local-topk-theory-W4-bias0-m0": "e79fdcb94971dd11f5387255db2eec81aaa21657964327eeac3f541cfe5394af",
         "logistic-sketched-empirical-W1-bias0-m0": "f8a4e3a72f823a0f683831b053e76d303f050a100d14466ab8b46813663c8ed2",
@@ -693,33 +696,19 @@ class TestGoldenDigests:
         "logistic-sketched-theory-W1-bias0-m0": "f28b6c598208ed81dea3fbe4d11ca1eff5f3e30f9768ba2ec5c0830c43e12ac8",
         "logistic-sketched-theory-W4-bias0-m0": "f60f3794540ed3f20134d32aa33492dfbc8b96ccf93bf98d8c4e25be125f6341",
         "logistic-vanilla-empirical-W1-bias0-m0": "2fb8614e8894564ab4fbc1e333457e0660b8558958ede4f447a3bcec57fbee4b",
-        "logistic-vanilla-empirical-W1-bias0-m0.9": "c917eca2d235c2d374224674ef35ecf07c2113673c25d6df65cfea43ecbde7f2",
-        "logistic-vanilla-empirical-W1-bias1-m0": "f64e2bc01fb73e05ee86ada7c0680538409fbc0b9672ee157809ae827d4b3284",
-        "logistic-vanilla-empirical-W1-bias1-m0.9": "63b9e08fbf6b88c98a1d53eb9eed728498aa07077387de32d88f848248a2d6d5",
         "logistic-vanilla-empirical-W4-bias0-m0": "6956910477dca7aa8dcdfee22bc9aa317a8c80d6b9dcddf4222824c44a1bc4e0",
-        "logistic-vanilla-empirical-W4-bias0-m0.9": "b2840e1ecd916ac094812f30069767567612d719895bdc339caefbff3ef0ca58",
-        "logistic-vanilla-empirical-W4-bias1-m0": "5495006afc91e655c797fc69a8d46331ef1828cb1ceb191d44787f271d82fcce",
-        "logistic-vanilla-empirical-W4-bias1-m0.9": "0eea59ff9e1793e45a44c36ec5f45ea56c9e443905c81f6f8c491c9cf68b6be4",
         "logistic-vanilla-theory-W1-bias0-m0": "e5452a1b2bc3a75c6c08541f6f72c14ff5190459047243a2cb7dfb2a80690010",
         "logistic-vanilla-theory-W4-bias0-m0": "e4645d3b92f11cb5d49499ab29e9855341c43d6491c08f18d94446e28cd4cc51",
         "logistic-true-topk-empirical-W1-bias0-m0": "492c9e6ed9b4fd9536f307b6441a4f45707577fee7642213c679de43d9cb14d2",
         "logistic-true-topk-empirical-W1-bias0-m0.9": "591ca8357b6c0319276ffebaced844c8801dbc31446b8c8d2d28ea8e6ba48de2",
-        "logistic-true-topk-empirical-W1-bias1-m0": "681822ff69982fa7940372e739ac0cbc0c9b9bf469243285b7692a72497f2938",
-        "logistic-true-topk-empirical-W1-bias1-m0.9": "02949b147cb4a08e1cf43eb3c665df570782440659256a75d356af75b1e2c0b9",
         "logistic-true-topk-empirical-W4-bias0-m0": "60e95b01bbe7bf019a10329d3a96ff969b8a7d89cb950c1f52188ccbf72decaf",
         "logistic-true-topk-empirical-W4-bias0-m0.9": "3ae313f519f3cba0746a2320610b33e16a0b58ef5d3bff20aad37a51fe95b351",
-        "logistic-true-topk-empirical-W4-bias1-m0": "e10062ecb1f2a4322d1017f3f8a9ed4461148189746e2b51e4973406bcf97584",
-        "logistic-true-topk-empirical-W4-bias1-m0.9": "aa79fa7418a75d15c6d696f8d6c64bc56e241114bde12b2bd19a9e0c09bcfed7",
         "logistic-true-topk-theory-W1-bias0-m0": "cf4646591017afe909acca261ca368da4cfcffb7d6e03914a263f581d8e9e9b7",
         "logistic-true-topk-theory-W4-bias0-m0": "d7c0116bcec0d781ba9a7012b0db4421156a14f4a8cc8cb4df067c3928656f5c",
         "logistic-local-topk-empirical-W1-bias0-m0": "dcafac548d9e0985b3cbf9e859819221c4f15796315bbaec4a5177e77931cd12",
         "logistic-local-topk-empirical-W1-bias0-m0.9": "3c3c140622b6748f6b55443f07d8b522a03bdcde1d6ab7fd3116ca923dadfd38",
-        "logistic-local-topk-empirical-W1-bias1-m0": "4a8a93b05c202147dc3969108891f92b4d5ed1eff0c90ca5441fdeba0758b2b4",
-        "logistic-local-topk-empirical-W1-bias1-m0.9": "9d2213aaede0e38f080004b9ff4e4e3536b98c8a6abebd113e0c5269d7867e8d",
         "logistic-local-topk-empirical-W4-bias0-m0": "ad2392c5a83520d7ffb3fb56392242ca8a7a1115eed98784bc531ea00b0b5c70",
         "logistic-local-topk-empirical-W4-bias0-m0.9": "e63ea1d4560fc743bad3614977d2e071538bee8c06fe7cff4f1ef05624fce20a",
-        "logistic-local-topk-empirical-W4-bias1-m0": "a9c263daf490647516203ec1d7b56780df035e312021f18c5fbb5ea33611eb9a",
-        "logistic-local-topk-empirical-W4-bias1-m0.9": "e61c4a55a06040ce28153ffe2761abe4f728b7690b6fe7d40563fab53b4f02b2",
         "logistic-local-topk-theory-W1-bias0-m0": "03eb8e477850e3d45067b9860e332f8bbbd14ec4f7169af9ed905dc9cf326a9e",
         "logistic-local-topk-theory-W4-bias0-m0": "1936c929d379d6206bce51534795a9be90d31cfd37c77868d1e8c39127c09f1b",
     }
@@ -746,8 +735,9 @@ class TestGoldenDigests:
 def _matrix_rows():
     """Every valid small config: problem x algorithm x mode x W x bias x momentum.
 
-    Theory mode takes neither bias coordinates nor momentum, so its rows
-    exist only with both off.
+    Only the empirical error-feedback runs read momentum, and only the
+    empirical sketched run reads bias coordinates, so every other run has
+    rows only with them off.
     """
     rows = {}
     for kind in ("quadratic", "logistic"):
@@ -756,7 +746,9 @@ def _matrix_rows():
                 for workers in (1, 4):
                     for bias in (False, True):
                         for momentum in (0.0, 0.9):
-                            if mode == "theory" and (bias or momentum):
+                            if momentum and (mode == "theory" or algorithm == "vanilla"):
+                                continue
+                            if bias and (mode == "theory" or algorithm != "sketched"):
                                 continue
                             row_id = f"{kind}-{algorithm}-{mode}-W{workers}-bias{int(bias)}-m{momentum:g}"
                             rows[row_id] = (kind, algorithm, mode, workers, bias, momentum)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gradsketch.cluster import MeteredChannel
 from gradsketch.heavyhitters import KSparseVector, topk_indices
 from gradsketch.optim import (
+    ALGORITHMS,
     IterateAverage,
     OptimizerConfig,
     _accumulate,
@@ -125,6 +126,50 @@ class TestOptimizerConfig:
     def test_rejects_duplicate_bias(self):
         with pytest.raises(ValueError):
             OptimizerConfig(mode="empirical", bias_indices=(1, 1))
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"k": 2.5}, "k must be an integer, got 2.5"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"p": np.float64(2.0)}, "p must be an integer, got np.float64(2.0)"),
+            ({"t_rounds": 3.0}, "t_rounds must be an integer, got 3.0"),
+            ({"w_workers": 2.0}, "w_workers must be an integer, got 2.0"),
+            ({"bias_indices": (1.5,)}, "bias_indices entry must be an integer, got 1.5"),
+            ({"bias_indices": (0, False)}, "bias_indices entry must be an integer, got False"),
+        ],
+        ids=["k-float", "k-bool", "p-numpy-float", "t_rounds-float", "w_workers-float", "bias-float", "bias-bool"],
+    )
+    def test_rejects_non_integer_counts(self, fields, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            OptimizerConfig(mode="empirical", **fields)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = OptimizerConfig(mode="empirical", k=np.int64(4), p=np.int32(2), t_rounds=np.uint8(3),
+                              w_workers=np.int64(2), bias_indices=(np.int64(9), 1))
+        assert (cfg.k, cfg.p, cfg.t_rounds, cfg.w_workers, cfg.bias_indices) == (4, 2, 3, 2, (1, 9))
+
+    @pytest.mark.parametrize(
+        "mode, algorithm, fields, unread",
+        [
+            # the run-matrix configs that set a field their run ignores
+            ("empirical", "vanilla", {"momentum": 0.9}, "momentum"),
+            ("empirical", "vanilla", {"bias_indices": (0, 1)}, "bias_indices"),
+            ("empirical", "vanilla", {"momentum": 0.9, "bias_indices": (0, 1)}, "momentum"),
+            *[("empirical", algorithm, {"momentum": momentum, "bias_indices": (0, 1)}, "bias_indices")
+              for algorithm in ("true-topk", "local-topk") for momentum in (0.0, 0.9)],
+            # the step-size fields of the other mode
+            *[("theory", algorithm, {name: value}, name) for algorithm in ALGORITHMS
+              for name, value in (("lr", 0.05), ("lr_points", ((1.0, 0.1),)))],
+            *[("empirical", algorithm, {name: value}, name) for algorithm in ALGORITHMS
+              for name, value in (("xi", 100.0), ("beta", 6.0), ("mu_scale", 0.5))],
+            *[("theory", algorithm, {"beta": 6.0}, "beta") for algorithm in ("vanilla", "true-topk", "local-topk")],
+        ],
+    )
+    def test_rejects_a_field_the_run_does_not_read(self, mode, algorithm, fields, unread):
+        step = {"xi": 100.0} if mode == "theory" else {}
+        with pytest.raises(ValueError, match=re.escape(f"{mode} {algorithm} runs do not read {unread}")):
+            OptimizerConfig(mode=mode, algorithm=algorithm, **step | fields)
 
     def test_dimension_checks(self):
         cfg = OptimizerConfig(mode="empirical", k=5)

@@ -16,6 +16,7 @@ SCRIPTS = {
     "run_blob_experiments.py": [
         "--seeds", "1", "--rounds", "4", "--n-train", "64", "--n-test", "32", "--d", "16",
         "--batch-size", "16", "--workers", "2", "--k", "2", "--p", "2", "--rows", "3", "--cols", "8",
+        "--momentum", "0.9",
     ],
 }
 
