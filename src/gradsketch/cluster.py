@@ -255,8 +255,7 @@ def run_training(
     if batch_size < config.w_workers:
         raise ValueError(f"batch of {batch_size} cannot cover {config.w_workers} workers")
 
-    w0 = problem.initial_point(data_seed)
-    states = make_states(w0, config.w_workers)
+    states = make_states(problem.initial_point(data_seed), config.w_workers)
     channel = MeteredChannel()
     order_rng = np.random.default_rng(data_seed)
     fill_seeds = np.random.SeedSequence(rng_seed).generate_state(max(config.t_rounds, 1), dtype=np.uint64)
@@ -277,12 +276,13 @@ def run_training(
 
     grad_sq_max = 0.0
     dispersion_sum = 0.0
+    grads = None
 
     for t in range(1, config.t_rounds + 1):
         batch = order_rng.choice(problem.n_train, size=batch_size, replace=False)
         shards = partition_batch(batch, config.w_workers)
         # the replicas are equal at every round start (checked after each round)
-        grads = problem.gradients(states[0].w, shards)
+        grads = problem.gradients(states[0].w, shards, out=grads)
         mean_sq, dispersion = _gradient_statistics(grads)
         if not np.isfinite(mean_sq + dispersion):
             # any non-finite entry makes the mean, hence mean_sq, non-finite;
@@ -301,8 +301,9 @@ def run_training(
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"round {t}: {exc}") from None
 
+        # bits, not values: a -0.0 against +0.0 differs, two equal NaNs do not
         for other in states[1:]:
-            if not np.array_equal(states[0].w, other.w):
+            if not np.array_equal(states[0].w.view(np.uint64), other.w.view(np.uint64)):
                 raise RuntimeError(f"round {t}: worker replicas diverged")
 
         loss, test_metric = problem.evaluate(states[0].w)

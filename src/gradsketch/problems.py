@@ -8,13 +8,14 @@ workers in equal shards has a worker mean equal to the batch mean, which is
 what makes single-node and multi-node runs comparable.
 
 The training loop uses a problem through ``d``, ``n_train``,
-``initial_point(seed)``, ``gradients(w, shards)`` once per round,
+``initial_point(seed)``, ``gradients(w, shards, out)`` once per round,
 ``evaluate(w) -> (train_loss, test_metric)`` once per round,
 ``test_metric(w)`` for the theory mode's averaged iterate, and ``kind``.
 ``gradients`` returns the mean gradient of each shard of sample indices at
 the one point ``w`` (replica 0's, since all replicas are equal), as a list in
-shard order, and computes it by calling ``gradient(w, idx)`` once per shard;
-the quadratic passes that call the noiseless part ``A w - b`` it built once.
+shard order, by calling ``gradient(w, idx)`` once per shard (the quadratic
+passes it the ``A w - b`` it built once); given ``out``, shard i's goes into
+``out[i]`` with the same bits, and those arrays are returned.
 ``evaluate`` returns exactly ``(train_loss(w), test_metric(w))``.
 """
 
@@ -310,17 +311,17 @@ class QuadraticProblem:
         base -= self.b
         return base
 
-    def gradient(self, w: np.ndarray, idx: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    def gradient(self, w: np.ndarray, idx: np.ndarray, base: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Mean gradient over ``idx``: ``base`` (built here when not given)
-        plus the batch's mean noise, in a fresh buffer."""
+        plus the batch's mean noise, in ``out`` or a fresh buffer."""
         # The batch's noise rows are summed one after another into one buffer
         # and divided by the count, the operations noise[idx].mean(axis=0)
         # makes, without copying the rows.  At d = 1 numpy sums the column
         # pairwise instead, so there (and for a single row) it takes the mean.
         if self.d == 1 or len(idx) < 2:
-            noise = self.noise[idx].mean(axis=0)
+            noise = self.noise[idx].mean(axis=0, out=out)
         else:
-            noise = np.add(self.noise[idx[0]], self.noise[idx[1]])
+            noise = np.add(self.noise[idx[0]], self.noise[idx[1]], out=out)
             for i in idx[2:]:
                 noise += self.noise[i]
             noise /= len(idx)
@@ -328,10 +329,10 @@ class QuadraticProblem:
         noise += self._base(w) if base is None else base
         return noise
 
-    def gradients(self, w: np.ndarray, shards: list[np.ndarray]) -> list[np.ndarray]:
+    def gradients(self, w: np.ndarray, shards: list[np.ndarray], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
         """``[gradient(w, idx) for idx in shards]``, building ``A w - b`` once."""
         base = self._base(w)
-        return [self.gradient(w, idx, base) for idx in shards]
+        return [self.gradient(w, idx, base, o) for idx, o in zip(shards, out or [None] * len(shards))]
 
     def train_loss(self, w: np.ndarray) -> float:
         return self._objective(w) + float(self._noise_mean @ w)
@@ -377,9 +378,13 @@ class _ErmProblem:
         """``(train_loss(w), test_metric(w))``; nothing is shared between them."""
         return self.train_loss(w), self.test_metric(w)
 
-    def gradients(self, w: np.ndarray, shards: list[np.ndarray]) -> list[np.ndarray]:
-        """``[gradient(w, idx) for idx in shards]``; nothing is shared between them."""
-        return [self.gradient(w, idx) for idx in shards]
+    def gradients(self, w: np.ndarray, shards: list[np.ndarray], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """``[gradient(w, idx) for idx in shards]``, copied into ``out`` when given."""
+        if out is None:
+            return [self.gradient(w, idx) for idx in shards]
+        for o, idx in zip(out, shards):
+            np.copyto(o, self.gradient(w, idx))
+        return out
 
 
 class LogisticProblem(_ErmProblem):

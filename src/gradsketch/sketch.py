@@ -31,6 +31,7 @@ seed, so a config fully determines the hash family on every platform.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,17 +78,17 @@ class SketchConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("d", "r", "c"):
+        for name, low in (("d", 1), ("r", 1), ("c", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.r >= 1 << 32 or self.c >= 1 << 32:
             raise ValueError(f"table dims r={self.r}, c={self.c} exceed u32 range")
         # every index must fit the Horner kernel's 32-bit operand; such
         # tables would already take 64 GiB per row
         if self.d > 1 << 32:
             raise ValueError(f"dimension d={self.d} exceeds the hash family's limit of 2**32 indices")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if self.seed >= 1 << 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
@@ -188,7 +189,8 @@ class HashFamily:
             self.signs[:, block] = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
 
 
-@lru_cache(maxsize=32)
+# Four families at most: at d = 10**6 and r = 5 each holds 76 MiB of tables.
+@lru_cache(maxsize=4)
 def _family_for(config: SketchConfig) -> HashFamily:
     return HashFamily(config)
 

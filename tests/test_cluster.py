@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import inspect
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from gradsketch.metrics import RoundRecord, write_metrics_csv
 from gradsketch import wire
 from gradsketch.optim import OptimizerConfig, exact_mean, make_states, theory_round
 from gradsketch.problems import QuadraticProblem, split_dataset, synth_data, LogisticProblem
-from gradsketch.sketch import SketchConfig, merge_all, sketch_vector
+from gradsketch.sketch import SketchConfig, _family_for, merge_all, sketch_vector
 from oracles import paper_compression_factor, recorded_supports
 
 
@@ -374,6 +375,87 @@ class TestRunTraining:
         cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=3, w_workers=2, lr=0.05)
         with pytest.raises(RuntimeError, match="round 1: worker replicas diverged"):
             run_training(quadratic(), cfg, SketchConfig(d=32, r=7, c=32, seed=2), batch_size=16, data_seed=3, rng_seed=4)
+
+    def test_replicas_differing_in_the_sign_of_a_zero_raise(self, monkeypatch):
+        # the classifier starts at the origin and k = 1 leaves most of w at
+        # +0.0; worker 1 gets -0.0 in one of those coordinates, equal in
+        # value but not in bits
+        real_round = cluster.empirical_round
+
+        def negated_zero(states, *args):
+            update = real_round(states, *args)
+            j = np.flatnonzero(states[0].w.view(np.uint64) == 0)[0]
+            states[1].w[j] = -0.0
+            return update
+
+        monkeypatch.setattr(cluster, "empirical_round", negated_zero)
+        train, test = split_dataset(synth_data(n=160, d=12, class_separation=3.0, seed=2), 120)
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=1, t_rounds=3, w_workers=2, lr=0.05)
+        with pytest.raises(RuntimeError, match="round 1: worker replicas diverged"):
+            run_training(LogisticProblem(train, test, lam=0.01), cfg, SketchConfig(d=12, r=5, c=8, seed=2),
+                         batch_size=16, data_seed=3, rng_seed=4)
+
+    def test_bit_identical_nan_replicas_are_not_called_diverged(self, monkeypatch):
+        # equal bits pass the replica check, and the NaN is reported as what
+        # it is, a non-finite loss
+        real_round = cluster.vanilla_step
+
+        def nan_everywhere(states, *args):
+            update = real_round(states, *args)
+            for st in states:
+                st.w[3] = np.nan
+            return update
+
+        monkeypatch.setattr(cluster, "vanilla_step", nan_everywhere)
+        cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=3, w_workers=3, lr=0.05)
+        with pytest.raises(TrainingDivergedError, match="round 1: non-finite train loss"):
+            run_training(quadratic(), cfg, None, batch_size=16, data_seed=3, rng_seed=4)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_each_round_writes_into_last_rounds_gradients(self, kind):
+        # round 1 asks for fresh arrays; every later round passes back the
+        # list the round before it got, so no round allocates gradients
+        if kind == "quadratic":
+            prob = quadratic()
+        else:
+            train, test = split_dataset(synth_data(n=160, d=32, class_separation=3.0, seed=2), 120)
+            prob = LogisticProblem(train, test, lam=0.01)
+        outs, returned = [], []
+        gradients = prob.gradients
+
+        def recording(w, shards, out=None):
+            outs.append(out)
+            returned.append(gradients(w, shards, out=out))
+            return returned[-1]
+
+        prob.gradients = recording
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=4, w_workers=3, lr=0.05)
+        run_training(prob, cfg, SketchConfig(d=32, r=3, c=16, seed=1), batch_size=13, data_seed=4, rng_seed=1)
+        assert outs[0] is None and len(outs) == 4
+        for out, previous, got in zip(outs[1:], returned, returned[1:]):
+            assert out is previous
+            assert all(g is o for g, o in zip(got, out))
+
+    def test_peak_memory_of_a_sketched_run(self):
+        # tracemalloc of a short sketched run at d = 2**16 and W = 4, counted
+        # above the problem (noise mean included) and the hash family, in
+        # d-length float64 buffers: 14.0 at the peak (the gradient
+        # statistics: replicas, accumulators, gradients, their mean and one
+        # deviation); a run that allocates each round's gradients afresh and
+        # keeps a copy of the start point peaks at 18.0
+        d = 1 << 16
+        prob = QuadraticProblem(np.linspace(1.0, 3.0, d), 0.1, 16, seed=3)
+        prob._noise_mean
+        skc = SketchConfig(d=d, r=5, c=1000, seed=2)
+        _family_for(skc)
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=50, p=4, t_rounds=4, w_workers=4, lr=0.1)
+        tracemalloc.start()
+        try:
+            run_training(prob, cfg, skc, batch_size=16, data_seed=3, rng_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * d
 
     @pytest.mark.parametrize("algorithm", ["vanilla", "local-topk"])
     def test_unsketched_run_rejects_a_sketch_config(self, algorithm):

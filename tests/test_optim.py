@@ -171,6 +171,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match=re.escape(f"{mode} {algorithm} runs do not read {unread}")):
             OptimizerConfig(mode=mode, algorithm=algorithm, **step | fields)
 
+    def test_sequence_fields_are_tuples_before_the_read_rule(self):
+        # an empty list is the default () for a run that does not read it
+        cfg = OptimizerConfig(mode="theory", xi=50.0, lr_points=[], bias_indices=[])
+        assert cfg.lr_points == () and cfg.bias_indices == ()
+        cfg = OptimizerConfig(mode="empirical", lr_points=[[1, 0.1], [5, 0.01]])
+        assert cfg.lr_points == ((1, 0.1), (5, 0.01))
+        assert hash(cfg) == hash(OptimizerConfig(mode="empirical", lr_points=((1, 0.1), (5, 0.01))))
+
     def test_dimension_checks(self):
         cfg = OptimizerConfig(mode="empirical", k=5)
         with pytest.raises(ValueError):
@@ -191,6 +199,24 @@ class TestOptimizerConfig:
         ok.validate_for_dimension(784)
         baseline = OptimizerConfig(mode="theory", algorithm="vanilla", k=10, xi=300.0)
         baseline.validate_for_dimension(784)
+
+
+class TestMakeStates:
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_replica_0_takes_the_start_point_and_the_others_copy_it(self, n_workers):
+        w0 = np.random.default_rng(n_workers).standard_normal(9)
+        w0[2] = -0.0
+        states = make_states(w0, n_workers)
+        assert len(states) == n_workers and states[0].w is w0
+        for i, st in enumerate(states[1:], start=1):
+            assert st.w.tobytes() == w0.tobytes() and st.w.dtype == np.float64
+            assert not any(np.shares_memory(st.w, other.w) for other in states[:i])
+
+    def test_a_start_point_that_is_not_float64_is_converted(self):
+        states = make_states([1, 2, 3], 2)
+        for st in states:
+            assert st.w.dtype == np.float64 and st.w.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(states[0].w, states[1].w)
 
 
 class TestIterateAverage:

@@ -42,6 +42,22 @@ def _finite_diff(fn, w, eps=1e-6):
     return g
 
 
+def _stale(w_workers, d):
+    # last round's arrays as gradients(..., out=) gets them, poisoned with
+    # NaN and +-inf so that no cell the call fails to write can pass
+    return [np.resize(np.array([np.nan, np.inf, -np.inf]), d) for _ in range(w_workers)]
+
+
+def _writes_into_out(p, w, shards):
+    # gradients(out=prev) hands back the prev arrays themselves, each with
+    # the bits of a fresh gradients() call
+    prev = _stale(len(shards), p.d)
+    got = p.gradients(w, shards, out=prev)
+    assert len(got) == len(prev) and all(g is o for g, o in zip(got, prev))
+    for g, want in zip(got, p.gradients(w, shards)):
+        assert g.tobytes() == want.tobytes()
+
+
 class TestLogistic:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -197,7 +213,8 @@ class TestQuadratic:
     @pytest.mark.parametrize("sigma", [0.0, 0.7])
     def test_gradients_are_per_shard_gradient(self, d, sigma):
         # the shared A w - b must leave each shard's bits as gradient() and
-        # the plain expression give them, with one fresh buffer per shard
+        # the plain expression give them, with one fresh buffer per shard,
+        # or in last round's buffers when they are passed
         p = QuadraticProblem(np.linspace(0.5, 2.0, d), noise_sigma=sigma, n_samples=24, seed=d)
         rng = np.random.default_rng(d)
         signed_zeros = np.where(rng.random(d) < 0.5, 0.0, -0.0)
@@ -215,6 +232,7 @@ class TestQuadratic:
                         assert not np.shares_memory(g, w)
                     for i, g in enumerate(grads):
                         assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+                    _writes_into_out(p, w, shards)
 
 
 class TestSynthData:
@@ -448,6 +466,7 @@ class TestErmProblems:
                     assert len(grads) == w_workers
                     for g, idx in zip(grads, shards):
                         assert g.tobytes() == p.gradient(w, idx).tobytes()
+                    _writes_into_out(p, w, shards)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):

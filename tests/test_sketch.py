@@ -50,6 +50,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SketchConfig(d=8, r=3, c=4, seed=1 << 64)
 
+    @pytest.mark.parametrize("name", ["d", "r", "c", "seed"])
+    def test_rejects_a_bool_field(self, name):
+        # the integer rule of OptimizerConfig: a bool is not a count or a seed
+        fields = dict(d=8, r=3, c=16, seed=1) | {name: True}
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= \d, got True"):
+            SketchConfig(**fields)
+
+    @pytest.mark.parametrize("name, value", [("d", np.int64(40)), ("r", np.int32(3)), ("c", np.uint16(16)),
+                                             ("seed", np.uint64(2**64 - 1))])
+    def test_accepts_a_numpy_integer_field(self, name, value):
+        plain = dict(d=40, r=3, c=16, seed=2**64 - 1)
+        cfg = SketchConfig(**plain | {name: value})
+        assert cfg == SketchConfig(**plain) and hash(cfg) == hash(SketchConfig(**plain))
+        vec = _dense(cfg, 3)
+        assert sketch_vector(cfg, vec).to_bytes() == sketch_vector(SketchConfig(**plain), vec).to_bytes()
+
     def test_size_for_known_values(self):
         assert size_for(10, 784, 0.01) == (17, 60)
         assert size_for(16, 1024, 0.05) == (15, 96)
@@ -181,6 +197,13 @@ class TestHashFamily:
         assert peak < 1 << 20
         # the largest admitted dimension still makes a config (no family is built here)
         assert SketchConfig(d=2**32, r=1, c=4, seed=0).d == 2**32
+
+    def test_family_cache_holds_at_most_four_families(self):
+        # at d = 10**6 and r = 5 a family holds 76 MiB of tables
+        for seed in range(1000, 1006):
+            CountSketch(SketchConfig(d=64, r=3, c=8, seed=seed))
+            info = sketch_module._family_for.cache_info()
+            assert info.currsize <= info.maxsize == 4
 
     def test_seed_changes_hashes(self):
         a = HashFamily(SketchConfig(d=256, r=5, c=16, seed=1))
