@@ -204,10 +204,8 @@ class WorkerState:
 
 
 def make_states(w0: np.ndarray, n_workers: int) -> list[WorkerState]:
-    """W replicas all starting from ``w0``: replica 0 takes a float64 ``w0``
-    itself, so pass a fresh array, and the others get copies."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    return [WorkerState(w=w0 if i == 0 else w0.copy()) for i in range(n_workers)]
+    """W replicas all starting from the same parameter vector."""
+    return [WorkerState(w=np.array(w0, dtype=np.float64)) for _ in range(n_workers)]
 
 
 @dataclass

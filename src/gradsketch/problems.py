@@ -14,8 +14,9 @@ The training loop uses a problem through ``d``, ``n_train``,
 ``gradients`` returns the mean gradient of each shard of sample indices at
 the one point ``w`` (replica 0's, since all replicas are equal), as a list in
 shard order, by calling ``gradient(w, idx)`` once per shard (the quadratic
-passes it the ``A w - b`` it built once); given ``out``, shard i's goes into
-``out[i]`` with the same bits, and those arrays are returned.
+passes it the ``A w - b`` it built once).  ``out`` is last round's list, or
+None: the quadratic writes shard i's gradient into ``out[i]`` with the same
+bits and returns those arrays; the dataset problems ignore it.
 ``evaluate`` returns exactly ``(train_loss(w), test_metric(w))``.
 """
 
@@ -379,12 +380,9 @@ class _ErmProblem:
         return self.train_loss(w), self.test_metric(w)
 
     def gradients(self, w: np.ndarray, shards: list[np.ndarray], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """``[gradient(w, idx) for idx in shards]``, copied into ``out`` when given."""
-        if out is None:
-            return [self.gradient(w, idx) for idx in shards]
-        for o, idx in zip(out, shards):
-            np.copyto(o, self.gradient(w, idx))
-        return out
+        """``[gradient(w, idx) for idx in shards]``; nothing is shared between
+        them, and ``out`` is not used."""
+        return [self.gradient(w, idx) for idx in shards]
 
 
 class LogisticProblem(_ErmProblem):

@@ -82,6 +82,7 @@ class SketchConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+            object.__setattr__(self, name, int(v))  # no narrow numpy type reaches r * c
         if self.r >= 1 << 32 or self.c >= 1 << 32:
             raise ValueError(f"table dims r={self.r}, c={self.c} exceed u32 range")
         # every index must fit the Horner kernel's 32-bit operand; such

@@ -194,6 +194,8 @@ class TestAcceptance:
         w0 = prob.initial_point(3)
         sketched = make_states(w0, 2)
         vanilla = make_states(w0, 2)
+        # the two trajectories must be stepped in separate arrays
+        assert not any(np.shares_memory(a.w, b.w) for a in sketched for b in vanilla)
         order = np.random.default_rng(77)
         fills = np.random.SeedSequence(99).generate_state(200, dtype=np.uint64)
         worst = 0.0

@@ -411,15 +411,10 @@ class TestRunTraining:
         with pytest.raises(TrainingDivergedError, match="round 1: non-finite train loss"):
             run_training(quadratic(), cfg, None, batch_size=16, data_seed=3, rng_seed=4)
 
-    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
-    def test_each_round_writes_into_last_rounds_gradients(self, kind):
+    def test_each_round_writes_into_last_rounds_gradients(self):
         # round 1 asks for fresh arrays; every later round passes back the
-        # list the round before it got, so no round allocates gradients
-        if kind == "quadratic":
-            prob = quadratic()
-        else:
-            train, test = split_dataset(synth_data(n=160, d=32, class_separation=3.0, seed=2), 120)
-            prob = LogisticProblem(train, test, lam=0.01)
+        # list the round before it got, and the quadratic writes into it
+        prob = quadratic()
         outs, returned = [], []
         gradients = prob.gradients
 
@@ -435,6 +430,15 @@ class TestRunTraining:
         for out, previous, got in zip(outs[1:], returned, returned[1:]):
             assert out is previous
             assert all(g is o for g, o in zip(got, out))
+
+    def test_a_narrow_numpy_table_width_runs_like_an_int(self):
+        # r * c = 100000 would wrap to 34464 in uint16 and fail the round's
+        # upload accounting if the config kept the numpy type
+        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=4, p=2, t_rounds=2, w_workers=2, lr=0.05)
+        runs = [run_training(quadratic(), cfg, SketchConfig(d=32, r=5, c=c, seed=1), batch_size=16, data_seed=3,
+                             rng_seed=4) for c in (np.uint16(20000), 20000)]
+        assert runs[0].metrics.records == runs[1].metrics.records
+        assert runs[0].final_w.tobytes() == runs[1].final_w.tobytes()
 
     def test_peak_memory_of_a_sketched_run(self):
         # tracemalloc of a short sketched run at d = 2**16 and W = 4, counted

@@ -203,14 +203,16 @@ class TestOptimizerConfig:
 
 class TestMakeStates:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_replica_0_takes_the_start_point_and_the_others_copy_it(self, n_workers):
+    def test_every_replica_is_a_copy_of_the_start_point(self, n_workers):
+        # the caller's array is never stepped, so one start point can seed
+        # several state lists
         w0 = np.random.default_rng(n_workers).standard_normal(9)
         w0[2] = -0.0
         states = make_states(w0, n_workers)
-        assert len(states) == n_workers and states[0].w is w0
-        for i, st in enumerate(states[1:], start=1):
+        assert len(states) == n_workers
+        for i, st in enumerate(states):
             assert st.w.tobytes() == w0.tobytes() and st.w.dtype == np.float64
-            assert not any(np.shares_memory(st.w, other.w) for other in states[:i])
+            assert not any(np.shares_memory(st.w, other) for other in [w0] + [o.w for o in states[:i]])
 
     def test_a_start_point_that_is_not_float64_is_converted(self):
         states = make_states([1, 2, 3], 2)

@@ -42,16 +42,11 @@ def _finite_diff(fn, w, eps=1e-6):
     return g
 
 
-def _stale(w_workers, d):
-    # last round's arrays as gradients(..., out=) gets them, poisoned with
-    # NaN and +-inf so that no cell the call fails to write can pass
-    return [np.resize(np.array([np.nan, np.inf, -np.inf]), d) for _ in range(w_workers)]
-
-
 def _writes_into_out(p, w, shards):
     # gradients(out=prev) hands back the prev arrays themselves, each with
-    # the bits of a fresh gradients() call
-    prev = _stale(len(shards), p.d)
+    # the bits of a fresh gradients() call; prev is poisoned with NaN and
+    # +-inf so that no cell the call fails to write can pass
+    prev = [np.resize(np.array([np.nan, np.inf, -np.inf]), p.d) for _ in shards]
     got = p.gradients(w, shards, out=prev)
     assert len(got) == len(prev) and all(g is o for g, o in zip(got, prev))
     for g, want in zip(got, p.gradients(w, shards)):
@@ -466,7 +461,6 @@ class TestErmProblems:
                     assert len(grads) == w_workers
                     for g, idx in zip(grads, shards):
                         assert g.tobytes() == p.gradient(w, idx).tobytes()
-                    _writes_into_out(p, w, shards)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):

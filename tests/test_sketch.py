@@ -62,6 +62,7 @@ class TestConfig:
     def test_accepts_a_numpy_integer_field(self, name, value):
         plain = dict(d=40, r=3, c=16, seed=2**64 - 1)
         cfg = SketchConfig(**plain | {name: value})
+        assert type(getattr(cfg, name)) is int  # kept as a Python int, so no product wraps
         assert cfg == SketchConfig(**plain) and hash(cfg) == hash(SketchConfig(**plain))
         vec = _dense(cfg, 3)
         assert sketch_vector(cfg, vec).to_bytes() == sketch_vector(SketchConfig(**plain), vec).to_bytes()
