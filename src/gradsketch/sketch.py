@@ -175,6 +175,12 @@ class HashFamily:
     ``d`` and the tables do not depend on the block size.  Construction is
     deterministic in the config; rebuilding from an equal config reproduces
     the tables bit for bit.
+
+    ``buckets`` is int64 and ``signs`` int8, 9 bytes per row and index.
+    Every product with a sign casts it to the float64 -1.0 or +1.0 first,
+    and multiplying by +-1.0 is exact for every float64 (signed zeros,
+    infinities, NaNs and subnormals included), so sketches and estimates
+    have the bits a float64 sign table would give.
     """
 
     def __init__(self, config: SketchConfig):
@@ -182,15 +188,15 @@ class HashFamily:
         rng = np.random.Generator(np.random.Philox(key=config.seed))
         coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)
         self.buckets = np.empty((config.r, config.d), dtype=np.int64)
-        self.signs = np.empty((config.r, config.d), dtype=np.float64)
+        self.signs = np.empty((config.r, config.d), dtype=np.int8)
         for start in range(0, config.d, _BUILD_BLOCK):
             idx = np.arange(start, min(start + _BUILD_BLOCK, config.d), dtype=np.uint64)
             block = slice(start, start + idx.size)
             self.buckets[:, block] = _poly_eval(coeffs[:, 0, :], idx) % np.uint64(config.c)
-            self.signs[:, block] = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
+            self.signs[:, block] = 1 - 2 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.int8)
 
 
-# Four families at most: at d = 10**6 and r = 5 each holds 76 MiB of tables.
+# Four families at most: at d = 10**6 and r = 5 each holds 43 MiB of tables.
 @lru_cache(maxsize=4)
 def _family_for(config: SketchConfig) -> HashFamily:
     return HashFamily(config)

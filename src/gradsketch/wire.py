@@ -49,13 +49,15 @@ def frame(tag: int, payload: bytes) -> bytes:
     return _FRAME.pack(tag, len(payload)) + payload
 
 
-def unframe(data: bytes) -> tuple[int, bytes]:
+def unframe(data: bytes) -> tuple[int, memoryview]:
+    """Tag and payload of a frame; the payload is a view into ``data``,
+    so a d-length message is not copied on receipt."""
     if len(data) < _FRAME.size:
         raise WireError(f"frame truncated at {len(data)} bytes")
     tag, length = _FRAME.unpack_from(data, 0)
     if not tag:
         raise WireError("tag 0 is never sent")
-    payload = data[_FRAME.size:]
+    payload = memoryview(data)[_FRAME.size:]
     if len(payload) != length:
         raise WireError(f"frame advertises {length} payload bytes, found {len(payload)}")
     return tag, payload
@@ -133,7 +135,7 @@ def decode_values(payload: bytes) -> np.ndarray:
     if len(payload) < _COUNT.size:
         raise WireError("value payload truncated")
     (count,) = _COUNT.unpack_from(payload, 0)
-    body = payload[_COUNT.size:]
+    body = memoryview(payload)[_COUNT.size:]  # a view: the one copy is the decoded array's
     if len(body) != 8 * count:
         raise WireError(f"value payload advertises {count} values, found {len(body)} bytes")
     return np.frombuffer(body, dtype="<f8").copy()

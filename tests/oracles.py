@@ -30,13 +30,13 @@ from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for
 def accumulate(sketch: CountSketch, index: int, weight: float) -> None:
     """Add ``weight`` at ``index`` of ``sketch``, touching one cell per row."""
     fam = sketch._family
-    sketch.table[np.arange(sketch.config.r), fam.buckets[:, index]] += fam.signs[:, index] * weight
+    sketch.table[np.arange(sketch.config.r), fam.buckets[:, index]] += fam.signs[:, index].astype(np.float64) * weight
 
 
 def point_estimate(sketch: CountSketch, index: int) -> float:
     """Median-of-rows estimate of the summarized value at ``index``."""
     fam = sketch._family
-    vals = sketch.table[np.arange(sketch.config.r), fam.buckets[:, index]] * fam.signs[:, index]
+    vals = sketch.table[np.arange(sketch.config.r), fam.buckets[:, index]] * fam.signs[:, index].astype(np.float64)
     return float(np.median(vals))
 
 

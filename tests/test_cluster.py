@@ -440,26 +440,48 @@ class TestRunTraining:
         assert runs[0].metrics.records == runs[1].metrics.records
         assert runs[0].final_w.tobytes() == runs[1].final_w.tobytes()
 
-    def test_peak_memory_of_a_sketched_run(self):
-        # tracemalloc of a short sketched run at d = 2**16 and W = 4, counted
-        # above the problem (noise mean included) and the hash family, in
-        # d-length float64 buffers: 14.0 at the peak (the gradient
-        # statistics: replicas, accumulators, gradients, their mean and one
-        # deviation); a run that allocates each round's gradients afresh and
-        # keeps a copy of the start point peaks at 18.0
+    @staticmethod
+    def _peak_in_buffers(algorithm, build_family=False):
+        # tracemalloc peak of a 4-round run at d = 2**16 and W = 4, above the
+        # problem (noise mean included), in d-length float64 buffers; a
+        # sketched run's hash family is built before tracing starts unless
+        # build_family is set
         d = 1 << 16
         prob = QuadraticProblem(np.linspace(1.0, 3.0, d), 0.1, 16, seed=3)
         prob._noise_mean
-        skc = SketchConfig(d=d, r=5, c=1000, seed=2)
-        _family_for(skc)
-        cfg = OptimizerConfig(mode="empirical", algorithm="sketched", k=50, p=4, t_rounds=4, w_workers=4, lr=0.1)
+        skc, fields = None, {}
+        if algorithm == "sketched":
+            skc, fields = SketchConfig(d=d, r=5, c=1000, seed=2), dict(p=4)
+            _family_for.cache_clear()
+            if not build_family:
+                _family_for(skc)
+        cfg = OptimizerConfig(mode="empirical", algorithm=algorithm, k=50, t_rounds=4, w_workers=4, lr=0.1, **fields)
         tracemalloc.start()
         try:
             run_training(prob, cfg, skc, batch_size=16, data_seed=3, rng_seed=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * d
+        return peak / (8 * d)
+
+    def test_peak_memory_of_a_sketched_run(self):
+        # 14.0 at the peak (the gradient statistics: replicas, accumulators,
+        # gradients, their mean and one deviation); a run that allocates each
+        # round's gradients afresh and keeps a copy of the start point peaks
+        # at 18.0
+        assert self._peak_in_buffers("sketched") < 16
+
+    def test_peak_memory_of_a_sketched_run_that_builds_its_family(self):
+        # 19.7 at the peak: the run's 14.0 plus the r = 5 rows of int64
+        # buckets (5.0) and int8 signs (0.6); float64 signs peaked at 24.0
+        assert self._peak_in_buffers("sketched", build_family=True) < 21
+
+    @pytest.mark.parametrize("algorithm, bound", [("vanilla", 19), ("true-topk", 17)])
+    def test_peak_memory_of_a_dense_upload_run(self, algorithm, bound):
+        # 18.0 for vanilla and 16.0 for true top-k, each received upload
+        # decoded from a view of its frame; copying the payload out of the
+        # frame and again out of the message peaked at 20.0 and 18.0
+        assert self._peak_in_buffers(algorithm) < bound
 
     @pytest.mark.parametrize("algorithm", ["vanilla", "local-topk"])
     def test_unsketched_run_rejects_a_sketch_config(self, algorithm):

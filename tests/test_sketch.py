@@ -1,5 +1,6 @@
 """Unit and property tests for the count-sketch core."""
 
+import copy
 import hashlib
 import tracemalloc
 
@@ -117,9 +118,10 @@ class TestHashFamily:
     ])
     def test_tables_match_golden_digests(self, cfg, buckets_sha, signs_sha):
         fam = HashFamily(cfg)
-        assert fam.buckets.dtype == np.int64 and fam.signs.dtype == np.float64
+        assert fam.buckets.dtype == np.int64 and fam.signs.dtype == np.int8
         assert hashlib.sha256(fam.buckets.tobytes()).hexdigest() == buckets_sha
-        assert hashlib.sha256(fam.signs.tobytes()).hexdigest() == signs_sha
+        # the sign digests were taken over float64 tables
+        assert hashlib.sha256(fam.signs.astype(np.float64).tobytes()).hexdigest() == signs_sha
 
     @pytest.mark.parametrize("block", [1, 7, "d"])
     def test_tables_do_not_depend_on_block_size(self, monkeypatch, block):
@@ -139,7 +141,14 @@ class TestHashFamily:
         cfg = SketchConfig(d=300, r=5, c=17, seed=4)
         fam = HashFamily(cfg)
         assert fam.buckets.min() >= 0 and fam.buckets.max() < cfg.c
-        assert set(np.unique(fam.signs)) <= {-1.0, 1.0}
+        assert set(np.unique(fam.signs)) <= {-1, 1}
+
+    @pytest.mark.parametrize("r", [1, 5, 9])
+    def test_tables_take_nine_bytes_per_row_and_index(self, r):
+        # int64 buckets and int8 signs
+        cfg = SketchConfig(d=_BUILD_BLOCK + 3, r=r, c=10, seed=r)
+        fam = HashFamily(cfg)
+        assert fam.buckets.nbytes + fam.signs.nbytes == 9 * cfg.r * cfg.d
 
     def test_blocked_build_matches_one_pass(self):
         cfg = SketchConfig(d=3 * _BUILD_BLOCK + 5, r=3, c=11, seed=8)
@@ -148,7 +157,7 @@ class TestHashFamily:
         coeffs = rng.integers(0, MERSENNE_P, size=(cfg.r, 2, 4), dtype=np.uint64)
         idx = np.arange(cfg.d, dtype=np.uint64)
         buckets = (_poly_eval(coeffs[:, 0, :], idx) % np.uint64(cfg.c)).astype(np.int64)
-        signs = 1.0 - 2.0 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.float64)
+        signs = np.where(_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1), -1, 1).astype(np.int8)
         assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs)
 
     @settings(max_examples=200, deadline=None)
@@ -523,6 +532,44 @@ class TestKernelOracles:
             s = CountSketch(cfg, _table=table)
             with np.errstate(invalid="ignore"):  # inf + -inf in both medians
                 assert _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+
+
+# signed zeros, subnormals, the extremes of the finite range, infinities and NaN
+_SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+class TestSignStorage:
+    @pytest.mark.parametrize("r", range(1, 10))
+    @pytest.mark.parametrize("d", [_BUILD_BLOCK - 1, _BUILD_BLOCK + 1, _ESTIMATE_BLOCK + 3])
+    def test_int8_signs_give_the_bits_of_float64_signs(self, monkeypatch, d, r):
+        # Every kernel that reads the family, run on its int8 signs and again
+        # on the same family with those signs as a float64 table.
+        cfg = SketchConfig(d=d, r=r, c=97, seed=d + r)
+        fam = HashFamily(cfg)
+        wide = copy.copy(fam)
+        wide.signs = fam.signs.astype(np.float64)
+        assert set(np.unique(wide.signs)) <= {-1.0, 1.0}
+        rng = np.random.default_rng(r)
+        # finite and small, then finite with overflowing sums, then anything
+        vectors = [np.where(rng.random(d) < share, rng.choice(_SPECIAL_ENTRIES[:n], d), rng.standard_normal(d))
+                   for share, n in ((0.3, 6), (0.01, 8), (0.3, len(_SPECIAL_ENTRIES)))]
+        indices = rng.integers(0, d, size=100)
+
+        def outputs(family):
+            monkeypatch.setattr(sketch_module, "_family_for", lambda config: family)
+            sketches = sketch_many(cfg, vectors)
+            running = CountSketch(cfg)
+            for vec in vectors:
+                running.update_dense(vec)
+                sketches.append(running.copy())
+            out = []
+            for s in sketches:
+                reaching = s.coordinates_reaching(1.0)
+                out += [s.table, s.estimate_all(), s.estimates_at(indices), np.array([]) if reaching is None else reaching]
+            return [(a.dtype, a.tobytes()) for a in out]
+
+        with np.errstate(over="ignore", invalid="ignore"):  # inf sums and inf - inf, on both sides
+            assert outputs(fam) == outputs(wide)
 
 
 def _marked_counts(sketch, threshold):
