@@ -239,7 +239,8 @@ def exact_mean(vectors: list[np.ndarray], channel, indices: np.ndarray | None = 
     total = None
     for worker, vec in enumerate(vectors):
         reply = channel.up_values(vec if indices is None else vec[indices], worker)
-        total = reply if total is None else total + reply
+        total = reply if total is None else np.add(total, reply, out=total)
+        del reply  # each reply is a fresh decoded array, summed in place: none outlives its sum
     return total / len(vectors)
 
 

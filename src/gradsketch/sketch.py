@@ -23,9 +23,9 @@ any median; this holds in float arithmetic as long as no even-r pair sum
 overflows, so a table with a cell of magnitude ``2**1022`` or more is not
 queried.
 
-Hashes are degree-3 polynomials over the Mersenne prime ``2**61 - 1`` with
-coefficients drawn from a counter-based Philox stream keyed by the config
-seed, so a config fully determines the hash family on every platform.
+Hashes are degree-3 polynomials over the Mersenne prime ``2**61 - 1``, their
+coefficients from a Philox stream keyed by the config seed (a config fixes the
+family on every platform), tabulated by exact forward differences.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 MERSENNE_P = (1 << 61) - 1
-# Indices per block when a hash family is built: small enough that the
-# evaluation's (r, block) temporaries stay in cache and never grow with d.
-_BUILD_BLOCK = 1 << 12
+# Interleaved lanes of a hash-family build: its (2r, L) state stays in cache.
+_BUILD_LANES = 1 << 10
 # Indices per block of estimate_all and estimates_at: the r gathered rows of
 # a block stay in cache through the whole median network.
 _ESTIMATE_BLOCK = 1 << 14
@@ -106,17 +105,17 @@ def size_for(k: int, d: int, delta: float) -> tuple[int, int]:
         delta: failure probability budget, in (0, 1).
 
     Raises:
-        ValueError: if ``k`` is not in ``[1, d]``, ``delta`` not in (0, 1),
-            or ``d / delta`` overflows a float.
+        ValueError: unless ``k`` and ``d`` are integers (not bools) with
+            ``1 <= k <= d``, ``delta`` is in (0, 1) and ``d / delta`` is finite.
     """
-    if not isinstance(k, int) or not isinstance(d, int) or k < 1 or d < 1 or k > d:
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (k, d)) or not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k!r}, d={d!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     if math.isinf(d / delta):
         raise ValueError(f"delta={delta!r} is too small for d={d}")
     r = math.ceil(math.log2(d / delta))
-    return max(r, 1), 6 * k
+    return max(r, 1), 6 * int(k)
 
 
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,25 +139,25 @@ def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     mask31, mask30 = np.uint64((1 << 31) - 1), np.uint64((1 << 30) - 1)
     hi = (coeffs[:, :1] >> np.uint64(31)) * x
     lo = (coeffs[:, :1] & mask31) * x
+    s = np.empty_like(hi)
     for deg in range(1, coeffs.shape[1]):
         if deg > 1:
-            hi = s >> np.uint64(31)
+            np.right_shift(s, np.uint64(31), out=hi)
             hi *= x
-            lo = s  # s is rebuilt below, so its buffer takes the low half
-            lo &= mask31
+            np.bitwise_and(s, mask31, out=lo)
             lo *= x
-        s = hi >> np.uint64(30)
+        np.right_shift(hi, np.uint64(30), out=s)
         hi &= mask30
         hi <<= np.uint64(31)
         s += hi
         s += lo
         s += coeffs[:, deg:deg + 1]
-        hi = s >> np.uint64(61)
+        np.right_shift(s, np.uint64(61), out=hi)
         s &= p
         s += hi
     # the one full reduction, branch-free: s < 2p, and when s < p, s - p
     # wraps above s, so the minimum keeps s; otherwise it is s - p
-    return np.minimum(s, s - p)
+    return np.minimum(s, np.subtract(s, p, out=hi), out=s)
 
 
 class HashFamily:
@@ -169,12 +168,15 @@ class HashFamily:
     ``signs[j, i]`` its sign.  Row ``j`` draws one degree-3 polynomial for
     its buckets and one for its signs (coefficients from a Philox stream
     keyed by the seed); the bucket is the polynomial's value mod 2**61 - 1,
-    then mod ``c``, and the sign is -1 where that value is odd.  The
-    polynomials are evaluated by :func:`_poly_eval` in blocks of
-    ``_BUILD_BLOCK`` indices, so the build's temporaries do not grow with
-    ``d`` and the tables do not depend on the block size.  Construction is
-    deterministic in the config; rebuilding from an equal config reproduces
-    the tables bit for bit.
+    then mod ``c``, and the sign is -1 where that value is odd.
+
+    The build splits the indices into ``L = _BUILD_LANES`` interleaved lanes
+    (lane ``l`` holds ``l, l + L, l + 2L, ...``), evaluates the 2r
+    polynomials by :func:`_poly_eval` at each lane's first four points, and
+    steps all lanes L indices at a time by the value and forward differences
+    at stride L: ``value += D1; D1 += D2; D2 += D3``, each sum reduced mod p.
+    A cubic's third difference is constant, so the tables are exact (Horner's
+    at every index, bit for bit, for any L) from a few (2r, L) temporaries.
 
     ``buckets`` is int64 and ``signs`` int8, 9 bytes per row and index.
     Every product with a sign casts it to the float64 -1.0 or +1.0 first,
@@ -186,14 +188,28 @@ class HashFamily:
     def __init__(self, config: SketchConfig):
         self.config = config
         rng = np.random.Generator(np.random.Philox(key=config.seed))
-        coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)
-        self.buckets = np.empty((config.r, config.d), dtype=np.int64)
-        self.signs = np.empty((config.r, config.d), dtype=np.int8)
-        for start in range(0, config.d, _BUILD_BLOCK):
-            idx = np.arange(start, min(start + _BUILD_BLOCK, config.d), dtype=np.uint64)
-            block = slice(start, start + idx.size)
-            self.buckets[:, block] = _poly_eval(coeffs[:, 0, :], idx) % np.uint64(config.c)
-            self.signs[:, block] = 1 - 2 * (_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1)).astype(np.int8)
+        # the r bucket polynomials, then the r sign polynomials
+        polys = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64).transpose(1, 0, 2).reshape(-1, 4)
+        r, d, c, p = config.r, config.d, np.uint64(config.c), np.uint64(MERSENNE_P)
+        self.buckets = np.empty((r, d), dtype=np.int64)
+        self.signs = np.empty((r, d), dtype=np.int8)
+        lanes = min(_BUILD_LANES, d)
+        diffs = [_poly_eval(polys, np.arange(k * lanes, (k + 1) * lanes, dtype=np.uint64))
+                 for k in range(min(4, -(-d // lanes)))]
+        for order in range(1, len(diffs)):
+            for k in range(len(diffs) - 1, order - 1, -1):
+                diffs[k] -= diffs[k - 1]
+                np.minimum(diffs[k], diffs[k] + p, out=diffs[k])  # wrapped below 0: add p
+        value, scratch = diffs[0], np.empty_like(diffs[0])
+        for start in range(0, d, lanes):
+            head = value[:, :d - start]  # the last step may cover fewer lanes
+            # v - v // c * c is v % c: numpy divides by a scalar faster than it takes a remainder
+            self.buckets[:, start:start + lanes] = head[:r] - head[:r] // c * c
+            self.signs[:, start:start + lanes] = 1 - 2 * (head[r:] & np.uint64(1)).astype(np.int8)
+            for low, high in zip(diffs, diffs[1:]):
+                np.add(low, high, out=low)
+                np.subtract(low, p, out=scratch)
+                np.minimum(low, scratch, out=low)  # a sum below p wraps above it when p is taken off
 
 
 # Four families at most: at d = 10**6 and r = 5 each holds 43 MiB of tables.
@@ -274,10 +290,13 @@ class CountSketch:
     def estimates_at(self, indices) -> np.ndarray:
         """Point estimates at a 1-d array of coordinate ``indices``, in their
         order: bit for bit ``estimate_all()[indices]``, by the same median
-        network, at a cost that grows with ``indices.size`` and not with d."""
-        indices = np.asarray(indices, dtype=np.intp)
+        network, at a cost that grows with ``indices.size`` and not with d;
+        bool, non-integer or out-of-range indices raise ``ValueError``."""
+        indices = np.asarray(indices)
         if indices.ndim != 1:
             raise ValueError(f"expected a 1-d index array, got shape {indices.shape}")
+        if indices.size and (indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < self.config.d):
+            raise ValueError(f"expected integer coordinates in [0, {self.config.d}), got {indices.dtype} indices")
         out = np.empty(indices.size)
         for start in range(0, indices.size, _ESTIMATE_BLOCK):
             block = slice(start, start + _ESTIMATE_BLOCK)

@@ -127,8 +127,8 @@ def decode_indices(payload: bytes) -> np.ndarray:
 
 
 def encode_values(values: np.ndarray) -> bytes:
-    vals = np.asarray(values, dtype=np.float64)
-    return _COUNT.pack(vals.size) + vals.astype("<f8", copy=False).tobytes()
+    vals = np.ascontiguousarray(values, dtype="<f8")
+    return b"".join((_COUNT.pack(vals.size), vals))  # the values' buffer is copied once, into the payload
 
 
 def decode_values(payload: bytes) -> np.ndarray:

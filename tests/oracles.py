@@ -3,8 +3,9 @@
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
 time, the fully reduced short product modulo the hash field's prime, the
-per-sample gradients whose mean a problem's batch gradient is, the blob
-data drawn with a shift matrix and permuted by copying, the top-P*k
+hash tables from every index's polynomial values, the per-sample gradients
+whose mean a problem's batch gradient is, the blob data drawn with a shift
+matrix and permuted by copying, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), a sign table of
 all +1 (the control of the sign check), the paper's
@@ -24,7 +25,7 @@ import numpy as np
 import gradsketch.cluster as cluster
 from gradsketch.heavyhitters import KSparseVector, heavymix, topk_indices
 from gradsketch.problems import _sigmoid
-from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for, size_for, sketch_vector
+from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for, _poly_eval, size_for, sketch_vector
 
 
 def accumulate(sketch: CountSketch, index: int, weight: float) -> None:
@@ -65,6 +66,18 @@ def mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     s += lo
     s = (s >> np.uint64(61)) + (s & p)
     return np.subtract(s, p, out=s, where=s >= p)
+
+
+def direct_family(config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(buckets, signs)`` tables of ``config``'s hash family, each
+    polynomial evaluated by Horner at every index in one pass: the bucket
+    is the value mod ``c``, and the sign -1 where the value is odd."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    coeffs = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64)
+    idx = np.arange(config.d, dtype=np.uint64)
+    buckets = (_poly_eval(coeffs[:, 0, :], idx) % np.uint64(config.c)).astype(np.int64)
+    signs = np.where(_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1), -1, 1).astype(np.int8)
+    return buckets, signs
 
 
 def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gradsketch.sketch import (
-    _BUILD_BLOCK,
+    _BUILD_LANES,
     _ESTIMATE_BLOCK,
     MERSENNE_P,
     ConfigMismatchError,
@@ -23,7 +23,7 @@ from gradsketch.sketch import (
     sketch_vector,
 )
 import gradsketch.sketch as sketch_module
-from oracles import accumulate, mulmod_p61_short, point_estimate, sketch_pairs
+from oracles import accumulate, direct_family, mulmod_p61_short, point_estimate, sketch_pairs
 
 
 def _dense(cfg, seed, scale=1.0):
@@ -84,6 +84,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="too small"):
             size_for(4, 100, 5e-324)
 
+    def test_size_for_takes_integers_but_not_bools(self):
+        # the integer rule of SketchConfig: a numpy integer is a count, a bool is not
+        for k, d in ((True, 5), (2, True), (3.0, 10), (3, 10.0)):
+            with pytest.raises(ValueError, match=r"need 1 <= k <= d"):
+                size_for(k, d, 0.1)
+        shape = size_for(np.int64(3), np.uint32(10), 0.1)
+        assert shape == size_for(3, 10, 0.1) == (7, 18) and all(type(v) is int for v in shape)
+
 
 # field elements and 32-bit indices, each with their edge values
 _FIELD_VALUES = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MERSENNE_P - 1]), st.integers(0, MERSENNE_P - 1))
@@ -91,8 +99,8 @@ _SHORT_VALUES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers
 
 # sha256 of the bucket and sign tables' bytes, recorded before the Horner
 # kernel was rewritten: the quad-sketched-1m family (d = 10**6, seed 2), the
-# blobs-sketched-784 family, a ragged multi-block d, and a c that is not a
-# power of two
+# blobs-sketched-784 family, a d of three 4096-index blocks and five more,
+# and a c that is not a power of two
 _TABLE_DIGESTS = [
     (SketchConfig(d=10**6, r=5, c=10**4, seed=2),
      "52e5c49a34179750dff4a52d868f4713a55bea8c5e799b40e1178eb477d07943",
@@ -103,7 +111,7 @@ _TABLE_DIGESTS = [
     (SketchConfig(d=784, r=7, c=40, seed=0),
      "959f1a81395086d21023ca59cc0445c7811ba5767bed21479614ff7547ba7baf",
      "27d919be269edf5aa53e3e04f9c67fb1eb8ba44406b3918de74653f194caa09a"),
-    (SketchConfig(d=3 * _BUILD_BLOCK + 5, r=3, c=11, seed=8),
+    (SketchConfig(d=12293, r=3, c=11, seed=8),
      "445fcd2149e998f404346d6f032bf8fe9ec3031035fe076fd28a4438a0f2bcaa",
      "1555ed96935c98e215de210aaa5faa4def3d42bcbbdb5e12f8b024b807b49734"),
     (SketchConfig(d=5000, r=4, c=1000, seed=7),
@@ -123,11 +131,12 @@ class TestHashFamily:
         # the sign digests were taken over float64 tables
         assert hashlib.sha256(fam.signs.astype(np.float64).tobytes()).hexdigest() == signs_sha
 
-    @pytest.mark.parametrize("block", [1, 7, "d"])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, "d"])
     def test_tables_do_not_depend_on_block_size(self, monkeypatch, block):
-        cfg = SketchConfig(d=_BUILD_BLOCK + 5, r=3, c=13, seed=21)
+        # the lane count of the build
+        cfg = SketchConfig(d=4 * _BUILD_LANES + 5, r=3, c=13, seed=21)
         ref = HashFamily(cfg)
-        monkeypatch.setattr(sketch_module, "_BUILD_BLOCK", cfg.d if block == "d" else block)
+        monkeypatch.setattr(sketch_module, "_BUILD_LANES", cfg.d if block == "d" else block)
         fam = HashFamily(cfg)
         assert _same_bits(fam.buckets, ref.buckets) and _same_bits(fam.signs, ref.signs)
 
@@ -146,19 +155,38 @@ class TestHashFamily:
     @pytest.mark.parametrize("r", [1, 5, 9])
     def test_tables_take_nine_bytes_per_row_and_index(self, r):
         # int64 buckets and int8 signs
-        cfg = SketchConfig(d=_BUILD_BLOCK + 3, r=r, c=10, seed=r)
+        cfg = SketchConfig(d=_BUILD_LANES + 3, r=r, c=10, seed=r)
         fam = HashFamily(cfg)
         assert fam.buckets.nbytes + fam.signs.nbytes == 9 * cfg.r * cfg.d
 
-    def test_blocked_build_matches_one_pass(self):
-        cfg = SketchConfig(d=3 * _BUILD_BLOCK + 5, r=3, c=11, seed=8)
-        fam = HashFamily(cfg)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        coeffs = rng.integers(0, MERSENNE_P, size=(cfg.r, 2, 4), dtype=np.uint64)
-        idx = np.arange(cfg.d, dtype=np.uint64)
-        buckets = (_poly_eval(coeffs[:, 0, :], idx) % np.uint64(cfg.c)).astype(np.int64)
-        signs = np.where(_poly_eval(coeffs[:, 1, :], idx) & np.uint64(1), -1, 1).astype(np.int8)
-        assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs)
+    @pytest.mark.parametrize("r", [1, 2, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, _BUILD_LANES - 1, _BUILD_LANES, _BUILD_LANES + 1, 2 * _BUILD_LANES,
+                                   3 * _BUILD_LANES + 1, 4 * _BUILD_LANES, 4 * _BUILD_LANES + 1, 5 * _BUILD_LANES + 7])
+    def test_lane_build_matches_direct_evaluation(self, d, r):
+        # fewer steps than differences, a ragged last step, and every lane
+        # boundary; c from one bucket to just below 2**32
+        for c in (1, 7, 2**31 + 11, 2**32 - 1):
+            for seed in (0, 2**64 - 1):
+                cfg = SketchConfig(d=d, r=r, c=c, seed=seed)
+                fam = HashFamily(cfg)
+                buckets, signs = direct_family(cfg)
+                assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs), cfg
+
+    @pytest.mark.parametrize("d", [10**5, 10**6])
+    def test_build_memory_stays_flat_in_d(self, d):
+        # tracemalloc peak above the two tables: 556 KiB at both sizes (the
+        # (2r, L) differences plus one Horner evaluation at L points); every
+        # index evaluated a block at a time read 835 KiB, and all 4L start
+        # points evaluated in one call 1.03 MiB
+        cfg = SketchConfig(d=d, r=5, c=10**4, seed=2)
+        HashFamily(SketchConfig(d=64, r=5, c=10**4, seed=2))  # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            fam = HashFamily(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - fam.buckets.nbytes - fam.signs.nbytes < 640 << 10
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -540,7 +568,7 @@ _SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e
 
 class TestSignStorage:
     @pytest.mark.parametrize("r", range(1, 10))
-    @pytest.mark.parametrize("d", [_BUILD_BLOCK - 1, _BUILD_BLOCK + 1, _ESTIMATE_BLOCK + 3])
+    @pytest.mark.parametrize("d", [4 * _BUILD_LANES - 1, 4 * _BUILD_LANES + 1, _ESTIMATE_BLOCK + 3])
     def test_int8_signs_give_the_bits_of_float64_signs(self, monkeypatch, d, r):
         # Every kernel that reads the family, run on its int8 signs and again
         # on the same family with those signs as a float64 table.
@@ -614,6 +642,20 @@ class TestSketchQuery:
             assert _same_bits(s.estimates_at(idx), everything[idx])
         assert _same_bits(s.estimates_at(np.arange(cfg.d)), everything)
         assert _same_bits(s.estimates_at([]), np.empty(0))
+
+    @pytest.mark.parametrize("indices", [np.array([-1]), np.array([3, -8]), np.array([1.7]), np.array([1.0]),
+                                         np.array([True, False, False]), np.array([8]), np.array([2**63], dtype=np.uint64),
+                                         [0.5]], ids=repr)
+    def test_estimates_at_rejects_what_is_not_a_coordinate(self, indices):
+        # a gather would wrap -1 to d - 1, and an intp cast truncate 1.7 to 1
+        s = CountSketch(SketchConfig(d=8, r=3, c=4, seed=0), _table=np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="coordinates"):
+            s.estimates_at(indices)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_estimates_at_takes_any_integer_dtype(self, dtype):
+        s = CountSketch(SketchConfig(d=8, r=3, c=4, seed=0), _table=np.arange(12.0).reshape(3, 4))
+        assert _same_bits(s.estimates_at(np.array([7, 0, 3], dtype=dtype)), s.estimate_all()[[7, 0, 3]])
 
     def test_estimates_at_rejects_a_2d_index_array(self):
         s = CountSketch(SketchConfig(d=8, r=3, c=4, seed=0))

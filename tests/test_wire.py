@@ -131,6 +131,8 @@ class TestValueCodec:
         out = decode_values(encode_values(vals))
         assert np.array_equal(out, vals)
         assert out.dtype == np.float64
+        # a strided or non-float64 input is encoded as its float64 copy
+        assert encode_values(np.arange(6.0)[::2]) == encode_values(np.array([0.0, 2.0, 4.0])) == encode_values([0, 2, 4])
 
     def test_rejects_length_mismatch(self):
         payload = encode_values(np.array([1.0, 2.0]))
