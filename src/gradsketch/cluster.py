@@ -320,6 +320,7 @@ def run_training(
                 **account_round(sketch_config, config, channel),
             )
         )
+        del update  # a vanilla update is 2 x 8d; the next round's gradients need no part of it
 
     averaged_w = None
     summary: dict[str, object] = {

@@ -44,6 +44,8 @@ _BUILD_LANES = 1 << 10
 # Indices per block of estimate_all and estimates_at: the r gathered rows of
 # a block stay in cache through the whole median network.
 _ESTIMATE_BLOCK = 1 << 14
+# Indices per block of _add_dense: a block's widened signs and weights stay in cache.
+_SKETCH_BLOCK = 1 << 15
 # From this cell magnitude on, the two middle values of an even-r median can
 # overflow their sum, so coordinates_reaching declines to bound the median.
 _OVERFLOW_CELL = 2.0 ** 1022
@@ -420,27 +422,39 @@ def _dense_vector(config: SketchConfig, vec: np.ndarray) -> np.ndarray:
 def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:
     """Add the sketch of ``vectors[i]`` into ``tables[i]`` under ``family``.
 
-    Rows on the outside, vectors on the inside: each row's buckets and signs
-    are read once for all the vectors, not once per vector.  Per row and
-    vector, one weighted ``bincount`` (its weights written into one length-d
-    buffer) sums each cell's addends in index order from +0.0, and the sum
-    is added to the cell: bit for bit what adding the nonzeros one at a time
-    in index order would give, since the zero coordinates add signed zeros,
-    which change no such sum.  The callers check every shape (through
-    :func:`_dense_vector`) before any table changes.  An all-zero vector is
-    added too, and its +0.0 sums turn -0.0 cells into +0.0: the tables of
-    :func:`sketch_many` start at +0.0, and :meth:`CountSketch.update_dense`
-    skips such a vector itself.
+    Blocks of ``_SKETCH_BLOCK`` indices in increasing order, then rows (a
+    row's signs block widened to float64 once for all the vectors), then
+    vectors: ``np.add.at`` scatters the block's signed weights, one at a
+    time in index order, into a fresh +0.0 table per vector, whose sums are
+    then added to the cells.  That is bit for bit adding the nonzeros one
+    at a time in index order, since the zero coordinates add signed zeros,
+    which change no such sum; overflow and inf - inf give inf and NaN
+    without a warning.  Callers check every shape (:func:`_dense_vector`)
+    before any table changes.  An all-zero vector is added too, its +0.0
+    sums turning -0.0 cells into +0.0: the tables of :func:`sketch_many`
+    start at +0.0, and :meth:`CountSketch.update_dense` skips such a vector.
     """
     cfg = family.config
-    weights = np.empty(cfg.d)
-    for j, (buckets, signs) in enumerate(zip(family.buckets, family.signs)):
-        for table, vec in zip(tables, vectors):
-            table[j] += np.bincount(buckets, weights=np.multiply(signs, vec, out=weights), minlength=cfg.c)
+    sums = np.zeros((len(tables), cfg.r, cfg.c))
+    buffers = np.empty((2, min(cfg.d, _SKETCH_BLOCK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, cfg.d, _SKETCH_BLOCK):
+            block = slice(start, start + _SKETCH_BLOCK)
+            signs, weights = buffers[:, :min(cfg.d - start, _SKETCH_BLOCK)]
+            pieces = [vec[block] for vec in vectors]
+            for j, (buckets, row_signs) in enumerate(zip(family.buckets[:, block], family.signs[:, block])):
+                np.copyto(signs, row_signs)
+                for fresh, piece in zip(sums[:, j], pieces):
+                    np.add.at(fresh, buckets, np.multiply(signs, piece, out=weights))
+        # row by row: which NaN of a NaN + NaN numpy's add keeps depends on the shape
+        for table, fresh in zip(tables, sums):
+            for row, row_sums in zip(table, fresh):
+                row += row_sums
 
 
 def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSketch]:
-    """One sketch per dense length-d vector, in one pass over each hash row.
+    """One sketch per dense length-d vector, in one block-wise pass over the
+    indices that reads each block of the hash rows once for all the vectors.
 
     Each table is bit for bit what :meth:`CountSketch.update_dense` of its
     vector gives on a fresh sketch; a vector of the wrong shape raises

@@ -2,9 +2,10 @@
 
 The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
-time, the fully reduced short product modulo the hash field's prime, the
-hash tables from every index's polynomial values, the per-sample gradients
-whose mean a problem's batch gradient is, the blob data drawn with a shift
+time, sketches filled by one weighted ``bincount`` per row and vector over
+all d indices, the fully reduced short product modulo the hash field's
+prime, the hash tables from every index's polynomial values, the
+per-sample gradients whose mean a problem's batch gradient is, the blob data drawn with a shift
 matrix and permuted by copying, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), a sign table of
@@ -25,7 +26,7 @@ import numpy as np
 import gradsketch.cluster as cluster
 from gradsketch.heavyhitters import KSparseVector, heavymix, topk_indices
 from gradsketch.problems import _sigmoid
-from gradsketch.sketch import MERSENNE_P, CountSketch, SketchConfig, _family_for, _poly_eval, size_for, sketch_vector
+from gradsketch.sketch import MERSENNE_P, CountSketch, HashFamily, SketchConfig, _family_for, _poly_eval, size_for, sketch_vector
 
 
 def accumulate(sketch: CountSketch, index: int, weight: float) -> None:
@@ -47,6 +48,16 @@ def sketch_pairs(config: SketchConfig, pairs) -> CountSketch:
     for index, weight in pairs:
         accumulate(s, int(index), float(weight))
     return s
+
+
+def bincount_sketch(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:
+    """Add the sketch of ``vectors[i]`` into ``tables[i]``, all-zero vectors
+    included: per row and vector, one weighted ``bincount`` over all d
+    indices sums each cell's addends in index order from +0.0, and that sum
+    is added to the cell."""
+    for j, (buckets, signs) in enumerate(zip(family.buckets, family.signs)):
+        for table, vec in zip(tables, vectors):
+            table[j] += np.bincount(buckets, weights=signs * vec, minlength=family.config.c)
 
 
 def mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:

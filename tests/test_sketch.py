@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gradsketch.sketch import (
     _BUILD_LANES,
     _ESTIMATE_BLOCK,
+    _SKETCH_BLOCK,
     MERSENNE_P,
     ConfigMismatchError,
     CountSketch,
@@ -23,7 +24,7 @@ from gradsketch.sketch import (
     sketch_vector,
 )
 import gradsketch.sketch as sketch_module
-from oracles import accumulate, direct_family, mulmod_p61_short, point_estimate, sketch_pairs
+from oracles import accumulate, bincount_sketch, direct_family, mulmod_p61_short, point_estimate, sketch_pairs
 
 
 def _dense(cfg, seed, scale=1.0):
@@ -428,17 +429,6 @@ def _flat_bincount_update(sketch, vec):
     sketch.table += np.bincount(flat, weights=weights, minlength=cfg.r * cfg.c).reshape(cfg.r, cfg.c)
 
 
-def _rowwise_update(sketch, vec):
-    # update_dense as it stood before sketch_many: one vector, one weighted
-    # bincount per row.
-    cfg, fam = sketch.config, sketch._family
-    vec = np.asarray(vec, dtype=np.float64)
-    if not vec.any():
-        return
-    for row, buckets, signs in zip(sketch.table, fam.buckets, fam.signs):
-        row += np.bincount(buckets, weights=signs * vec, minlength=cfg.c)
-
-
 def _numpy_median_estimates(sketch):
     fam = sketch._family
     return np.median(np.take_along_axis(sketch.table, fam.buckets, axis=1) * fam.signs, axis=0)
@@ -505,7 +495,7 @@ class TestKernelOracles:
             one = CountSketch(cfg)
             one.update_dense(vec)
             old = CountSketch(cfg)
-            _rowwise_update(old, vec)
+            bincount_sketch(old._family, [old.table], [vec])
             assert _same_bits(sketch.table, old.table)
             assert _same_bits(one.table, old.table)
             assert _same_bits(sketch_vector(cfg, vec).table, old.table)
@@ -522,6 +512,59 @@ class TestKernelOracles:
             with pytest.raises(ValueError, match="shape"):
                 CountSketch(cfg).update_dense(bad)
         assert sketch_many(cfg, []) == []
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("d", [_SKETCH_BLOCK - 1, _SKETCH_BLOCK, _SKETCH_BLOCK + 1, 2 * _SKETCH_BLOCK + 5])
+    def test_sketch_many_and_update_dense_across_block_edges(self, d, c):
+        # With c this small every cell sums addends from every block, so a
+        # sum restarted at a block edge or blocks taken out of order change
+        # bits.  Vectors: finite with signed zeros and subnormals; finite
+        # with runs of four 1.7e308 addends of row 0's sign, one before each
+        # block edge (and before d // 2), so that sum overflows on the first
+        # index of a block; the same negated; finite with scattered
+        # infinities and NaNs; -0.0.
+        rng = np.random.default_rng(d + c)
+        for r in range(1, 10):
+            cfg = SketchConfig(d=d, r=r, c=c, seed=d + r)
+            fam = sketch_module._family_for(cfg)
+            tiny = np.where(rng.random(d) < 0.3, rng.choice(_SPECIAL_ENTRIES[:6], d), rng.standard_normal(d))
+            huge = rng.standard_normal(d)
+            for end in [d // 2, *range(_SKETCH_BLOCK, d, _SKETCH_BLOCK)]:
+                run = slice(end - 1, end + 3)
+                huge[run] = 1.7e308 * fam.signs[0, run]
+            wild = np.where(rng.random(d) < 0.001, rng.choice(_SPECIAL_ENTRIES[-3:], d), rng.standard_normal(d))
+            vectors = [tiny, huge, -huge, wild, -np.zeros(d)]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf sums and inf - inf in the oracle
+                expected = [np.zeros((r, c)) for _ in vectors]
+                bincount_sketch(fam, expected, vectors)
+                if c == 1:
+                    assert expected[1][0, 0] == np.inf and expected[2][0, 0] == -np.inf
+                for w in range(1, len(vectors) + 1):
+                    sketches = sketch_many(cfg, vectors[:w])
+                    assert all(_same_bits(s.table, e) for s, e in zip(sketches, expected))
+                for start in (CountSketch(cfg), CountSketch(cfg).scale(-1.0)):
+                    new, old = start.copy(), start.copy()
+                    for vec in vectors:
+                        new.update_dense(vec)
+                        if vec.any():
+                            bincount_sketch(fam, [old.table], [vec])
+                        assert _same_bits(new.table, old.table)
+
+    def test_sketch_many_allocates_its_tables_and_two_blocks(self):
+        # W = 4 tables plus their fresh sums, two float64 blocks of scratch
+        # and 8 KiB of small objects; the one-pass bincount kernel also
+        # wrote all d weights into one buffer, 8d bytes (2.2 MiB in all)
+        d, w = 1 << 18, 4
+        cfg = SketchConfig(d=d, r=5, c=1000, seed=1)
+        vectors = [_dense(cfg, seed) for seed in range(w)]
+        sketch_many(cfg, vectors)  # the family and numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            sketch_many(cfg, vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * w * cfg.r * cfg.c * 8 + 2 * 8 * _SKETCH_BLOCK + (64 << 10)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
