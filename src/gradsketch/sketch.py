@@ -180,7 +180,10 @@ class HashFamily:
     A cubic's third difference is constant, so the tables are exact (Horner's
     at every index, bit for bit, for any L) from a few (2r, L) temporaries.
 
-    ``buckets`` is int64 and ``signs`` int8, 9 bytes per row and index.
+    ``buckets`` takes the narrowest unsigned type that holds ``c - 1``
+    (uint8, uint16 or uint32) and ``signs`` int8, at most 5 bytes per row
+    and index.  Each kernel widens the buckets to intp one block at a time,
+    which numpy would otherwise do for every gather through a narrow index.
     Every product with a sign casts it to the float64 -1.0 or +1.0 first,
     and multiplying by +-1.0 is exact for every float64 (signed zeros,
     infinities, NaNs and subnormals included), so sketches and estimates
@@ -193,7 +196,7 @@ class HashFamily:
         # the r bucket polynomials, then the r sign polynomials
         polys = rng.integers(0, MERSENNE_P, size=(config.r, 2, 4), dtype=np.uint64).transpose(1, 0, 2).reshape(-1, 4)
         r, d, c, p = config.r, config.d, np.uint64(config.c), np.uint64(MERSENNE_P)
-        self.buckets = np.empty((r, d), dtype=np.int64)
+        self.buckets = np.empty((r, d), dtype=np.min_scalar_type(config.c - 1))
         self.signs = np.empty((r, d), dtype=np.int8)
         lanes = min(_BUILD_LANES, d)
         diffs = [_poly_eval(polys, np.arange(k * lanes, (k + 1) * lanes, dtype=np.uint64))
@@ -214,7 +217,7 @@ class HashFamily:
                 np.minimum(low, scratch, out=low)  # a sum below p wraps above it when p is taken off
 
 
-# Four families at most: at d = 10**6 and r = 5 each holds 43 MiB of tables.
+# Four families at most: at d = 10**6, r = 5 and c = 10**4 each holds 14 MiB of tables.
 @lru_cache(maxsize=4)
 def _family_for(config: SketchConfig) -> HashFamily:
     return HashFamily(config)
@@ -310,7 +313,7 @@ class CountSketch:
         # (a slice or an index array), written into ``dest``.
         fam, r = self._family, self.config.r
         rows = []
-        for row, buckets, signs in zip(self.table, fam.buckets[:, coords], fam.signs[:, coords]):
+        for row, buckets, signs in zip(self.table, fam.buckets[:, coords].astype(np.intp), fam.signs[:, coords]):
             gathered = row[buckets]
             gathered *= signs
             rows.append(gathered)
@@ -345,7 +348,8 @@ class CountSketch:
         marked cells of each coordinate over the rows, and returns those
         with at least ``ceil(r/2)``: a superset of the coordinates whose
         :meth:`estimate_all` entry has magnitude at least ``threshold``.
-        It reads every row's buckets but no sign and forms no median.
+        It reads every row's buckets, a block at a time, but no sign and
+        forms no median.
 
         Returns None when ``threshold`` is not a finite positive number, or
         when a cell is not finite or has magnitude at least ``2**1022``,
@@ -357,8 +361,12 @@ class CountSketch:
             return None
         marked = (mags >= threshold).view(np.uint8)
         counts = np.zeros(cfg.d, dtype=np.uint8 if cfg.r < 256 else np.int64)
-        for row_marked, buckets in zip(marked, fam.buckets):
-            counts += row_marked[buckets]
+        wide = np.empty(min(cfg.d, _SKETCH_BLOCK), dtype=np.intp)
+        for start in range(0, cfg.d, _SKETCH_BLOCK):
+            block, index = slice(start, start + _SKETCH_BLOCK), wide[:cfg.d - start]
+            for row_marked, buckets in zip(marked, fam.buckets[:, block]):
+                np.copyto(index, buckets)
+                counts[block] += row_marked[index]
         return np.flatnonzero(counts >= (cfg.r + 1) // 2)
 
     def l2_squared_estimate(self) -> float:
@@ -423,7 +431,8 @@ def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.nd
     """Add the sketch of ``vectors[i]`` into ``tables[i]`` under ``family``.
 
     Blocks of ``_SKETCH_BLOCK`` indices in increasing order, then rows (a
-    row's signs block widened to float64 once for all the vectors), then
+    row's block of signs widened to float64, and of buckets to intp, once
+    for all the vectors), then
     vectors: ``np.add.at`` scatters the block's signed weights, one at a
     time in index order, into a fresh +0.0 table per vector, whose sums are
     then added to the cells.  That is bit for bit adding the nonzeros one
@@ -437,13 +446,16 @@ def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.nd
     cfg = family.config
     sums = np.zeros((len(tables), cfg.r, cfg.c))
     buffers = np.empty((2, min(cfg.d, _SKETCH_BLOCK)))
+    wide = np.empty(buffers.shape[1], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.d, _SKETCH_BLOCK):
             block = slice(start, start + _SKETCH_BLOCK)
             signs, weights = buffers[:, :min(cfg.d - start, _SKETCH_BLOCK)]
+            buckets = wide[:signs.size]
             pieces = [vec[block] for vec in vectors]
-            for j, (buckets, row_signs) in enumerate(zip(family.buckets[:, block], family.signs[:, block])):
+            for j, (row_buckets, row_signs) in enumerate(zip(family.buckets[:, block], family.signs[:, block])):
                 np.copyto(signs, row_signs)
+                np.copyto(buckets, row_buckets)
                 for fresh, piece in zip(sums[:, j], pieces):
                     np.add.at(fresh, buckets, np.multiply(signs, piece, out=weights))
         # row by row: which NaN of a NaN + NaN numpy's add keeps depends on the shape
@@ -476,7 +488,9 @@ def merge_all(sketches) -> CountSketch:
     """Merge sketches by a left fold in the given order.
 
     Fixing the reduction order keeps float addition bit-reproducible when
-    the same collection is merged again.
+    the same collection is merged again: every finite and infinite cell.  A
+    NaN + NaN cell is NaN, but which operand's sign bit it keeps depends on
+    numpy's loop layout (the cell's position, the numpy build, the CPU).
     """
     sketches = list(sketches)
     if not sketches:

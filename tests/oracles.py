@@ -4,8 +4,9 @@ The package computes each of these vectorized or not at all; here they stay
 in their plain form: a count sketch filled and queried one coordinate at a
 time, sketches filled by one weighted ``bincount`` per row and vector over
 all d indices, the fully reduced short product modulo the hash field's
-prime, the hash tables from every index's polynomial values, the
-per-sample gradients whose mean a problem's batch gradient is, the blob data drawn with a shift
+prime, a hash family with its buckets widened to int64 (the control of
+the narrow bucket storage), the hash tables from every index's polynomial
+values, the per-sample gradients whose mean a problem's batch gradient is, the blob data drawn with a shift
 matrix and permuted by copying, the top-P*k
 candidate selection computed from every coordinate's estimate, a candidate
 selection that ignores the sketch (the control of AC11), a sign table of
@@ -18,6 +19,7 @@ update supports of a run, recorded at its round function.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -77,6 +79,14 @@ def mulmod_p61_short(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     s += lo
     s = (s >> np.uint64(61)) + (s & p)
     return np.subtract(s, p, out=s, where=s >= p)
+
+
+def wide_buckets(family: HashFamily) -> HashFamily:
+    """A copy of ``family`` whose bucket table is int64, the index type of
+    every gather: the control of the narrow bucket storage."""
+    wide = copy.copy(family)
+    wide.buckets = family.buckets.astype(np.int64)
+    return wide
 
 
 def direct_family(config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:

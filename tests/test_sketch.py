@@ -24,7 +24,15 @@ from gradsketch.sketch import (
     sketch_vector,
 )
 import gradsketch.sketch as sketch_module
-from oracles import accumulate, bincount_sketch, direct_family, mulmod_p61_short, point_estimate, sketch_pairs
+from oracles import (
+    accumulate,
+    bincount_sketch,
+    direct_family,
+    mulmod_p61_short,
+    point_estimate,
+    sketch_pairs,
+    wide_buckets,
+)
 
 
 def _dense(cfg, seed, scale=1.0):
@@ -127,8 +135,9 @@ class TestHashFamily:
     ])
     def test_tables_match_golden_digests(self, cfg, buckets_sha, signs_sha):
         fam = HashFamily(cfg)
-        assert fam.buckets.dtype == np.int64 and fam.signs.dtype == np.int8
-        assert hashlib.sha256(fam.buckets.tobytes()).hexdigest() == buckets_sha
+        assert fam.buckets.dtype == np.min_scalar_type(cfg.c - 1) and fam.signs.dtype == np.int8
+        # the bucket digests were taken over int64 tables
+        assert hashlib.sha256(fam.buckets.astype(np.int64).tobytes()).hexdigest() == buckets_sha
         # the sign digests were taken over float64 tables
         assert hashlib.sha256(fam.signs.astype(np.float64).tobytes()).hexdigest() == signs_sha
 
@@ -154,11 +163,14 @@ class TestHashFamily:
         assert set(np.unique(fam.signs)) <= {-1, 1}
 
     @pytest.mark.parametrize("r", [1, 5, 9])
-    def test_tables_take_nine_bytes_per_row_and_index(self, r):
-        # int64 buckets and int8 signs
-        cfg = SketchConfig(d=_BUILD_LANES + 3, r=r, c=10, seed=r)
+    @pytest.mark.parametrize("c, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+                                          (65537, np.uint32), (2**32 - 1, np.uint32)])
+    def test_buckets_take_the_narrowest_type_that_holds_c_minus_1(self, c, dtype, r):
+        # and int8 signs: 1 + itemsize bytes per row and index
+        cfg = SketchConfig(d=_BUILD_LANES + 3, r=r, c=c, seed=r)
         fam = HashFamily(cfg)
-        assert fam.buckets.nbytes + fam.signs.nbytes == 9 * cfg.r * cfg.d
+        assert fam.buckets.dtype == dtype == np.min_scalar_type(c - 1)
+        assert fam.buckets.nbytes + fam.signs.nbytes == (dtype().itemsize + 1) * cfg.r * cfg.d
 
     @pytest.mark.parametrize("r", [1, 2, 9])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, _BUILD_LANES - 1, _BUILD_LANES, _BUILD_LANES + 1, 2 * _BUILD_LANES,
@@ -171,7 +183,8 @@ class TestHashFamily:
                 cfg = SketchConfig(d=d, r=r, c=c, seed=seed)
                 fam = HashFamily(cfg)
                 buckets, signs = direct_family(cfg)
-                assert _same_bits(fam.buckets, buckets) and _same_bits(fam.signs, signs), cfg
+                # values, not dtypes: the family stores its buckets narrow
+                assert _same_bits(fam.buckets.astype(np.int64), buckets) and _same_bits(fam.signs, signs), cfg
 
     @pytest.mark.parametrize("d", [10**5, 10**6])
     def test_build_memory_stays_flat_in_d(self, d):
@@ -188,6 +201,19 @@ class TestHashFamily:
         finally:
             tracemalloc.stop()
         assert peak - fam.buckets.nbytes - fam.signs.nbytes < 640 << 10
+
+    def test_build_allocates_three_bytes_per_row_and_index(self):
+        # uint16 buckets (c = 1000) and int8 signs, plus the build's
+        # temporaries; int64 buckets took 9 bytes per row and index
+        cfg = SketchConfig(d=1 << 18, r=5, c=1000, seed=3)
+        HashFamily(SketchConfig(d=64, r=5, c=1000, seed=3))  # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            HashFamily(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * cfg.r * cfg.d + (600 << 10)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -238,7 +264,7 @@ class TestHashFamily:
         assert SketchConfig(d=2**32, r=1, c=4, seed=0).d == 2**32
 
     def test_family_cache_holds_at_most_four_families(self):
-        # at d = 10**6 and r = 5 a family holds 76 MiB of tables
+        # at d = 10**6, r = 5 and c = 10**4 a family holds 14 MiB of tables
         for seed in range(1000, 1006):
             CountSketch(SketchConfig(d=64, r=3, c=8, seed=seed))
             info = sketch_module._family_for.cache_info()
@@ -550,10 +576,11 @@ class TestKernelOracles:
                             bincount_sketch(fam, [old.table], [vec])
                         assert _same_bits(new.table, old.table)
 
-    def test_sketch_many_allocates_its_tables_and_two_blocks(self):
-        # W = 4 tables plus their fresh sums, two float64 blocks of scratch
-        # and 8 KiB of small objects; the one-pass bincount kernel also
-        # wrote all d weights into one buffer, 8d bytes (2.2 MiB in all)
+    def test_sketch_many_allocates_its_tables_and_three_blocks(self):
+        # W = 4 tables plus their fresh sums, two float64 blocks of scratch,
+        # one intp block of widened buckets and 8 KiB of small objects; the
+        # one-pass bincount kernel also wrote all d weights into one buffer,
+        # 8d bytes (2.2 MiB in all)
         d, w = 1 << 18, 4
         cfg = SketchConfig(d=d, r=5, c=1000, seed=1)
         vectors = [_dense(cfg, seed) for seed in range(w)]
@@ -564,7 +591,7 @@ class TestKernelOracles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * w * cfg.r * cfg.c * 8 + 2 * 8 * _SKETCH_BLOCK + (64 << 10)
+        assert peak < 2 * w * cfg.r * cfg.c * 8 + 3 * 8 * _SKETCH_BLOCK + (64 << 10)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
@@ -609,38 +636,72 @@ class TestKernelOracles:
 _SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
 
 
+def _kernel_outputs(monkeypatch, family, seed):
+    # Every kernel that reads the family, run under ``family`` on three
+    # vectors drawn from ``seed``: finite and small, then finite with
+    # overflowing sums, then anything.  Sketches of each vector and running
+    # sums of them, each with its table, all estimates, 100 chosen ones and
+    # the coordinates reaching 1.0, as (dtype, bytes) pairs.
+    cfg = family.config
+    rng = np.random.default_rng(seed)
+    vectors = [np.where(rng.random(cfg.d) < share, rng.choice(_SPECIAL_ENTRIES[:n], cfg.d), rng.standard_normal(cfg.d))
+               for share, n in ((0.3, 6), (0.01, 8), (0.3, len(_SPECIAL_ENTRIES)))]
+    indices = rng.integers(0, cfg.d, size=100)
+    monkeypatch.setattr(sketch_module, "_family_for", lambda config: family)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf sums and inf - inf
+        sketches = sketch_many(cfg, vectors)
+        running = CountSketch(cfg)
+        for vec in vectors:
+            running.update_dense(vec)
+            sketches.append(running.copy())
+        out = []
+        for s in sketches:
+            reaching = s.coordinates_reaching(1.0)
+            out += [s.table, s.estimate_all(), s.estimates_at(indices), np.array([]) if reaching is None else reaching]
+    return [(a.dtype, a.tobytes()) for a in out]
+
+
 class TestSignStorage:
     @pytest.mark.parametrize("r", range(1, 10))
     @pytest.mark.parametrize("d", [4 * _BUILD_LANES - 1, 4 * _BUILD_LANES + 1, _ESTIMATE_BLOCK + 3])
     def test_int8_signs_give_the_bits_of_float64_signs(self, monkeypatch, d, r):
         # Every kernel that reads the family, run on its int8 signs and again
         # on the same family with those signs as a float64 table.
-        cfg = SketchConfig(d=d, r=r, c=97, seed=d + r)
-        fam = HashFamily(cfg)
+        fam = HashFamily(SketchConfig(d=d, r=r, c=97, seed=d + r))
         wide = copy.copy(fam)
         wide.signs = fam.signs.astype(np.float64)
         assert set(np.unique(wide.signs)) <= {-1.0, 1.0}
-        rng = np.random.default_rng(r)
-        # finite and small, then finite with overflowing sums, then anything
-        vectors = [np.where(rng.random(d) < share, rng.choice(_SPECIAL_ENTRIES[:n], d), rng.standard_normal(d))
-                   for share, n in ((0.3, 6), (0.01, 8), (0.3, len(_SPECIAL_ENTRIES)))]
-        indices = rng.integers(0, d, size=100)
+        assert _kernel_outputs(monkeypatch, fam, r) == _kernel_outputs(monkeypatch, wide, r)
 
-        def outputs(family):
-            monkeypatch.setattr(sketch_module, "_family_for", lambda config: family)
-            sketches = sketch_many(cfg, vectors)
-            running = CountSketch(cfg)
-            for vec in vectors:
-                running.update_dense(vec)
-                sketches.append(running.copy())
-            out = []
-            for s in sketches:
-                reaching = s.coordinates_reaching(1.0)
-                out += [s.table, s.estimate_all(), s.estimates_at(indices), np.array([]) if reaching is None else reaching]
-            return [(a.dtype, a.tobytes()) for a in out]
 
-        with np.errstate(over="ignore", invalid="ignore"):  # inf sums and inf - inf, on both sides
-            assert outputs(fam) == outputs(wide)
+class TestBucketStorage:
+    # c at each edge of the bucket dtypes up to uint32; a c of 2**32 - 1
+    # needs 32 GiB per table row, so it is covered only by the tables'
+    # dtype and value tests
+    @pytest.mark.parametrize("c", [1, 256, 257, 65536, 65537])
+    @pytest.mark.parametrize("d", [_ESTIMATE_BLOCK + 3, _SKETCH_BLOCK - 1, _SKETCH_BLOCK + 1, 2 * _SKETCH_BLOCK + 5])
+    def test_narrow_buckets_give_the_bits_of_int64_buckets(self, monkeypatch, d, c):
+        # Every kernel that reads the family, run on its narrow buckets and
+        # again on the same family with those buckets as an int64 table.
+        for r in (1, 4):
+            fam = HashFamily(SketchConfig(d=d, r=r, c=c, seed=d + c + r))
+            assert fam.buckets.dtype.itemsize < 8 and fam.buckets.max() < c
+            assert _kernel_outputs(monkeypatch, fam, r) == _kernel_outputs(monkeypatch, wide_buckets(fam), r)
+
+    @pytest.mark.parametrize("c", [257, 65537])
+    def test_kernels_match_the_plain_references_past_a_narrow_range(self, c):
+        # Bucket values up to 256 and 65536, which an int8 or an int16
+        # widening would wrap to another bucket.  The references gather
+        # through the buckets with no kernel, so they catch a widening that
+        # the int64 control above shares with the narrow family.
+        cfg = SketchConfig(d=2 * _SKETCH_BLOCK + 5, r=4, c=c, seed=c)
+        rng = np.random.default_rng(c)
+        vectors = [rng.standard_normal(cfg.d) for _ in range(2)]
+        expected = [np.zeros((cfg.r, c)) for _ in vectors]
+        bincount_sketch(sketch_module._family_for(cfg), expected, vectors)
+        for s, e in zip(sketch_many(cfg, vectors), expected):
+            assert _same_bits(s.table, e) and _same_bits(s.estimate_all(), _numpy_median_estimates(s))
+            assert np.array_equal(s.coordinates_reaching(1.0), np.flatnonzero(_marked_counts(s, 1.0) >= (cfg.r + 1) // 2))
 
 
 def _marked_counts(sketch, threshold):
