@@ -21,7 +21,6 @@ from gradsketch.problems import (
 from gradsketch.sketch import (
     ConfigMismatchError,
     CountSketch,
-    HashFamily,
     SketchConfig,
     merge_all,
     size_for,
@@ -34,7 +33,6 @@ __all__ = [
     "ConfigMismatchError",
     "CountSketch",
     "Dataset",
-    "HashFamily",
     "HingeSVMProblem",
     "KSparseVector",
     "LogisticProblem",

@@ -44,7 +44,7 @@ _BUILD_LANES = 1 << 10
 # Indices per block of estimate_all and estimates_at: the r gathered rows of
 # a block stay in cache through the whole median network.
 _ESTIMATE_BLOCK = 1 << 14
-# Indices per block of _add_dense: a block's widened signs and weights stay in cache.
+# Indices per block of _sketch_tables: a block's widened signs and weights stay in cache.
 _SKETCH_BLOCK = 1 << 15
 # From this cell magnitude on, the two middle values of an even-r median can
 # overflow their sum, so coordinates_reaching declines to bound the median.
@@ -86,8 +86,8 @@ class SketchConfig:
             object.__setattr__(self, name, int(v))  # no narrow numpy type reaches r * c
         if self.r >= 1 << 32 or self.c >= 1 << 32:
             raise ValueError(f"table dims r={self.r}, c={self.c} exceed u32 range")
-        # every index must fit the Horner kernel's 32-bit operand; such
-        # tables would already take 64 GiB per row
+        # Horner sees only indices below 4 * _BUILD_LANES, so this guards no
+        # arithmetic; it bounds the tables, 2 to 5 bytes per row and index
         if self.d > 1 << 32:
             raise ValueError(f"dimension d={self.d} exceeds the hash family's limit of 2**32 indices")
         if self.seed >= 1 << 64:
@@ -124,8 +124,9 @@ def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation of per-row degree-3 polynomials mod ``2**61 - 1``.
 
     ``coeffs`` is ``(rows, 4)`` uint64, each below p, highest degree first;
-    ``x`` is ``(n,)`` uint64, each below 2**32 (``SketchConfig`` admits no
-    larger index).  Returns ``(rows, n)`` uint64 values fully reduced below p.
+    ``x`` is ``(n,)`` uint64, each below 2**32 (the family build passes
+    indices below ``4 * _BUILD_LANES``).  Returns ``(rows, n)`` uint64
+    values fully reduced below p.
     """
     p = np.uint64(MERSENNE_P)
     # Each step s <- s*x + c keeps s < 2**61 + 8 instead of reducing it
@@ -265,13 +266,16 @@ class CountSketch:
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
-        The one-vector case of :func:`sketch_many`'s kernel, after its shape
-        check; an all-zero vector returns early and leaves the table
-        untouched, -0.0 cells included.
+        After its shape check, adds the vector's table from
+        :func:`sketch_many`'s kernel into this one; an all-zero vector
+        returns early and leaves the table untouched, -0.0 cells included.
         """
         vec = _dense_vector(self.config, vec)
         if vec.any():
-            _add_dense(self._family, [self.table], [vec])
+            # row by row: which NaN of a NaN + NaN numpy's add keeps depends on the shape
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row, fresh in zip(self.table, _sketch_tables(self._family, [vec])[0]):
+                    row += fresh
 
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
@@ -427,24 +431,24 @@ def _dense_vector(config: SketchConfig, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.ndarray]) -> None:
-    """Add the sketch of ``vectors[i]`` into ``tables[i]`` under ``family``.
+def _sketch_tables(family: HashFamily, vectors: list[np.ndarray]) -> np.ndarray:
+    """The ``(len(vectors), r, c)`` sketch tables of ``vectors`` under ``family``.
 
     Blocks of ``_SKETCH_BLOCK`` indices in increasing order, then rows (a
     row's block of signs widened to float64, and of buckets to intp, once
-    for all the vectors), then
-    vectors: ``np.add.at`` scatters the block's signed weights, one at a
-    time in index order, into a fresh +0.0 table per vector, whose sums are
-    then added to the cells.  That is bit for bit adding the nonzeros one
-    at a time in index order, since the zero coordinates add signed zeros,
-    which change no such sum; overflow and inf - inf give inf and NaN
-    without a warning.  Callers check every shape (:func:`_dense_vector`)
-    before any table changes.  An all-zero vector is added too, its +0.0
-    sums turning -0.0 cells into +0.0: the tables of :func:`sketch_many`
-    start at +0.0, and :meth:`CountSketch.update_dense` skips such a vector.
+    for all the vectors), then vectors: ``np.add.at`` scatters the block's
+    signed weights, one at a time in index order, into the vector's table,
+    which starts at +0.0.  That is bit for bit adding the nonzeros one at a
+    time in index order, since the zero coordinates add signed zeros, which
+    change no such sum; overflow and inf - inf give inf and NaN without a
+    warning.  Under round-to-nearest a sum is -0.0 only when both addends
+    are, so a cell that starts at +0.0 never holds -0.0, and ``0.0 + s``
+    has the bits of such a cell ``s``, NaN included: each table is what
+    adding it into a fresh zero table would give.  Callers check every
+    shape (:func:`_dense_vector`) first.
     """
     cfg = family.config
-    sums = np.zeros((len(tables), cfg.r, cfg.c))
+    tables = np.zeros((len(vectors), cfg.r, cfg.c))
     buffers = np.empty((2, min(cfg.d, _SKETCH_BLOCK)))
     wide = np.empty(buffers.shape[1], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -456,12 +460,9 @@ def _add_dense(family: HashFamily, tables: list[np.ndarray], vectors: list[np.nd
             for j, (row_buckets, row_signs) in enumerate(zip(family.buckets[:, block], family.signs[:, block])):
                 np.copyto(signs, row_signs)
                 np.copyto(buckets, row_buckets)
-                for fresh, piece in zip(sums[:, j], pieces):
-                    np.add.at(fresh, buckets, np.multiply(signs, piece, out=weights))
-        # row by row: which NaN of a NaN + NaN numpy's add keeps depends on the shape
-        for table, fresh in zip(tables, sums):
-            for row, row_sums in zip(table, fresh):
-                row += row_sums
+                for row, piece in zip(tables[:, j], pieces):
+                    np.add.at(row, buckets, np.multiply(signs, piece, out=weights))
+    return tables
 
 
 def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSketch]:
@@ -470,13 +471,12 @@ def sketch_many(config: SketchConfig, vectors: list[np.ndarray]) -> list[CountSk
 
     Each table is bit for bit what :meth:`CountSketch.update_dense` of its
     vector gives on a fresh sketch; a vector of the wrong shape raises
-    ``ValueError`` before any sketch is filled.
+    ``ValueError`` before any sketch is filled.  The tables are views of
+    one ``(W, r, c)`` array, one disjoint ``(r, c)`` view per sketch.
     """
     vectors = [_dense_vector(config, vec) for vec in vectors]
     family = _family_for(config)
-    sketches = [CountSketch(config, _family=family) for _ in vectors]
-    _add_dense(family, [s.table for s in sketches], vectors)
-    return sketches
+    return [CountSketch(config, _family=family, _table=table) for table in _sketch_tables(family, vectors)]
 
 
 def sketch_vector(config: SketchConfig, v: np.ndarray) -> CountSketch:

@@ -27,7 +27,7 @@ from gradsketch.optim import (
     true_topk_step,
     vanilla_step,
 )
-from gradsketch.sketch import SketchConfig
+from gradsketch.sketch import SketchConfig, sketch_vector
 from oracles import dense
 
 
@@ -398,6 +398,32 @@ class TestEmpiricalRound:
         assert list(u2.indices) == [4, 5]
         assert np.array_equal(u2.values, np.array([1.0, 0.0]))
         assert np.all(states[0].accum == 0.0)
+
+    def test_bias_coordinates_are_cleared_before_sketching(self):
+        # every uploaded sketch is bit for bit that of its worker's gradient
+        # with the bias entries zeroed
+        class RecordingChannel(MeteredChannel):
+            def __init__(self):
+                super().__init__()
+                self.tables = []
+
+            def up_sketch(self, sketch, worker):
+                self.tables.append(sketch.table.copy())
+                return super().up_sketch(sketch, worker)
+
+        d, workers, bias = 64, 3, [0, 17, 63]
+        cfg = OptimizerConfig(mode="empirical", k=4, p=2, w_workers=workers, bias_indices=tuple(bias))
+        cfg.validate_for_dimension(d)
+        skc = SketchConfig(d=d, r=5, c=8, seed=6)
+        rng = np.random.default_rng(6)
+        grads = [rng.standard_normal(d) for _ in range(workers)]
+        channel = RecordingChannel()
+        empirical_round(make_states(np.zeros(d), workers), grads, 0.1, cfg, skc, rng_seed=0, channel=channel)
+        assert len(channel.tables) == workers
+        for table, g in zip(channel.tables, grads):
+            cleared = g.copy()
+            cleared[bias] = 0.0
+            assert table.tobytes() == sketch_vector(skc, cleared).table.tobytes()
 
     def test_update_support_is_sorted_and_k_plus_bias(self):
         cfg = OptimizerConfig(mode="empirical", k=3, p=2, w_workers=2, bias_indices=(0, 7))

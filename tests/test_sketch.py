@@ -576,11 +576,10 @@ class TestKernelOracles:
                             bincount_sketch(fam, [old.table], [vec])
                         assert _same_bits(new.table, old.table)
 
-    def test_sketch_many_allocates_its_tables_and_three_blocks(self):
-        # W = 4 tables plus their fresh sums, two float64 blocks of scratch,
-        # one intp block of widened buckets and 8 KiB of small objects; the
-        # one-pass bincount kernel also wrote all d weights into one buffer,
-        # 8d bytes (2.2 MiB in all)
+    def test_sketch_many_allocates_only_its_tables_and_three_blocks(self):
+        # W = 4 tables, two float64 blocks of scratch, one intp block of
+        # widened buckets and small objects: no second set of W tables to
+        # add from, and no d-length buffer of weights
         d, w = 1 << 18, 4
         cfg = SketchConfig(d=d, r=5, c=1000, seed=1)
         vectors = [_dense(cfg, seed) for seed in range(w)]
@@ -591,7 +590,43 @@ class TestKernelOracles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * w * cfg.r * cfg.c * 8 + 3 * 8 * _SKETCH_BLOCK + (64 << 10)
+        assert peak < w * cfg.r * cfg.c * 8 + 3 * 8 * _SKETCH_BLOCK + (64 << 10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        w_vectors=st.integers(1, 4),
+        r=st.integers(1, 9),
+        pairs=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sketch_many_tables_hold_no_negative_zero(self, data, w_vectors, r, pairs, seed):
+        # Each vector is pairs (x, -x * s_0(i) * s_0(i + 1)) of signed zeros
+        # and magnitudes, which cancel in row 0 wherever the pair shares a
+        # cell; with c <= 2 many cells of every row sum to exact zeros, and
+        # at c = 1 row 0's one cell does.  No cell may be -0.0.
+        cfg = SketchConfig(d=2 * pairs, r=r, c=data.draw(st.integers(1, 2)), seed=seed)
+        signs = sketch_module._family_for(cfg).signs[0].astype(np.float64)
+        entry = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1.7e308])
+        vectors = []
+        for _ in range(w_vectors):
+            vec = np.empty(cfg.d)
+            vec[0::2] = data.draw(st.lists(entry, min_size=pairs, max_size=pairs))
+            vec[1::2] = -vec[0::2] * signs[0::2] * signs[1::2]
+            vectors.append(vec)
+        for sketch in sketch_many(cfg, vectors):
+            zeros = sketch.table[sketch.table == 0.0]
+            assert not np.signbit(zeros).any()
+            assert cfg.c > 1 or sketch.table[0, 0] == 0.0
+
+    def test_update_dense_on_one_of_sketch_many_leaves_the_others(self):
+        # the tables of sketch_many may be views of one array
+        cfg = SketchConfig(d=300, r=5, c=16, seed=4)
+        sketches = sketch_many(cfg, [_dense(cfg, seed) for seed in range(3)])
+        before = [s.table.copy() for s in sketches]
+        sketches[1].update_dense(_dense(cfg, 9))
+        assert not _same_bits(sketches[1].table, before[1])
+        assert _same_bits(sketches[0].table, before[0]) and _same_bits(sketches[2].table, before[2])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), r=st.integers(1, 9), seed=st.integers(0, 2**16))
