@@ -11,6 +11,7 @@ error lives in which coordinates were nominated.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -52,6 +53,13 @@ class KSparseVector:
         return int(self.indices.size)
 
 
+def _integer(name: str, value, low: int, high: float = float("inf")) -> int:
+    """``value`` as an int; ValueError unless it is an integer (no bool) in ``[low, high]``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of ``|values|``, ascending.
 
@@ -62,8 +70,9 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     entry only where :func:`_topk_above_sampled_bound` declines.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not 0 <= k <= values.size:
-        raise ValueError(f"k={k} out of range for {values.size} values")
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-d value array, got shape {values.shape}")
+    k = _integer("k", k, 0, values.size)
     if k == 0:
         return np.empty(0, dtype=np.intp)
     mags = np.abs(values)
@@ -144,10 +153,7 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
         Sorted int64 index array of size ``min(p * k, d)``.
     """
     d = sketch.config.d
-    if p < 1:
-        raise ValueError(f"candidate multiplier must be >= 1, got {p}")
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    p, k = _integer("candidate multiplier p", p, 1), _integer("k", k, 1, d)
     m = min(p * k, d)
     top = _topk_above_sampled_bound(d, m, lambda idx: np.abs(sketch.estimates_at(idx)), sketch.coordinates_reaching)
     return top if top is not None else topk_indices(sketch.estimate_all(), m)
@@ -174,9 +180,7 @@ def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:
     Returns:
         Sorted int64 array of exactly ``k`` distinct indices.
     """
-    d = sketch.config.d
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    k = _integer("k", k, 1, sketch.config.d)
     est = sketch.estimate_all()
     l2_hat = sketch.l2_squared_estimate()
     with np.errstate(over="ignore"):  # an overflowing square reads inf

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -273,6 +274,8 @@ class QuadraticProblem:
             raise ValueError("spectrum must be a nonempty 1-d array of finite positive eigenvalues")
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma}")
+        if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+            raise ValueError(f"sample count must be an integer >= 1, got {n_samples!r}")
         rng = np.random.default_rng(seed)
         self.b = rng.standard_normal(self.spectrum.size)
         self.noise = rng.normal(0.0, noise_sigma, size=(n_samples, self.spectrum.size)) if noise_sigma > 0 else np.zeros((n_samples, self.spectrum.size))

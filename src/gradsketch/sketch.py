@@ -41,11 +41,9 @@ import numpy as np
 MERSENNE_P = (1 << 61) - 1
 # Interleaved lanes of a hash-family build: its (2r, L) state stays in cache.
 _BUILD_LANES = 1 << 10
-# Indices per block of estimate_all and estimates_at: the r gathered rows of
-# a block stay in cache through the whole median network.
-_ESTIMATE_BLOCK = 1 << 14
-# Indices per block of _sketch_tables: a block's widened signs and weights stay in cache.
-_SKETCH_BLOCK = 1 << 15
+# Indices per block of every kernel that walks the tables: a block's widened
+# buckets, signs and weights, or the r rows a median gathers, stay in cache.
+_BLOCK = 1 << 15
 # From this cell magnitude on, the two middle values of an even-r median can
 # overflow their sum, so coordinates_reaching declines to bound the median.
 _OVERFLOW_CELL = 2.0 ** 1022
@@ -254,6 +252,7 @@ class CountSketch:
 
     def __init__(self, config: SketchConfig, _family: HashFamily | None = None, _table: np.ndarray | None = None):
         self.config = config
+        # eager, so that perfbench/child.py times a family build as set-up and not in round 1
         self._family = _family if _family is not None else _family_for(config)
         if _table is None:
             self.table = np.zeros((config.r, config.c), dtype=np.float64)
@@ -280,8 +279,8 @@ class CountSketch:
     def estimate_all(self) -> np.ndarray:
         """Point estimates for every coordinate as a dense length-d vector.
 
-        Works through the indices in blocks of ``_ESTIMATE_BLOCK``, written
-        into one preallocated output, each block through :meth:`_median_into`:
+        Works through the indices in blocks of ``_BLOCK``, in the loop it
+        shares with :meth:`estimates_at`, each block by :meth:`_median_into`:
         one gather per row, then the median over rows by a compare-exchange
         network of elementwise min/max, so cost is Theta(d * r^2) flops with
         no sort and the block's r gathered rows stay in cache.  Every step is
@@ -290,11 +289,7 @@ class CountSketch:
         an even one ``(0.0 + lower + upper) / 2``, the sum numpy's mean
         forms; any NaN in a column makes its estimate NaN.
         """
-        out = np.empty(self.config.d)
-        for start in range(0, self.config.d, _ESTIMATE_BLOCK):
-            block = slice(start, start + _ESTIMATE_BLOCK)
-            self._median_into(out[block], block)
-        return out
+        return self._medians()
 
     def estimates_at(self, indices) -> np.ndarray:
         """Point estimates at a 1-d array of coordinate ``indices``, in their
@@ -306,15 +301,17 @@ class CountSketch:
             raise ValueError(f"expected a 1-d index array, got shape {indices.shape}")
         if indices.size and (indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < self.config.d):
             raise ValueError(f"expected integer coordinates in [0, {self.config.d}), got {indices.dtype} indices")
-        out = np.empty(indices.size)
-        for start in range(0, indices.size, _ESTIMATE_BLOCK):
-            block = slice(start, start + _ESTIMATE_BLOCK)
-            self._median_into(out[block], indices[block])
+        return self._medians(indices)
+
+    def _medians(self, indices: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(self.config.d if indices is None else indices.size)
+        for start in range(0, out.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._median_into(out[block], block if indices is None else indices[block])
         return out
 
     def _median_into(self, dest: np.ndarray, coords) -> None:
-        # Median over rows of the signed cells of the coordinates ``coords``
-        # (a slice or an index array), written into ``dest``.
+        # median over rows of the signed cells of ``coords`` (a slice or indices), into ``dest``
         fam, r = self._family, self.config.r
         rows = []
         for row, buckets, signs in zip(self.table, fam.buckets[:, coords].astype(np.intp), fam.signs[:, coords]):
@@ -365,9 +362,9 @@ class CountSketch:
             return None
         marked = (mags >= threshold).view(np.uint8)
         counts = np.zeros(cfg.d, dtype=np.uint8 if cfg.r < 256 else np.int64)
-        wide = np.empty(min(cfg.d, _SKETCH_BLOCK), dtype=np.intp)
-        for start in range(0, cfg.d, _SKETCH_BLOCK):
-            block, index = slice(start, start + _SKETCH_BLOCK), wide[:cfg.d - start]
+        wide = np.empty(min(cfg.d, _BLOCK), dtype=np.intp)
+        for start in range(0, cfg.d, _BLOCK):
+            block, index = slice(start, start + _BLOCK), wide[:cfg.d - start]
             for row_marked, buckets in zip(marked, fam.buckets[:, block]):
                 np.copyto(index, buckets)
                 counts[block] += row_marked[index]
@@ -434,7 +431,7 @@ def _dense_vector(config: SketchConfig, vec: np.ndarray) -> np.ndarray:
 def _sketch_tables(family: HashFamily, vectors: list[np.ndarray]) -> np.ndarray:
     """The ``(len(vectors), r, c)`` sketch tables of ``vectors`` under ``family``.
 
-    Blocks of ``_SKETCH_BLOCK`` indices in increasing order, then rows (a
+    Blocks of ``_BLOCK`` indices in increasing order, then rows (a
     row's block of signs widened to float64, and of buckets to intp, once
     for all the vectors), then vectors: ``np.add.at`` scatters the block's
     signed weights, one at a time in index order, into the vector's table,
@@ -449,12 +446,12 @@ def _sketch_tables(family: HashFamily, vectors: list[np.ndarray]) -> np.ndarray:
     """
     cfg = family.config
     tables = np.zeros((len(vectors), cfg.r, cfg.c))
-    buffers = np.empty((2, min(cfg.d, _SKETCH_BLOCK)))
+    buffers = np.empty((2, min(cfg.d, _BLOCK)))
     wide = np.empty(buffers.shape[1], dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, cfg.d, _SKETCH_BLOCK):
-            block = slice(start, start + _SKETCH_BLOCK)
-            signs, weights = buffers[:, :min(cfg.d - start, _SKETCH_BLOCK)]
+        for start in range(0, cfg.d, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            signs, weights = buffers[:, :min(cfg.d - start, _BLOCK)]
             buckets = wide[:signs.size]
             pieces = [vec[block] for vec in vectors]
             for j, (row_buckets, row_signs) in enumerate(zip(family.buckets[:, block], family.signs[:, block])):

@@ -63,6 +63,18 @@ def unframe(data: bytes) -> tuple[int, memoryview]:
     return tag, payload
 
 
+def _counted(payload: bytes, what: str, itemsize: int) -> tuple[int, memoryview]:
+    """Count and body (a view) of a u32-count-prefixed payload of ``what`` entries, each ``itemsize``
+    bytes or, for 0, a varint of 1+ bytes; a cut prefix or a body unfit for the count raises WireError."""
+    if len(payload) < _COUNT.size:
+        raise WireError(f"{what} payload truncated")
+    (count,) = _COUNT.unpack_from(payload, 0)
+    body = memoryview(payload)[_COUNT.size:]
+    if (len(body) != count * itemsize) if itemsize else (len(body) < count):
+        raise WireError(f"{what} payload advertises {count} entries in {len(body)} bytes")
+    return count, body
+
+
 def _encode_varint(value: int, out: bytearray) -> None:
     while value >= 0x80:
         out.append((value & 0x7F) | 0x80)
@@ -70,7 +82,7 @@ def _encode_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
-def _decode_varint(data: bytes, pos: int) -> tuple[int, int]:
+def _decode_varint(data: memoryview, pos: int) -> tuple[int, int]:
     result = shift = 0
     while True:
         if pos >= len(data):
@@ -105,23 +117,18 @@ def decode_indices(payload: bytes) -> np.ndarray:
     overlong varint, or a count larger than the bytes that follow raises
     :class:`WireError`.
     """
-    if len(payload) < _COUNT.size:
-        raise WireError("index payload truncated")
-    (count,) = _COUNT.unpack_from(payload, 0)
-    pos = _COUNT.size
-    if count > len(payload) - pos:
-        raise WireError(f"index payload advertises {count} entries in {len(payload) - pos} bytes")
+    count, body = _counted(payload, "index", 0)
     out = np.empty(count, dtype=np.int64)
-    value = 0
+    value = pos = 0
     for i in range(count):
-        delta, pos = _decode_varint(payload, pos)
+        delta, pos = _decode_varint(body, pos)
         if i and not delta:
             raise WireError(f"zero gap at index entry {i}: indices must be strictly increasing")
-        value = delta if i == 0 else value + delta
+        value += delta
         if value > _INT64_MAX:
             raise WireError(f"index entry {i} exceeds the int64 range")
         out[i] = value
-    if pos != len(payload):
+    if pos != len(body):
         raise WireError("trailing bytes after index payload")
     return out
 
@@ -132,13 +139,7 @@ def encode_values(values: np.ndarray) -> bytes:
 
 
 def decode_values(payload: bytes) -> np.ndarray:
-    if len(payload) < _COUNT.size:
-        raise WireError("value payload truncated")
-    (count,) = _COUNT.unpack_from(payload, 0)
-    body = memoryview(payload)[_COUNT.size:]  # a view: the one copy is the decoded array's
-    if len(body) != 8 * count:
-        raise WireError(f"value payload advertises {count} values, found {len(body)} bytes")
-    return np.frombuffer(body, dtype="<f8").copy()
+    return np.frombuffer(_counted(payload, "value", 8)[1], dtype="<f8").copy()
 
 
 _PAIR = np.dtype([("index", "<u8"), ("value", "<f8")])
@@ -155,13 +156,7 @@ def decode_sparse(payload: bytes, d: int) -> KSparseVector:
     """Inverse of :func:`encode_sparse` for dimension ``d``; an index at or
     past ``d`` or the int64 range, or a non-increasing index, raises
     :class:`WireError`."""
-    if len(payload) < _COUNT.size:
-        raise WireError("sparse payload truncated")
-    (count,) = _COUNT.unpack_from(payload, 0)
-    body = payload[_COUNT.size:]
-    if len(body) != _PAIR.itemsize * count:
-        raise WireError(f"sparse payload advertises {count} entries, found {len(body)} bytes")
-    pairs = np.frombuffer(body, dtype=_PAIR)
+    pairs = np.frombuffer(_counted(payload, "sparse", _PAIR.itemsize)[1], dtype=_PAIR)
     # an index past int64 turns negative here, which KSparseVector rejects
     # as out of range or out of order like any other bad index
     indices, values = pairs["index"].astype(np.int64), pairs["value"].astype(np.float64)

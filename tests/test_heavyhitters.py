@@ -61,6 +61,34 @@ class TestTopkSelection:
             topk_indices(vals, 7)
 
 
+class TestSelectorArguments:
+    # topk_indices, top_pk_candidates and heavymix check k and p by one rule:
+    # an integer, not a bool, in range, over a 1-d value array
+    def _sketch(self):
+        return sketch_vector(SketchConfig(d=16, r=3, c=5, seed=0), np.arange(16.0) - 7.5)
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, np.float64(2.0), True, False, "2", None], ids=repr)
+    def test_rejects_what_is_not_an_integer(self, bad):
+        s, vals = self._sketch(), np.arange(6.0)
+        for call in (lambda: topk_indices(vals, bad), lambda: top_pk_candidates(s, bad, 2),
+                     lambda: top_pk_candidates(s, 2, bad), lambda: heavymix(s, bad, 0)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_rejects_a_value_array_that_is_not_1d(self):
+        # a partition of the flattened array named flat indices [19998 19999]
+        for vals in (np.arange(20000.0).reshape(2, 10000), np.float64(3.0)):
+            with pytest.raises(ValueError, match="1-d"):
+                topk_indices(vals, 2)
+
+    @pytest.mark.parametrize("integer", [np.int8, np.int64, np.uint8, np.uint64])
+    def test_takes_numpy_integers(self, integer):
+        s, vals = self._sketch(), np.arange(6.0) - 2.5
+        assert np.array_equal(topk_indices(vals, integer(2)), topk_indices(vals, 2))
+        assert np.array_equal(top_pk_candidates(s, integer(3), integer(4)), top_pk_candidates(s, 3, 4))
+        assert np.array_equal(heavymix(s, integer(5), 1), heavymix(s, 5, 1))
+
+
 def _stable_argsort_topk(values, k):
     # The selection topk_indices must reproduce: the first k of a stable
     # sort by descending magnitude, NaNs last.

@@ -198,6 +198,16 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="finite"):
             QuadraticProblem(np.array([1.0, bad]), 0.0, 4, 0)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True, np.float64(4.0), None], ids=repr)
+    def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, n):
+        # n = 0 used to build an empty sample set whose loss read mean([])
+        with pytest.raises(ValueError, match="sample count"):
+            QuadraticProblem(np.ones(4), 0.1, n, seed=0)
+
+    @pytest.mark.parametrize("n", [1, np.int32(3), np.uint64(5)])
+    def test_takes_any_positive_integer_sample_count(self, n):
+        assert QuadraticProblem(np.ones(4), 0.1, n, seed=0).n_train == n
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_rejects_non_finite_noise_sigma(self, sigma):
         # a NaN sigma fails `sigma > 0` and used to run silently noise-free

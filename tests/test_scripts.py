@@ -1,6 +1,8 @@
-"""Smoke test: each experiment script runs to completion on tiny arguments."""
+"""Smoke tests: each experiment script runs to completion on tiny arguments,
+and a failing property test reports its example under the suite's warning filter."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -33,3 +35,20 @@ def test_script_exits_cleanly(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if script == "run_blob_experiments.py":
         assert len(os.listdir(tmp_path)) == 8  # two losses x four algorithms, one seed
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # With warnings as errors, hypothesis's report hook must neither abort the
+    # session nor hide the falsifying example; tests/conftest.py sees to that.
+    (tmp_path / "pyproject.toml").write_text('[tool.pytest.ini_options]\nfilterwarnings = ["error"]\n')
+    shutil.copy(os.path.join(ROOT, "tests", "conftest.py"), tmp_path)
+    (tmp_path / "test_example.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_runs_after():\n    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "Falsifying example" in proc.stdout and "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
