@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradsketch import wire
+from gradsketch._params import integer
 from gradsketch.metrics import RoundRecord, RunMetrics, support_fingerprint
 from gradsketch.optim import (
     IterateAverage,
@@ -154,9 +155,7 @@ def account_round(sketch_config: SketchConfig | None, config: OptimizerConfig, c
 
 def partition_batch(batch: np.ndarray, w_workers: int) -> list[np.ndarray]:
     """Split sample indices into W contiguous shards with sizes differing <= 1."""
-    if w_workers < 1:
-        raise ValueError(f"worker count must be positive, got {w_workers}")
-    return np.array_split(np.asarray(batch), w_workers)
+    return np.array_split(np.asarray(batch), integer("w_workers", w_workers, 1))
 
 
 @dataclass
@@ -200,14 +199,17 @@ def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
     squared distance from it.
 
     Uses two length-d buffers but the operations, in their order, of
-    ``mean = sum(grads) / W`` (whose sum starts from 0) and of
+    ``mean = sum(grads) / W`` and of
     ``sum((g - mean) @ (g - mean) for g in grads) / W``, so the values keep
-    their bits.  Overflow and NaN warnings are silenced: the caller checks
-    both results and names the offending worker itself.
+    their bits.  For W >= 2 the mean's sum starts from ``grads[0] + grads[1]``
+    rather than from 0 (a pass fewer); the two differ only where every
+    worker's entry is -0.0 (-0.0 against +0.0), and every square and product
+    there is +0.0 either way.  Overflow and NaN warnings are silenced: the
+    caller checks both results and names the offending worker itself.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add(0.0, grads[0])
-        for g in grads[1:]:
+        mean = np.add(grads[0], grads[1]) if len(grads) > 1 else np.add(0.0, grads[0])
+        for g in grads[2:]:
             mean += g
         mean /= len(grads)
         mean_sq = float(mean @ mean)

@@ -11,12 +11,12 @@ error lives in which coordinates were nominated.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from gradsketch._params import integer
 from gradsketch.sketch import CountSketch
 
 _TOPK_SAMPLE = 4096  # the strided sample size of _topk_above_sampled_bound
@@ -53,13 +53,6 @@ class KSparseVector:
         return int(self.indices.size)
 
 
-def _integer(name: str, value, low: int, high: float = float("inf")) -> int:
-    """``value`` as an int; ValueError unless it is an integer (no bool) in ``[low, high]``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
-
-
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of ``|values|``, ascending.
 
@@ -72,7 +65,7 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-d value array, got shape {values.shape}")
-    k = _integer("k", k, 0, values.size)
+    k = integer("k", k, 0, values.size)
     if k == 0:
         return np.empty(0, dtype=np.intp)
     mags = np.abs(values)
@@ -153,7 +146,7 @@ def top_pk_candidates(sketch: CountSketch, p: int, k: int) -> np.ndarray:
         Sorted int64 index array of size ``min(p * k, d)``.
     """
     d = sketch.config.d
-    p, k = _integer("candidate multiplier p", p, 1), _integer("k", k, 1, d)
+    p, k = integer("p", p, 1), integer("k", k, 1, d)
     m = min(p * k, d)
     top = _topk_above_sampled_bound(d, m, lambda idx: np.abs(sketch.estimates_at(idx)), sketch.coordinates_reaching)
     return top if top is not None else topk_indices(sketch.estimate_all(), m)
@@ -180,7 +173,7 @@ def heavymix(sketch: CountSketch, k: int, rng_seed: int) -> np.ndarray:
     Returns:
         Sorted int64 array of exactly ``k`` distinct indices.
     """
-    k = _integer("k", k, 1, sketch.config.d)
+    k = integer("k", k, 1, sketch.config.d)
     est = sketch.estimate_all()
     l2_hat = sketch.l2_squared_estimate()
     with np.errstate(over="ignore"):  # an overflowing square reads inf

@@ -23,13 +23,12 @@ which serializes, decodes and meters it.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
+from gradsketch._params import integer, real
 from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
 from gradsketch.sketch import SketchConfig, merge_all, sketch_many
 from gradsketch.sketch import sketch_vector  # noqa: F401  (perfbench/spans.py traces it under this name)
@@ -54,8 +53,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def rho_for(beta: float) -> float:
-    if beta <= 4:
-        raise ValueError(f"beta must exceed 4, got {beta}")
+    beta = real("beta", beta, "(4, inf)")
     return 4.0 * beta / ((beta - 4.0) * (beta + 1.0) ** 2)
 
 
@@ -66,10 +64,7 @@ def min_xi(d: int, k: int, beta: float) -> float:
 
 def lr_theory(t: int, xi: float, mu_scale: float = 1.0) -> float:
     """Theory-mode step size ``1 / (mu_scale * (t + xi))`` for 1-based t."""
-    if t < 1:
-        raise ValueError(f"round index is 1-based, got {t}")
-    if mu_scale <= 0:
-        raise ValueError("mu_scale must be positive")
+    t, xi, mu_scale = integer("t", t, 1), real("xi", xi, "(0, inf)"), real("mu_scale", mu_scale, "(0, inf)")
     return 1.0 / (mu_scale * (t + xi))
 
 
@@ -82,8 +77,7 @@ def lr_at(t: int, config: "OptimizerConfig") -> float:
     """
     if config.mode == "theory":
         return lr_theory(t, config.xi, config.mu_scale)
-    if t < 1:
-        raise ValueError(f"round index is 1-based, got {t}")
+    t = integer("t", t, 1)
     if not config.lr_points:
         return config.lr
     times = [p for p, _ in config.lr_points]
@@ -119,45 +113,24 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        counts = [("k", self.k), ("p", self.p), ("t_rounds", self.t_rounds), ("w_workers", self.w_workers)]
-        for name, value in counts + [("bias_indices entry", b) for b in self.bias_indices]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.p < 1:
-            raise ValueError(f"candidate multiplier p must be >= 1, got {self.p}")
-        if self.t_rounds < 0:
-            raise ValueError(f"round count must be nonnegative, got {self.t_rounds}")
-        if self.w_workers < 1:
-            raise ValueError(f"worker count must be positive, got {self.w_workers}")
-        for name in ("lr", "beta", "mu_scale", "xi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not all(math.isfinite(v) for point in self.lr_points for v in point):
-            raise ValueError(f"lr_points must be finite, got {self.lr_points}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.mu_scale <= 0:
-            raise ValueError("mu_scale must be positive")
-        if self.mode == "theory":
-            if self.xi is None:
-                raise ValueError("theory mode requires xi (it defines the step-size schedule)")
-            if self.xi <= 0:
-                raise ValueError(f"xi must be positive, got {self.xi}")
-            if self.algorithm == "sketched":
-                rho_for(self.beta)
-        if len(set(self.bias_indices)) != len(self.bias_indices):
+        # counts kept as Python ints, so no narrow numpy type reaches p * k
+        for name, low in (("k", 1), ("p", 1), ("t_rounds", 0), ("w_workers", 1)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
+        bias = [integer(f"bias_indices[{i}]", b, 0) for i, b in enumerate(self.bias_indices)]
+        for name, interval in (("lr", "(0, inf)"), ("beta", "(4, inf)"), ("mu_scale", "(0, inf)"), ("momentum", "[0, 1)")):
+            real(name, getattr(self, name), interval)
+        if self.xi is not None:
+            real("xi", self.xi, "(0, inf)")
+        for i, (t_point, lr_value) in enumerate(self.lr_points):
+            real(f"lr_points[{i}] t", t_point, "[1, inf)")
+            real(f"lr_points[{i}] lr", lr_value, "(0, inf)")
+        if self.mode == "theory" and self.xi is None:
+            raise ValueError("theory mode requires xi (it defines the step-size schedule)")
+        if len(set(bias)) != len(bias):
             raise ValueError("bias indices must be unique")
         # kept sorted: the bias goes out as an index request, which must increase
-        object.__setattr__(self, "bias_indices", tuple(sorted(self.bias_indices)))
+        object.__setattr__(self, "bias_indices", tuple(sorted(bias)))
         object.__setattr__(self, "lr_points", tuple(map(tuple, self.lr_points)))  # [] is the default ()
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        for t_point, lr_value in self.lr_points:
-            if t_point < 1 or lr_value <= 0:
-                raise ValueError(f"lr schedule points need t >= 1 and lr > 0, got ({t_point}, {lr_value})")
         times = [t_point for t_point, _ in self.lr_points]
         if sorted(times) != times or len(set(times)) != len(times):
             raise ValueError("lr schedule breakpoints must be strictly increasing in t")
@@ -170,7 +143,7 @@ class OptimizerConfig:
         """Dimension-dependent checks deferred until the problem is known."""
         if self.k > d:
             raise ValueError(f"k={self.k} exceeds dimension {d}")
-        if any(not 0 <= b < d for b in self.bias_indices):
+        if any(b >= d for b in self.bias_indices):
             raise ValueError(f"bias indices out of range for dimension {d}")
         if self.bias_indices and min(self.p * self.k, d) - len(self.bias_indices) < self.k:
             raise ValueError("candidate budget too small to exclude bias coordinates")

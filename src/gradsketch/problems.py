@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from gradsketch._params import integer, real
 
 
 class DatasetFormatError(ValueError):
@@ -93,10 +94,8 @@ def synth_data(n: int, d: int, class_separation: float, seed: int) -> Dataset:
     shuffled, all deterministically in ``seed``.  Separation 0 makes the
     classes indistinguishable.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if not (math.isfinite(class_separation) and class_separation >= 0):
-        raise ValueError(f"class separation must be finite and nonnegative, got {class_separation}")
+    n, d = integer("n", n, 1), integer("d", d, 1)
+    class_separation = real("class_separation", class_separation, "[0, inf)")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
@@ -210,12 +209,8 @@ def prepare_features(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: it never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> float:
@@ -272,10 +267,7 @@ class QuadraticProblem:
         self.spectrum = np.asarray(spectrum, dtype=np.float64)
         if self.spectrum.ndim != 1 or not self.spectrum.size or not np.all(np.isfinite(self.spectrum) & (self.spectrum > 0)):
             raise ValueError("spectrum must be a nonempty 1-d array of finite positive eigenvalues")
-        if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-            raise ValueError(f"noise sigma must be finite and nonnegative, got {noise_sigma}")
-        if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
-            raise ValueError(f"sample count must be an integer >= 1, got {n_samples!r}")
+        noise_sigma, n_samples = real("noise_sigma", noise_sigma, "[0, inf)"), integer("n_samples", n_samples, 1)
         rng = np.random.default_rng(seed)
         self.b = rng.standard_normal(self.spectrum.size)
         self.noise = rng.normal(0.0, noise_sigma, size=(n_samples, self.spectrum.size)) if noise_sigma > 0 else np.zeros((n_samples, self.spectrum.size))
@@ -355,8 +347,7 @@ class _ErmProblem:
     """Shared batching/eval glue for dataset-backed problems."""
 
     def __init__(self, train: Dataset, test: Dataset, lam: float):
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ValueError(f"regularization strength must be finite and nonnegative, got {lam}")
+        lam = real("lam", lam, "[0, inf)")
         if train.d != test.d:
             raise ValueError("train and test dimension mismatch")
         self.train = train

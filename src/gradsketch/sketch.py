@@ -31,12 +31,13 @@ family on every platform), tabulated by exact forward differences.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from gradsketch._params import integer, real
 
 MERSENNE_P = (1 << 61) - 1
 # Interleaved lanes of a hash-family build: its (2r, L) state stays in cache.
@@ -77,19 +78,11 @@ class SketchConfig:
     seed: int
 
     def __post_init__(self):
-        for name, low in (("d", 1), ("r", 1), ("c", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-            object.__setattr__(self, name, int(v))  # no narrow numpy type reaches r * c
-        if self.r >= 1 << 32 or self.c >= 1 << 32:
-            raise ValueError(f"table dims r={self.r}, c={self.c} exceed u32 range")
-        # Horner sees only indices below 4 * _BUILD_LANES, so this guards no
-        # arithmetic; it bounds the tables, 2 to 5 bytes per row and index
-        if self.d > 1 << 32:
-            raise ValueError(f"dimension d={self.d} exceeds the hash family's limit of 2**32 indices")
-        if self.seed >= 1 << 64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        # Horner sees only indices below 4 * _BUILD_LANES, so d's cap guards no
+        # arithmetic; it bounds the tables, 2 to 5 bytes per row and index.
+        # Each field is kept as a Python int, so no narrow numpy type reaches r * c.
+        for name, low, high in (("d", 1, 1 << 32), ("r", 1, (1 << 32) - 1), ("c", 1, (1 << 32) - 1), ("seed", 0, (1 << 64) - 1)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low, high))
 
 
 def size_for(k: int, d: int, delta: float) -> tuple[int, int]:
@@ -108,14 +101,12 @@ def size_for(k: int, d: int, delta: float) -> tuple[int, int]:
         ValueError: unless ``k`` and ``d`` are integers (not bools) with
             ``1 <= k <= d``, ``delta`` is in (0, 1) and ``d / delta`` is finite.
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (k, d)) or not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k!r}, d={d!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    d = integer("d", d, 1)
+    k, delta = integer("k", k, 1, d), real("delta", delta, "(0, 1)")
     if math.isinf(d / delta):
         raise ValueError(f"delta={delta!r} is too small for d={d}")
     r = math.ceil(math.log2(d / delta))
-    return max(r, 1), 6 * int(k)
+    return max(r, 1), 6 * k
 
 
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -305,18 +296,22 @@ class CountSketch:
 
     def _medians(self, indices: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(self.config.d if indices is None else indices.size)
+        wide = np.empty(min(out.size, _BLOCK), dtype=np.intp)
         for start in range(0, out.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            self._median_into(out[block], block if indices is None else indices[block])
+            self._median_into(out[block], block if indices is None else indices[block], wide)
         return out
 
-    def _median_into(self, dest: np.ndarray, coords) -> None:
-        # median over rows of the signed cells of ``coords`` (a slice or indices), into ``dest``
+    def _median_into(self, dest: np.ndarray, coords, wide: np.ndarray) -> None:
+        # median over rows of the signed cells of ``coords`` (a slice or indices), into ``dest``;
+        # each row's buckets are widened in turn into ``wide``, at least dest.size intp entries
         fam, r = self._family, self.config.r
+        index = wide[:dest.size]
         rows = []
-        for row, buckets, signs in zip(self.table, fam.buckets[:, coords].astype(np.intp), fam.signs[:, coords]):
-            gathered = row[buckets]
-            gathered *= signs
+        for row, buckets, signs in zip(self.table, fam.buckets, fam.signs):
+            np.copyto(index, buckets[coords])
+            gathered = row[index]
+            gathered *= signs[coords]
             rows.append(gathered)
         spare = np.empty_like(rows[0])
         for lo, hi, need_min, need_max in _median_network(r):
@@ -381,9 +376,7 @@ class CountSketch:
 
     def scale(self, alpha: float) -> "CountSketch":
         """New sketch with every cell multiplied by finite scalar ``alpha``."""
-        alpha = float(alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"scale factor must be finite, got {alpha!r}")
+        alpha = real("alpha", alpha)
         return CountSketch(self.config, _family=self._family, _table=self.table * alpha)
 
     def to_bytes(self) -> bytes:
@@ -413,8 +406,8 @@ class CountSketch:
         expected = _HEADER.size + 8 * r * c
         if len(data) != expected:
             raise ValueError(f"sketch payload has {len(data)} bytes, expected {expected}")
-        found = SketchConfig(d=d, r=r, c=c, seed=seed)
-        if found != config:
+        if (d, r, c, seed) != (config.d, config.r, config.c, config.seed):
+            found = SketchConfig(d=d, r=r, c=c, seed=seed)
             raise ConfigMismatchError(f"sketch payload carries config {found}, expected {config}")
         table = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(r, c).copy()
         return cls(config, _table=table)

@@ -82,21 +82,6 @@ def _encode_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
-def _decode_varint(data: memoryview, pos: int) -> tuple[int, int]:
-    result = shift = 0
-    while True:
-        if pos >= len(data):
-            raise WireError("varint runs past end of payload")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if shift and not byte:
-                raise WireError("overlong varint: its last byte is zero")
-            return result, pos
-        shift += 7
-
-
 def encode_indices(indices: np.ndarray) -> bytes:
     """Delta-varint encoding of a sorted, strictly increasing index array."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -115,22 +100,40 @@ def decode_indices(payload: bytes) -> np.ndarray:
 
     A zero gap (a repeated index), an index past the int64 range, an
     overlong varint, or a count larger than the bytes that follow raises
-    :class:`WireError`.
+    :class:`WireError`, for the first bad entry in stream order.  Decoded
+    in one vectorized pass: each varint ends at a byte below 0x80, and a
+    gap is the sum of its 7-bit groups shifted into place.  A varint of 10
+    or more bytes is overlong or holds a gap of at least 2**63, so only
+    shorter ones are summed, which keeps every group below 2**63.
     """
     count, body = _counted(payload, "index", 0)
-    out = np.empty(count, dtype=np.int64)
-    value = pos = 0
-    for i in range(count):
-        delta, pos = _decode_varint(body, pos)
-        if i and not delta:
+    data = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(data < 0x80)[:count]
+    lengths = np.diff(ends, prepend=-1)
+    long = np.flatnonzero(lengths >= 10)
+    n = int(long[0]) if long.size else ends.size  # entries 0..n-1 are summed
+    starts = ends[:n] - lengths[:n] + 1
+    size = int(ends[n - 1]) + 1 if n else 0
+    groups = (data[:size] & 0x7F).astype(np.uint64)
+    groups <<= (7 * (np.arange(size) - np.repeat(starts, lengths[:n]))).astype(np.uint64)
+    gaps = np.add.reduceat(groups, starts) if n else groups
+    values = np.cumsum(gaps)  # a gap is below 2**63, so the first sum past _INT64_MAX does not wrap
+    overlong = (lengths[:n] > 1) & (data[ends[:n]] == 0)
+    zero = gaps == 0
+    zero[:1] = False
+    bad = overlong | zero | (values > _INT64_MAX)
+    i = int(np.argmax(bad)) if bad.any() else n
+    if i < ends.size:  # entry i is bad: a short one flagged above, or the first long one
+        if overlong[i] if i < n else data[ends[i]] == 0:
+            raise WireError("overlong varint: its last byte is zero")
+        if i < n and zero[i]:
             raise WireError(f"zero gap at index entry {i}: indices must be strictly increasing")
-        value += delta
-        if value > _INT64_MAX:
-            raise WireError(f"index entry {i} exceeds the int64 range")
-        out[i] = value
-    if pos != len(body):
+        raise WireError(f"index entry {i} exceeds the int64 range")
+    if ends.size < count:
+        raise WireError("varint runs past end of payload")
+    if size != len(body):
         raise WireError("trailing bytes after index payload")
-    return out
+    return values.view(np.int64)
 
 
 def encode_values(values: np.ndarray) -> bytes:

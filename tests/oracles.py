@@ -14,7 +14,9 @@ all +1 (the control of the sign check), the paper's
 element compression formula evaluated from the configuration, the
 Monte-Carlo error-feedback contraction estimator behind AC3 with the vector
 families it draws from, a sparse vector written out densely, and the exact
-update supports of a run, recorded at its round function.
+update supports of a run, recorded at its round function, the logistic
+function computed on each sign's half apart, and the worker-gradient
+statistics with the worker sum started from zero.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 import gradsketch.cluster as cluster
 from gradsketch.heavyhitters import KSparseVector, heavymix, topk_indices
-from gradsketch.problems import _sigmoid
 from gradsketch.sketch import MERSENNE_P, CountSketch, HashFamily, SketchConfig, _family_for, _poly_eval, size_for, sketch_vector
 
 
@@ -107,10 +108,33 @@ def per_sample_gradients(problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return (problem.spectrum * w - problem.b)[None, :] + problem.noise[idx]
     X, y = problem.train.features[idx], problem.train.labels[idx]
     if problem.kind == "logistic":
-        coeff = -y * _sigmoid(-(y * (X @ w)))
+        coeff = -y * sigmoid_by_halves(-(y * (X @ w)))
     else:
         coeff = np.where(y * (X @ w) < 1.0, -y.astype(np.float64), 0.0)
     return X * coeff[:, None] + problem.lam * w
+
+
+def sigmoid_by_halves(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` where ``z >= 0`` and ``exp(z) / (1 + exp(z))``
+    elsewhere, each half gathered and computed apart."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def gradient_statistics_from_zero(grads: list[np.ndarray]) -> tuple[float, float]:
+    """What ``cluster._gradient_statistics`` computes, with the worker sum
+    started from 0.0 at every W."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add(0.0, grads[0])
+        for g in grads[1:]:
+            mean += g
+        mean /= len(grads)
+        dispersion = sum(float((g - mean) @ (g - mean)) for g in grads)
+        return float(mean @ mean), dispersion / len(grads)
 
 
 def blobs_by_copy(n: int, d: int, class_separation: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -496,14 +496,14 @@ rng = 3
         text = SYNTH_LOGISTIC.replace("lr = 0.5", "lr_points = 1:0.5, 12:nan")
         cfg = write_config(tmp_path, text.format(out=tmp_path / "x.csv"))
         assert main(["run", cfg]) == 2
-        assert "lr_points must be finite" in capsys.readouterr().err
+        assert "lr_points[1] lr must be a finite real in (0, inf), got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, named",
         [
-            (QUADRATIC_THEORY.replace("quad_noise_sigma = 0.05", "quad_noise_sigma = -1.0"), "noise sigma"),
-            (SYNTH_LOGISTIC.replace("synth_separation = 3.0", "synth_separation = -1.0"), "separation"),
-            (SYNTH_LOGISTIC.replace("lambda = 0.01", "lambda = -0.5"), "regularization"),
+            (QUADRATIC_THEORY.replace("quad_noise_sigma = 0.05", "quad_noise_sigma = -1.0"), "noise_sigma must be a finite real in [0, inf), got -1.0"),
+            (SYNTH_LOGISTIC.replace("synth_separation = 3.0", "synth_separation = -1.0"), "class_separation must be a finite real in [0, inf), got -1.0"),
+            (SYNTH_LOGISTIC.replace("lambda = 0.01", "lambda = -0.5"), "lam must be a finite real in [0, inf), got -0.5"),
         ],
         ids=["quad_noise_sigma", "synth_separation", "lambda"],
     )
@@ -516,8 +516,8 @@ rng = 3
     @pytest.mark.parametrize(
         "size, named",
         [
-            ("size_k = 9\nsize_delta = 0.1", "need 1 <= k <= d, got k=9, d=4"),
-            ("size_k = 4\nsize_delta = 1.5", "delta must be in (0, 1), got 1.5"),
+            ("size_k = 9\nsize_delta = 0.1", "k must be an integer in [1, 4], got 9"),
+            ("size_k = 4\nsize_delta = 1.5", "delta must be a finite real in (0, 1), got 1.5"),
             ("size_k = 4\nsize_delta = 5e-324", "delta=5e-324 is too small for d=4"),
         ],
         ids=["k-above-d", "delta-above-1", "d-over-delta-overflows"],

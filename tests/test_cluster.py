@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import inspect
+import math
 import re
 import tracemalloc
 import warnings
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gradsketch.cluster as cluster
 from gradsketch.cluster import (
@@ -25,7 +28,7 @@ from gradsketch import wire
 from gradsketch.optim import OptimizerConfig, exact_mean, make_states, theory_round
 from gradsketch.problems import QuadraticProblem, split_dataset, synth_data, LogisticProblem
 from gradsketch.sketch import SketchConfig, _family_for, merge_all, sketch_vector
-from oracles import paper_compression_factor, recorded_supports
+from oracles import gradient_statistics_from_zero, paper_compression_factor, recorded_supports
 
 
 def quadratic(d=32, noise=0.05, n=128, seed=5):
@@ -746,6 +749,20 @@ class TestRunTraining:
             dispersion_sum += sum(float((g - mean_grad) @ (g - mean_grad)) for g in rnd) / w_workers
         assert summary["grad_sq_max"] == grad_sq_max
         assert summary["grad_dispersion"] == dispersion_sum / cfg.t_rounds
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                  elements=st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats(-1e3, 1e3))))
+    @example(np.full((2, 3), -0.0))
+    @example(np.array([[-0.0, np.inf, np.nan], [-0.0, -np.inf, 1.0], [-0.0, 2.0, -np.inf]]))
+    def test_gradient_statistics_match_the_sum_from_zero(self, grads):
+        # the worker sum starting at grads[0] + grads[1] differs from 0.0 + ...
+        # only in the sign of an all -0.0 coordinate, which no statistic sees;
+        # a NaN's sign bit follows the dot kernel's operand order, so only
+        # NaN-ness is compared there
+        got, want = cluster._gradient_statistics(list(grads)), gradient_statistics_from_zero(list(grads))
+        for g, w in zip(got, want):
+            assert (math.isnan(g) and math.isnan(w)) or np.float64(g).tobytes() == np.float64(w).tobytes()
 
 
 class TestGoldenDigests:

@@ -42,11 +42,11 @@ class TestSchedule:
             lr_theory(0, 3.0)
 
     def test_lr_at_is_one_based_in_empirical_mode(self):
-        with pytest.raises(ValueError, match="round index is 1-based, got 0"):
+        with pytest.raises(ValueError, match=re.escape("t must be an integer in [1, inf], got 0")):
             lr_at(0, OptimizerConfig(mode="empirical"))
 
     def test_lr_theory_rejects_non_positive_mu_scale(self):
-        with pytest.raises(ValueError, match="mu_scale must be positive"):
+        with pytest.raises(ValueError, match=re.escape("mu_scale must be a finite real in (0, inf), got 0")):
             lr_theory(1, 10.0, mu_scale=0)
 
     def test_rho_value(self):
@@ -95,26 +95,28 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_floats(self, mode, field, value):
         kwargs = {"mode": mode, "algorithm": "sketched", "xi": 50.0, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite real in \(\d, inf\), got {value}$"):
             OptimizerConfig(**kwargs)
 
-    @pytest.mark.parametrize("point", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, -np.inf)])
-    def test_rejects_non_finite_lr_points(self, point):
-        with pytest.raises(ValueError, match="lr_points must be finite"):
-            OptimizerConfig(mode="empirical", lr_points=((0.0, 0.5), point))
+    @pytest.mark.parametrize("point, named", [((np.nan, 0.1), "t"), ((1.0, np.nan), "lr"), ((np.inf, 0.1), "t"),
+                                              ((1.0, -np.inf), "lr")])
+    def test_rejects_non_finite_lr_points(self, point, named):
+        value = point[0] if named == "t" else point[1]
+        with pytest.raises(ValueError, match=rf"^lr_points\[1\] {named} must be a finite real in .*, got {value}$"):
+            OptimizerConfig(mode="empirical", lr_points=((1.0, 0.5), point))
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"mu_scale": 0.0}, "mu_scale must be positive"),
-            ({"mu_scale": -1.0}, "mu_scale must be positive"),
-            ({"lr": 0.0}, "lr must be positive, got 0.0"),
-            ({"lr": -0.5}, "lr must be positive, got -0.5"),
-            ({"lr_points": ((0.5, 0.1),)}, "need t >= 1 and lr > 0, got (0.5, 0.1)"),
-            ({"lr_points": ((1.0, 0.0),)}, "need t >= 1 and lr > 0, got (1.0, 0.0)"),
+            ({"mu_scale": 0.0}, "mu_scale must be a finite real in (0, inf), got 0.0"),
+            ({"mu_scale": -1.0}, "mu_scale must be a finite real in (0, inf), got -1.0"),
+            ({"lr": 0.0}, "lr must be a finite real in (0, inf), got 0.0"),
+            ({"lr": -0.5}, "lr must be a finite real in (0, inf), got -0.5"),
+            ({"lr_points": ((0.5, 0.1),)}, "lr_points[0] t must be a finite real in [1, inf), got 0.5"),
+            ({"lr_points": ((1.0, 0.0),)}, "lr_points[0] lr must be a finite real in (0, inf), got 0.0"),
             ({"lr_points": ((2.0, 0.1), (1.0, 0.1))}, "breakpoints must be strictly increasing in t"),
             ({"lr_points": ((1.0, 0.1), (1.0, 0.2))}, "breakpoints must be strictly increasing in t"),
-            ({"t_rounds": -1}, "round count must be nonnegative, got -1"),
+            ({"t_rounds": -1}, "t_rounds must be an integer in [0, inf], got -1"),
         ],
         ids=["mu_scale-zero", "mu_scale-negative", "lr-zero", "lr-negative", "lr_points-t",
              "lr_points-lr", "lr_points-decreasing", "lr_points-repeated", "t_rounds"],
@@ -130,13 +132,13 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize(
         "fields, named",
         [
-            ({"k": 2.5}, "k must be an integer, got 2.5"),
-            ({"k": True}, "k must be an integer, got True"),
-            ({"p": np.float64(2.0)}, "p must be an integer, got np.float64(2.0)"),
-            ({"t_rounds": 3.0}, "t_rounds must be an integer, got 3.0"),
-            ({"w_workers": 2.0}, "w_workers must be an integer, got 2.0"),
-            ({"bias_indices": (1.5,)}, "bias_indices entry must be an integer, got 1.5"),
-            ({"bias_indices": (0, False)}, "bias_indices entry must be an integer, got False"),
+            ({"k": 2.5}, "k must be an integer in [1, inf], got 2.5"),
+            ({"k": True}, "k must be an integer in [1, inf], got True"),
+            ({"p": np.float64(2.0)}, "p must be an integer in [1, inf], got np.float64(2.0)"),
+            ({"t_rounds": 3.0}, "t_rounds must be an integer in [0, inf], got 3.0"),
+            ({"w_workers": 2.0}, "w_workers must be an integer in [1, inf], got 2.0"),
+            ({"bias_indices": (1.5,)}, "bias_indices[0] must be an integer in [0, inf], got 1.5"),
+            ({"bias_indices": (0, False)}, "bias_indices[1] must be an integer in [0, inf], got False"),
         ],
         ids=["k-float", "k-bool", "p-numpy-float", "t_rounds-float", "w_workers-float", "bias-float", "bias-bool"],
     )
@@ -148,6 +150,9 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig(mode="empirical", k=np.int64(4), p=np.int32(2), t_rounds=np.uint8(3),
                               w_workers=np.int64(2), bias_indices=(np.int64(9), 1))
         assert (cfg.k, cfg.p, cfg.t_rounds, cfg.w_workers, cfg.bias_indices) == (4, 2, 3, 2, (1, 9))
+        assert all(type(v) is int for v in (cfg.k, cfg.p, cfg.t_rounds, cfg.w_workers, *cfg.bias_indices))
+        # kept as Python ints, so p * k cannot wrap (np.int8(10) * np.int8(100) overflows)
+        OptimizerConfig(mode="empirical", k=np.int8(100), p=np.int8(10), bias_indices=(0,)).validate_for_dimension(5000)
 
     @pytest.mark.parametrize(
         "mode, algorithm, fields, unread",

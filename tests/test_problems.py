@@ -20,11 +20,12 @@ from gradsketch.problems import (
     logistic_gradient,
     logistic_loss,
     _checksum,
+    _sigmoid,
     prepare_features,
     split_dataset,
     synth_data,
 )
-from oracles import blobs_by_copy, per_sample_gradients
+from oracles import blobs_by_copy, per_sample_gradients, sigmoid_by_halves
 
 
 def _bits(x):
@@ -79,6 +80,12 @@ class TestLogistic:
         y = rng.choice([-1, 1], size=30)
         g = logistic_gradient(w, X, y, 1e6)
         np.testing.assert_allclose(g / 1e6, w, rtol=1e-4)
+
+    def test_sigmoid_has_the_bits_of_the_two_halves(self):
+        # one exp of -|z| feeds exp the argument each half did
+        z = np.concatenate([[0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf],
+                            np.random.default_rng(3).standard_normal(4000) * 40.0])
+        assert _sigmoid(z).tobytes() == sigmoid_by_halves(z).tobytes()
 
     def test_loss_stable_for_extreme_margins(self):
         X = np.array([[1000.0], [-1000.0]])
@@ -201,7 +208,7 @@ class TestQuadratic:
     @pytest.mark.parametrize("n", [0, -3, 2.0, True, np.float64(4.0), None], ids=repr)
     def test_rejects_a_sample_count_that_is_not_a_positive_integer(self, n):
         # n = 0 used to build an empty sample set whose loss read mean([])
-        with pytest.raises(ValueError, match="sample count"):
+        with pytest.raises(ValueError, match=re.escape(f"n_samples must be an integer in [1, inf], got {n!r}")):
             QuadraticProblem(np.ones(4), 0.1, n, seed=0)
 
     @pytest.mark.parametrize("n", [1, np.int32(3), np.uint64(5)])
@@ -211,7 +218,7 @@ class TestQuadratic:
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_rejects_non_finite_noise_sigma(self, sigma):
         # a NaN sigma fails `sigma > 0` and used to run silently noise-free
-        with pytest.raises(ValueError, match="noise sigma"):
+        with pytest.raises(ValueError, match=f"noise_sigma must be a finite real in \\[0, inf\\), got {sigma}"):
             QuadraticProblem(np.array([1.0, 2.0]), sigma, 4, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 17, 300])
@@ -293,11 +300,11 @@ class TestSynthData:
     @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_separation(self, separation):
         # a NaN separation fails `< 0` and used to surface only at the loss
-        with pytest.raises(ValueError, match=f"class separation must be finite and nonnegative, got {separation}"):
+        with pytest.raises(ValueError, match=f"class_separation must be a finite real in \\[0, inf\\), got {separation}"):
             synth_data(10, 3, separation, seed=0)
 
     def test_rejects_empty_data(self):
-        with pytest.raises(ValueError, match="need n >= 1 and d >= 1, got n=0, d=3"):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer in [1, inf], got 0")):
             synth_data(0, 3, 1.0, 0)
 
     def test_split_leaves_a_test_row(self):
@@ -480,5 +487,5 @@ class TestErmProblems:
     @pytest.mark.parametrize("cls", [LogisticProblem, HingeSVMProblem])
     def test_rejects_non_finite_lambda(self, cls, lam):
         # a NaN lambda fails `< 0` and used to surface only at the loss
-        with pytest.raises(ValueError, match=f"regularization strength must be finite and nonnegative, got {lam}"):
+        with pytest.raises(ValueError, match=f"lam must be a finite real in \\[0, inf\\), got {lam}"):
             self._problem(cls, lam=lam)

@@ -83,23 +83,25 @@ class TestIndexCodec:
 
     def test_rejects_truncated_payload(self):
         payload = encode_indices(np.array([1, 5, 9]))
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^index payload advertises 3 entries in 2 bytes$"):
             decode_indices(payload[:-1])
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^trailing bytes after index payload$"):
             decode_indices(payload + b"\x00")
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^index payload truncated$"):
             decode_indices(b"\x01")
+        with pytest.raises(WireError, match="^varint runs past end of payload$"):
+            decode_indices(payload[:-1] + b"\x84")
 
     def test_rejects_zero_gap(self):
         # count 2, first index 5, then a gap of 0: a repeated index
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^zero gap at index entry 1: indices must be strictly increasing$"):
             decode_indices((2).to_bytes(4, "little") + b"\x05\x00")
 
     def test_rejects_index_past_int64(self):
         # 2**63 as one ten-byte varint, and as 2**62 plus a gap of 2**62
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^index entry 0 exceeds the int64 range$"):
             decode_indices((1).to_bytes(4, "little") + b"\x80" * 9 + b"\x01")
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^index entry 1 exceeds the int64 range$"):
             decode_indices((2).to_bytes(4, "little") + (b"\x80" * 8 + b"\x40") * 2)
         top = np.array([2**63 - 1], dtype=np.int64)
         assert np.array_equal(decode_indices(encode_indices(top)), top)
@@ -107,16 +109,37 @@ class TestIndexCodec:
     def test_rejects_overlong_varint(self):
         # 0 written as 80 00, and a gap of 1 written as 81 00: the encoder
         # writes 00 and 01
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^overlong varint: its last byte is zero$"):
             decode_indices(bytes.fromhex("01000000" "8000"))
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^overlong varint: its last byte is zero$"):
             decode_indices(bytes.fromhex("02000000" "05" "8100"))
         assert decode_indices(bytes.fromhex("02000000" "05" "8001")).tolist() == [5, 133]
 
     def test_rejects_count_past_payload(self):
         # every entry takes at least one byte
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="^index payload advertises 4294967295 entries in 1 bytes$"):
             decode_indices(b"\xff\xff\xff\xff\x01")
+
+    @pytest.mark.parametrize(
+        "count, body, message",
+        [
+            # each payload holds two faults; the one earlier in the stream is named
+            (3, "01" "8100" "00", "overlong varint: its last byte is zero"),
+            (3, "01" "00" "8100", "zero gap at index entry 1: indices must be strictly increasing"),
+            (3, "01" "80808080808080808001" "00", "index entry 1 exceeds the int64 range"),
+            (3, "01" "8080808080808080808000" "00", "overlong varint: its last byte is zero"),
+            (3, "808080808080808040" "808080808080808040" "00", "index entry 1 exceeds the int64 range"),
+            (3, "01" "02" "808080808080808080", "varint runs past end of payload"),
+            (2, "00" "02" "00", "trailing bytes after index payload"),
+            # a 10-byte varint is out of range even after a zero gap would be
+            (3, "00" "80808080808080808001" "00", "index entry 1 exceeds the int64 range"),
+        ],
+        ids=["overlong-then-zero", "zero-then-overlong", "ten-bytes-then-zero", "eleven-bytes-overlong",
+             "sum-past-int64", "runs-past-end", "trailing", "ten-bytes-after-zero-index"],
+    )
+    def test_names_the_first_bad_entry(self, count, body, message):
+        with pytest.raises(WireError, match=f"^{message}$"):
+            decode_indices(count.to_bytes(4, "little") + bytes.fromhex(body))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**40), unique=True, max_size=100))
