@@ -1,14 +1,21 @@
-"""The two rules every numeric parameter of the public API is checked by.
+"""The numeric rules the package writes once: the two that every numeric
+parameter of the public API is checked by, and the one that averages a vector
+over a count.
 
 Each check takes the parameter's name, its value and its bounds, and returns
 the value or raises ``ValueError`` naming both.  A bool is neither an integer
 nor a real here, though Python counts it as both.
+
+Every mean of a vector over a count (a shard's samples, the workers, the two
+middle rows of an even median) goes through :func:`divide_by_count`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 def integer(name: str, value, low: int, high: float = math.inf) -> int:
@@ -34,3 +41,19 @@ def real(name: str, value, interval: str = "(-inf, inf)") -> float:
     ):
         raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
     return x
+
+
+def divide_by_count(values: np.ndarray, n: int) -> np.ndarray:
+    """``values / n`` in place, for a count ``n``, returning ``values``.
+
+    A power of two n is applied as a product with ``1.0 / n``: that
+    reciprocal is exact, so the product rounds the same real number the
+    quotient does and has its bits for every float, subnormals, signed
+    zeros, infinities and NaN payloads included, while a multiply costs
+    a fraction of a divide.  Any other n divides.
+    """
+    if n > 0 and not n & (n - 1):
+        values *= 1.0 / n
+    else:
+        values /= n
+    return values

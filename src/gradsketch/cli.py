@@ -17,11 +17,13 @@ import csv
 import errno
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from gradsketch._params import integer
 from gradsketch.cluster import TrainingDivergedError, run_training
 from gradsketch.metrics import MetricsFormatError, RunMetrics, read_metrics_csv, write_metrics_csv
 from gradsketch.optim import OptimizerConfig
@@ -131,6 +133,22 @@ _KEY_TABLES = {
     "output": {"any run": {"path": (str, None)}},
 }
 
+# Where a constructor's parameter is set by a config key of another name:
+# section -> {parameter: key}.
+_KEY_OF_PARAMETER = {
+    "problem": {"lam": "lambda", "noise_sigma": "quad_noise_sigma", "class_separation": "synth_separation"},
+    "optimizer": {"t_rounds": "t", "w_workers": "w"},
+    "sketch": {"k": "size_k", "delta": "size_delta", "r": "rows", "c": "cols"},
+}
+
+
+def _constructor_error(section: str, exc: ValueError) -> ExperimentConfigError:
+    """A constructor's check failure as a config error of ``[section]``, the
+    parameter its message starts with replaced by the config key that sets it."""
+    message = str(exc)
+    name = re.match(r"\w*", message).group()
+    return ExperimentConfigError(f"[{section}] {_KEY_OF_PARAMETER[section].get(name, name)}{message[len(name):]}")
+
 
 @dataclass
 class Experiment:
@@ -197,16 +215,13 @@ def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str)
 
 
 def _build_problem(spec: dict[str, object], data_seed: int):
-    for key in ("quad_d", "quad_n_samples", "synth_n", "synth_d", "synth_test_n"):
-        if spec.get(key) is not None and spec[key] < 1:
-            raise ExperimentConfigError(f"[problem] {key} = {spec[key]} must be at least 1")
     kind = spec["kind"]
     if kind == "quadratic":
-        d, lo, hi = spec["quad_d"], spec["quad_lambda_min"], spec["quad_lambda_max"]
+        d, lo, hi = integer("quad_d", spec["quad_d"], 1), spec["quad_lambda_min"], spec["quad_lambda_max"]
         if lo <= 0 or hi < lo:
             raise ExperimentConfigError("[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max")
-        sigma = spec["quad_noise_sigma"]
-        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, spec["quad_n_samples"], seed=data_seed)
+        sigma, n = spec["quad_noise_sigma"], integer("quad_n_samples", spec["quad_n_samples"], 1)
+        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, n, seed=data_seed)
         return problem, {"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma}
     if "dataset" in spec:
         train_path, test_path, normalize = spec["dataset"], spec["test_dataset"], spec["normalize"]
@@ -231,10 +246,9 @@ def _build_problem(spec: dict[str, object], data_seed: int):
             "problem.add_intercept": spec["add_intercept"],
         }
     else:
-        n, test_n = spec["synth_n"], spec["synth_test_n"]
-        if test_n is None:
-            test_n = max(n // 4, 1)
-        full = synth_data(n + test_n, spec["synth_d"], spec["synth_separation"], seed=data_seed)
+        n, test_n = integer("synth_n", spec["synth_n"], 1), spec["synth_test_n"]
+        test_n = max(n // 4, 1) if test_n is None else integer("synth_test_n", test_n, 1)
+        full = synth_data(n + test_n, integer("synth_d", spec["synth_d"], 1), spec["synth_separation"], seed=data_seed)
         train, test = split_dataset(full, n)
         echo = {"problem.data": full.name, "problem.checksum": full.checksum}
     echo["problem.lambda"] = spec["lambda"]
@@ -260,7 +274,7 @@ def _build_sketch(parser: configparser.ConfigParser, config: OptimizerConfig, d:
             spec["rows"], spec["cols"] = size_for(spec["size_k"], d, spec["size_delta"])
         return SketchConfig(d=d, r=spec["rows"], c=spec["cols"], seed=sketch_seed)
     except ValueError as exc:
-        raise ExperimentConfigError(f"[sketch] {exc}") from None
+        raise _constructor_error("sketch", exc) from None
 
 
 def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Experiment:
@@ -305,16 +319,16 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
     except ExperimentConfigError:
         raise
     except ValueError as exc:  # the problem and dataset constructors' own checks
-        raise ExperimentConfigError(f"[problem] {exc}") from None
+        raise _constructor_error("problem", exc) from None
     try:
         config = OptimizerConfig(t_rounds=opt.pop("t"), w_workers=opt.pop("w"), **opt)
     except ValueError as exc:
-        raise ExperimentConfigError(f"[optimizer] {exc}") from None
+        raise _constructor_error("optimizer", exc) from None
     sketch_config = _build_sketch(parser, config, problem.d, seed_values["sketch"])
     try:
         config.validate_for_dimension(problem.d)
     except ValueError as exc:
-        raise ExperimentConfigError(f"[optimizer] {exc}") from None
+        raise _constructor_error("optimizer", exc) from None
 
     batch_size = spec["batch_size"]
     if not 1 <= batch_size <= problem.n_train:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradsketch import wire
-from gradsketch._params import integer
+from gradsketch._params import divide_by_count, integer
 from gradsketch.metrics import RoundRecord, RunMetrics, support_fingerprint
 from gradsketch.optim import (
     IterateAverage,
@@ -211,7 +211,7 @@ def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
         mean = np.add(grads[0], grads[1]) if len(grads) > 1 else np.add(0.0, grads[0])
         for g in grads[2:]:
             mean += g
-        mean /= len(grads)
+        divide_by_count(mean, len(grads))
         mean_sq = float(mean @ mean)
         dev = np.empty_like(mean)
         dispersion = 0

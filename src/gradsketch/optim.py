@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from gradsketch._params import integer, real
+from gradsketch._params import divide_by_count, integer, real
 from gradsketch.heavyhitters import KSparseVector, heavymix, top_pk_candidates, topk_indices
 from gradsketch.sketch import SketchConfig, merge_all, sketch_many
 from gradsketch.sketch import sketch_vector  # noqa: F401  (perfbench/spans.py traces it under this name)
@@ -214,7 +214,7 @@ def exact_mean(vectors: list[np.ndarray], channel, indices: np.ndarray | None = 
         reply = channel.up_values(vec if indices is None else vec[indices], worker)
         total = reply if total is None else np.add(total, reply, out=total)
         del reply  # each reply is a fresh decoded array, summed in place: none outlives its sum
-    return total / len(vectors)
+    return divide_by_count(total, len(vectors))
 
 
 def _accumulate(states: list[WorkerState], grads: list[np.ndarray], momentum: float) -> None:
@@ -388,11 +388,15 @@ def local_topk_step(
     Each worker uploads the top k entries of its own accumulator and zeroes
     only what it sent (per-worker error feedback).  The server averages the
     sparse contributions over all W workers, so the union support can reach
-    ``min(k * W, d)`` elements on the way back down.
+    ``min(k * W, d)`` elements on the way back down.  Each worker ranks its
+    accumulator as soon as it has added its gradient, while the array is
+    still in cache; no worker's step reads another's state.
     """
     d = states[0].w.shape[0]
-    _accumulate(states, grads, config.momentum)
-    own_supports = [topk_indices(st.accum, config.k) for st in states]
+    own_supports = []
+    for st, g in zip(states, grads):
+        _accumulate([st], [g], config.momentum)
+        own_supports.append(topk_indices(st.accum, config.k))
     summed = np.zeros(d)
     for worker, (st, own) in enumerate(zip(states, own_supports)):
         sent = channel.up_sparse(KSparseVector(d=d, indices=own, values=st.accum[own]), worker)
@@ -400,6 +404,6 @@ def local_topk_step(
     # contributions can cancel to exactly zero in the sum; the union still
     # reflects every coordinate that was transmitted
     union = _union(own_supports)
-    update = channel.down_update(KSparseVector(d=d, indices=union, values=summed[union] / len(states)))
+    update = channel.down_update(KSparseVector(d=d, indices=union, values=divide_by_count(summed[union], len(states))))
     _apply(states, update, lr_t, own_supports)
     return update

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from gradsketch._params import integer, real
+from gradsketch._params import divide_by_count, integer, real
 
 
 class DatasetFormatError(ValueError):
@@ -224,7 +224,7 @@ def logistic_gradient(w: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float = 
     """Mean batch gradient of l2-regularized logistic loss."""
     margins = y * (X @ w)
     coeff = -y * _sigmoid(-margins)
-    return X.T @ coeff / X.shape[0] + lam * w
+    return divide_by_count(X.T @ coeff, X.shape[0]) + lam * w
 
 
 def hinge_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float = 0.0) -> float:
@@ -243,7 +243,7 @@ def hinge_subgradient(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray
     if not active.any():
         return np.zeros_like(w)
     coeff = np.where(active, -y.astype(np.float64), 0.0)
-    return X.T @ coeff / X.shape[0]
+    return divide_by_count(X.T @ coeff, X.shape[0])
 
 
 def classification_error(w: np.ndarray, dataset: Dataset) -> float:
@@ -320,7 +320,7 @@ class QuadraticProblem:
             noise = np.add(self.noise[idx[0]], self.noise[idx[1]], out=out)
             for i in idx[2:]:
                 noise += self.noise[i]
-            noise /= len(idx)
+            divide_by_count(noise, len(idx))
         # noise + base has the bits of base + noise: IEEE addition commutes
         noise += self._base(w) if base is None else base
         return noise

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from gradsketch._params import integer, real
+from gradsketch._params import divide_by_count, integer, real
 
 MERSENNE_P = (1 << 61) - 1
 # Interleaved lanes of a hash-family build: its (2r, L) state stays in cache.
@@ -328,7 +328,7 @@ class CountSketch:
             np.add(rows[m - 1], 0.0, out=dest)
             with np.errstate(over="ignore"):  # inf, as np.median gives
                 dest += rows[m]
-            dest /= 2.0
+            divide_by_count(dest, 2)
 
     def coordinates_reaching(self, threshold: float) -> np.ndarray | None:
         """Ascending indices of every coordinate whose estimate can have

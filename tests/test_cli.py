@@ -501,9 +501,9 @@ rng = 3
     @pytest.mark.parametrize(
         "text, named",
         [
-            (QUADRATIC_THEORY.replace("quad_noise_sigma = 0.05", "quad_noise_sigma = -1.0"), "noise_sigma must be a finite real in [0, inf), got -1.0"),
-            (SYNTH_LOGISTIC.replace("synth_separation = 3.0", "synth_separation = -1.0"), "class_separation must be a finite real in [0, inf), got -1.0"),
-            (SYNTH_LOGISTIC.replace("lambda = 0.01", "lambda = -0.5"), "lam must be a finite real in [0, inf), got -0.5"),
+            (QUADRATIC_THEORY.replace("quad_noise_sigma = 0.05", "quad_noise_sigma = -1.0"), "quad_noise_sigma must be a finite real in [0, inf), got -1.0"),
+            (SYNTH_LOGISTIC.replace("synth_separation = 3.0", "synth_separation = -1.0"), "synth_separation must be a finite real in [0, inf), got -1.0"),
+            (SYNTH_LOGISTIC.replace("lambda = 0.01", "lambda = -0.5"), "lambda must be a finite real in [0, inf), got -0.5"),
         ],
         ids=["quad_noise_sigma", "synth_separation", "lambda"],
     )
@@ -511,14 +511,14 @@ rng = 3
         cfg = write_config(tmp_path, text.format(out=tmp_path / "x.csv"))
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert "config error: [problem]" in err and named in err
+        assert f"config error: [problem] {named}" in err
 
     @pytest.mark.parametrize(
         "size, named",
         [
-            ("size_k = 9\nsize_delta = 0.1", "k must be an integer in [1, 4], got 9"),
-            ("size_k = 4\nsize_delta = 1.5", "delta must be a finite real in (0, 1), got 1.5"),
-            ("size_k = 4\nsize_delta = 5e-324", "delta=5e-324 is too small for d=4"),
+            ("size_k = 9\nsize_delta = 0.1", "size_k must be an integer in [1, 4], got 9"),
+            ("size_k = 4\nsize_delta = 1.5", "size_delta must be a finite real in (0, 1), got 1.5"),
+            ("size_k = 4\nsize_delta = 5e-324", "size_delta=5e-324 is too small for d=4"),
         ],
         ids=["k-above-d", "delta-above-1", "d-over-delta-overflows"],
     )
@@ -526,6 +526,21 @@ rng = 3
         text = QUADRATIC_THEORY.replace("quad_d = 32", "quad_d = 4").replace("rows = 7\ncols = 32", size)
         assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
         assert f"config error: [sketch] {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("t = 10", "t = -1", "[optimizer] t must be an integer in [0, inf], got -1"),
+            ("w = 2", "w = 0", "[optimizer] w must be an integer in [1, inf], got 0"),
+            ("rows = 7", "rows = 0", "[sketch] rows must be an integer in [1, 4294967295], got 0"),
+            ("cols = 32", "cols = 0", "[sketch] cols must be an integer in [1, 4294967295], got 0"),
+        ],
+        ids=["t", "w", "rows", "cols"],
+    )
+    def test_constructor_error_names_the_config_key(self, tmp_path, capsys, old, new, named):
+        # OptimizerConfig and SketchConfig name these t_rounds, w_workers, r and c
+        assert main(["run", write_config(tmp_path, QUADRATIC_THEORY.replace(old, new)), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, overrides, key",
@@ -575,7 +590,8 @@ rng = 3
     def test_non_positive_problem_size_exits_2(self, tmp_path, capsys, text, old, new):
         cfg = write_config(tmp_path, text.replace(old, new).format(out=tmp_path / "x.csv"))
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert f"config error: [problem] {new} must be at least 1" in capsys.readouterr().err
+        key, value = new.split(" = ")
+        assert f"config error: [problem] {key} must be an integer in [1, inf], got {value}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):

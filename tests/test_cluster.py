@@ -844,6 +844,30 @@ class TestGoldenDigests:
         "logistic-local-topk-theory-W4-bias0-m0": "1936c929d379d6206bce51534795a9be90d31cfd37c77868d1e8c39127c09f1b",
     }
 
+    # Every matrix row runs W in {1, 4} on batches of 16, so every shard and
+    # worker count it averages over is a power of two.  These rows run W = 3
+    # on batches of 15 (shards of 5), so each mean divides by a count that is
+    # not; each runs empirically with momentum 0 and no bias coordinates.
+    # Recorded before power-of-two counts were averaged by multiplying.
+    UNEVEN = {
+        "quadratic-sketched": "c39f4007f8a803ed54fe4a8423071333b6d765c319f87fdfb7fc07bf52a74ae7",
+        "quadratic-vanilla": "7b2df6ef031aeee6924bcf6b2d07d66c1459de10bbff45d0a5ceecf2e9de9455",
+        "quadratic-true-topk": "c473e8c71e27002d98bd24a5182eeb2ae779a13decac933b80619dc524c196a2",
+        "quadratic-local-topk": "f08b12b3ae0fc8687af001b66a7dbd9beb78ff802c1a17ebc50610ef4a095c61",
+        "logistic-sketched": "1e8014eb253b97b3482e84f1f183552e756e70a3ce691189066fb3d6cb8d3e1d",
+        "logistic-vanilla": "5fdbd1d16cfc490ca9f33d3f04d414267da4d3eaf26d45d19c800bd5cc45adb8",
+        "logistic-true-topk": "f39187bc13714371191c4301b471ffff20a75e1708c291706b71ba916f551351",
+        "logistic-local-topk": "d0dececb25595ecd42ef23dd98f69cb91a8b1ec327303023b5b0dffb5759b703",
+    }
+
+    @pytest.mark.parametrize("row_id", sorted(UNEVEN))
+    def test_uneven_worker_count(self, row_id, tmp_path):
+        kind, algorithm = row_id.split("-", 1)
+        *_, res = _matrix_run((kind, algorithm, "empirical", 3, False, 0.0), batch_size=15)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(str(path), res.metrics)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.UNEVEN[row_id]
+
     @pytest.mark.parametrize("row_id", sorted(MATRIX))
     def test_config_matrix(self, row_id, tmp_path):
         d, cfg, skc, res = _matrix_run(_MATRIX_ROWS[row_id])
@@ -896,7 +920,7 @@ def _matrix_problem(kind):
     return LogisticProblem(train, test, lam=0.01)
 
 
-def _matrix_run(row):
+def _matrix_run(row, batch_size=16):
     """The row's run: its dimension, configs and training result."""
     kind, algorithm, mode, workers, bias, momentum = row
     prob = _matrix_problem(kind)
@@ -907,5 +931,5 @@ def _matrix_run(row):
         momentum=momentum, bias_indices=(0, d - 1) if bias else (), **extra,
     )
     skc = SketchConfig(d=d, r=5, c=20, seed=2) if algorithm == "sketched" else None
-    res = run_training(prob, cfg, skc, batch_size=16, data_seed=7, rng_seed=11)
+    res = run_training(prob, cfg, skc, batch_size=batch_size, data_seed=7, rng_seed=11)
     return d, cfg, skc, res

@@ -1,6 +1,6 @@
 """Every numeric parameter of the public API is checked by one of two rules,
 integer or finite real, with one message per rule naming the parameter and
-the value."""
+the value; every mean over a count divides by one rule too."""
 
 import math
 import re
@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from gradsketch._params import integer, real
+from gradsketch._params import divide_by_count, integer, real
 from gradsketch.cluster import partition_batch
 from gradsketch.heavyhitters import heavymix, top_pk_candidates, topk_indices
 from gradsketch.optim import OptimizerConfig, lr_at, lr_theory, rho_for
@@ -104,3 +105,27 @@ def test_real_bounds_follow_their_brackets(interval, inside, outside):
     for value in outside:
         with pytest.raises(ValueError, match=re.escape(f"x must be a finite real in {interval}, got {value!r}")):
             real("x", value, interval)
+
+
+# float64 bit patterns: any at all; every subnormal and the lowest normal
+# binades, whose quotients by the counts below underflow or round into the
+# subnormals; signed zeros, infinities and the normal/subnormal boundary;
+# and NaNs of either sign with any payload, quiet or signalling
+_SIGN = 1 << 63
+_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.booleans(), st.integers(0, 40 << 52)).map(lambda t: t[0] * _SIGN | t[1]),
+    st.sampled_from([0, _SIGN, 0x7FF << 52, _SIGN | 0x7FF << 52, 1, 1 << 52, (1 << 52) - 1, _SIGN | 1]),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(lambda t: t[0] * _SIGN | 0x7FF << 52 | t[1]),
+)
+_COUNTS = [2**j for j in range(21)] + [3, 5, 6, 12]
+
+
+@given(bits=st.lists(_BITS, max_size=64), n=st.sampled_from(_COUNTS))
+def test_divide_by_count_has_the_bits_of_the_quotient(bits, n):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN raises the invalid flag either way
+        expected = values / n
+        out = divide_by_count(values, n)
+    assert out is values
+    assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
