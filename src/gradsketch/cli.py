@@ -19,12 +19,13 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from gradsketch._params import integer
-from gradsketch.cluster import TrainingDivergedError, run_training
+from gradsketch.cluster import TrainingDivergedError, check_run, run_training
 from gradsketch.metrics import MetricsFormatError, RunMetrics, read_metrics_csv, write_metrics_csv
 from gradsketch.optim import OptimizerConfig
 from gradsketch.problems import (
@@ -69,12 +70,7 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]  # KeyError: not a boolean word
 
 
 REQUIRED = object()  # a table default: the key must be set
@@ -133,21 +129,34 @@ _KEY_TABLES = {
     "output": {"any run": {"path": (str, None)}},
 }
 
-# Where a constructor's parameter is set by a config key of another name:
-# section -> {parameter: key}.
+# The config key that sets an API parameter, where it has another name or
+# lies in another section: section -> {parameter: "[section] key"}, the outer
+# section being the one whose build step passes the parameter.
 _KEY_OF_PARAMETER = {
-    "problem": {"lam": "lambda", "noise_sigma": "quad_noise_sigma", "class_separation": "synth_separation"},
-    "optimizer": {"t_rounds": "t", "w_workers": "w"},
-    "sketch": {"k": "size_k", "delta": "size_delta", "r": "rows", "c": "cols"},
+    "problem": {"lam": "[problem] lambda", "noise_sigma": "[problem] quad_noise_sigma",
+                "n_samples": "[problem] quad_n_samples", "class_separation": "[problem] synth_separation",
+                "d": "[problem] synth_d", "seed": "[seeds] data"},
+    "optimizer": {"t_rounds": "[optimizer] t", "w_workers": "[optimizer] w", "batch_size": "[problem] batch_size",
+                  "data_seed": "[seeds] data", "rng_seed": "[seeds] rng"},
+    "sketch": {"k": "[sketch] size_k", "delta": "[sketch] size_delta", "r": "[sketch] rows", "c": "[sketch] cols",
+               "seed": "[seeds] sketch"},
 }
 
 
-def _constructor_error(section: str, exc: ValueError) -> ExperimentConfigError:
-    """A constructor's check failure as a config error of ``[section]``, the
-    parameter its message starts with replaced by the config key that sets it."""
-    message = str(exc)
-    name = re.match(r"\w*", message).group()
-    return ExperimentConfigError(f"[{section}] {_KEY_OF_PARAMETER[section].get(name, name)}{message[len(name):]}")
+@contextmanager
+def _keys_of(section: str):
+    """Re-raise an API check's ValueError met while building ``[section]`` as
+    a config error, the parameter its message starts with replaced by the
+    config key that sets it (by default its namesake in ``[section]``)."""
+    try:
+        yield
+    except ExperimentConfigError:
+        raise
+    except ValueError as exc:
+        message = str(exc)
+        name = re.match(r"\w*", message).group()
+        label = _KEY_OF_PARAMETER[section].get(name, f"[{section}] {name}")
+        raise ExperimentConfigError(f"{label}{message[len(name):]}") from None
 
 
 @dataclass
@@ -183,7 +192,7 @@ def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, 
             values[key] = parse(raw)
         except ExperimentConfigError as exc:
             raise ExperimentConfigError(f"[{name}] {exc}") from None
-        except ValueError:
+        except (ValueError, KeyError):
             raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not a valid {parse.__name__.strip('_')}") from None
         if parse is float and not math.isfinite(values[key]):
             raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not finite")
@@ -220,8 +229,8 @@ def _build_problem(spec: dict[str, object], data_seed: int):
         d, lo, hi = integer("quad_d", spec["quad_d"], 1), spec["quad_lambda_min"], spec["quad_lambda_max"]
         if lo <= 0 or hi < lo:
             raise ExperimentConfigError("[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max")
-        sigma, n = spec["quad_noise_sigma"], integer("quad_n_samples", spec["quad_n_samples"], 1)
-        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, n, seed=data_seed)
+        sigma = spec["quad_noise_sigma"]
+        problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, spec["quad_n_samples"], seed=data_seed)
         return problem, {"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma}
     if "dataset" in spec:
         train_path, test_path, normalize = spec["dataset"], spec["test_dataset"], spec["normalize"]
@@ -248,7 +257,7 @@ def _build_problem(spec: dict[str, object], data_seed: int):
     else:
         n, test_n = integer("synth_n", spec["synth_n"], 1), spec["synth_test_n"]
         test_n = max(n // 4, 1) if test_n is None else integer("synth_test_n", test_n, 1)
-        full = synth_data(n + test_n, integer("synth_d", spec["synth_d"], 1), spec["synth_separation"], seed=data_seed)
+        full = synth_data(n + test_n, spec["synth_d"], spec["synth_separation"], seed=data_seed)
         train, test = split_dataset(full, n)
         echo = {"problem.data": full.name, "problem.checksum": full.checksum}
     echo["problem.lambda"] = spec["lambda"]
@@ -260,6 +269,8 @@ def _build_sketch(parser: configparser.ConfigParser, config: OptimizerConfig, d:
     if config.algorithm != "sketched":
         if parser.has_section("sketch"):
             raise ExperimentConfigError(f"[sketch] is not used by {config.algorithm} runs")
+        # no API call takes the sketch seed of an unsketched run, so SketchConfig's rule is applied here
+        integer("seed", sketch_seed, 0, 2**64 - 1)
         return None
     if not parser.has_section("sketch"):
         raise ExperimentConfigError("sketched runs need a [sketch] section")
@@ -269,12 +280,9 @@ def _build_sketch(parser: configparser.ConfigParser, config: OptimizerConfig, d:
     if not sizings:
         raise ExperimentConfigError("[sketch] needs rows/cols or size_k/size_delta")
     spec = _read(parser, "sketch", sizings[0])
-    try:
-        if "size_k" in spec:
-            spec["rows"], spec["cols"] = size_for(spec["size_k"], d, spec["size_delta"])
-        return SketchConfig(d=d, r=spec["rows"], c=spec["cols"], seed=sketch_seed)
-    except ValueError as exc:
-        raise _constructor_error("sketch", exc) from None
+    if "size_k" in spec:
+        spec["rows"], spec["cols"] = size_for(spec["size_k"], d, spec["size_delta"])
+    return SketchConfig(d=d, r=spec["rows"], c=spec["cols"], seed=sketch_seed)
 
 
 def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Experiment:
@@ -307,46 +315,22 @@ def load_experiment(path: str, seed_overrides: list[str] | None = None) -> Exper
             seed_values[key] = int(value)
         except ValueError:
             raise ExperimentConfigError(f"seed override {override!r} needs an integer") from None
-    for key, value in seed_values.items():
-        if value < 0:
-            raise ExperimentConfigError(f"[seeds] {key} = {value} must be a non-negative integer")
 
     spec = _read(parser, "problem", _problem_source(parser["problem"]))
     opt = _read(parser, "optimizer", "any run")
     output_path = _read(parser, "output", "any run")["path"]
-    try:
+    # no value is checked here: each API call checks what it takes, and check_run the run's
+    with _keys_of("problem"):
         problem, echo = _build_problem(spec, seed_values["data"])
-    except ExperimentConfigError:
-        raise
-    except ValueError as exc:  # the problem and dataset constructors' own checks
-        raise _constructor_error("problem", exc) from None
-    try:
+    with _keys_of("optimizer"):
         config = OptimizerConfig(t_rounds=opt.pop("t"), w_workers=opt.pop("w"), **opt)
-    except ValueError as exc:
-        raise _constructor_error("optimizer", exc) from None
-    sketch_config = _build_sketch(parser, config, problem.d, seed_values["sketch"])
-    try:
-        config.validate_for_dimension(problem.d)
-    except ValueError as exc:
-        raise _constructor_error("optimizer", exc) from None
-
-    batch_size = spec["batch_size"]
-    if not 1 <= batch_size <= problem.n_train:
-        raise ExperimentConfigError(f"[problem] batch_size = {batch_size} must be in [1, {problem.n_train}]")
-    if batch_size < config.w_workers:
-        raise ExperimentConfigError(
-            f"[problem] batch_size = {batch_size} cannot cover [optimizer] w = {config.w_workers} workers"
-        )
-    return Experiment(
-        problem=problem,
-        config=config,
-        sketch_config=sketch_config,
-        batch_size=batch_size,
-        data_seed=seed_values["data"],
-        rng_seed=seed_values["rng"],
-        output_path=output_path,
-        extra_echo=echo,
-    )
+    with _keys_of("sketch"):
+        sketch_config = _build_sketch(parser, config, problem.d, seed_values["sketch"])
+    exp = Experiment(problem, config, sketch_config, spec["batch_size"], seed_values["data"], seed_values["rng"],
+                     output_path, echo)
+    with _keys_of("optimizer"):
+        check_run(exp.problem, exp.config, exp.sketch_config, exp.batch_size, exp.data_seed, exp.rng_seed, exp.extra_echo)
+    return exp
 
 
 def _cannot_write(path: str, reason: str) -> int:
@@ -369,8 +353,8 @@ def cmd_run(args) -> int:
         return _cannot_write(out, os.strerror(errno.EISDIR))
     if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         return _cannot_write(out, os.strerror(errno.ENOENT))
-    # load_experiment ran every check run_training raises ValueError for, so
-    # anything but divergence is a defect and propagates
+    # load_experiment ran check_run, every check run_training raises
+    # ValueError for, so anything but divergence is a defect and propagates
     try:
         result = run_training(
             exp.problem,

@@ -221,6 +221,35 @@ def _gradient_statistics(grads: list[np.ndarray]) -> tuple[float, float]:
     return mean_sq, dispersion / len(grads)
 
 
+def check_run(problem, config: OptimizerConfig, sketch_config: SketchConfig | None,
+              batch_size: int, data_seed: int, rng_seed: int, extra_echo: dict[str, object] | None) -> dict[str, object]:
+    """Check every argument of :func:`run_training`, which calls this first,
+    and return the run's config echo with ``extra_echo`` merged in.
+
+    Raises ValueError for a config that does not fit the problem's
+    dimension, a sketch config missing from a sketched run, given to another
+    run or of another dimension, a ``batch_size`` outside ``[1, n_train]`` or
+    below the worker count, a ``data_seed`` or ``rng_seed`` outside
+    ``[0, 2**64 - 1]``, and an ``extra_echo`` key the run echoes itself.
+    """
+    d = problem.d
+    config.validate_for_dimension(d)
+    if (config.algorithm == "sketched") != (sketch_config is not None):
+        raise ValueError(f"{config.algorithm} runs {'need a' if sketch_config is None else 'take no'} sketch configuration")
+    if sketch_config is not None and sketch_config.d != d:
+        raise ValueError(f"sketch dimension {sketch_config.d} does not match problem dimension {d}")
+    if integer("batch_size", batch_size, 1, problem.n_train) < config.w_workers:
+        raise ValueError(f"batch_size of {batch_size} cannot cover {config.w_workers} workers")
+    integer("data_seed", data_seed, 0, 2**64 - 1)
+    integer("rng_seed", rng_seed, 0, 2**64 - 1)
+    echo = _config_echo(problem, config, sketch_config, batch_size, data_seed, rng_seed)
+    for key, value in (extra_echo or {}).items():
+        if key in echo:
+            raise ValueError(f"extra_echo would overwrite the run's own {key}")
+        echo[key] = value
+    return echo
+
+
 def run_training(
     problem,
     config: OptimizerConfig,
@@ -238,25 +267,15 @@ def run_training(
     round, so two runs with equal seeds are bit-identical and runs differing
     only in W see the same data.
 
-    Raises TrainingDivergedError the first time a worker computes a
-    non-finite gradient (before it reaches any accumulator), a merged
-    sketch holds a non-finite cell (naming the worker whose sketch has
-    one), or the train loss goes non-finite, and ValueError for
-    inconsistent configuration, a sketch configuration on a run that is not
-    sketched and an ``extra_echo`` key the run echoes itself included.
+    Raises ValueError for any argument :func:`check_run` rejects, before
+    the run starts, and TrainingDivergedError the first time a worker
+    computes a non-finite gradient (before it reaches any accumulator), a
+    merged sketch holds a non-finite cell (naming the worker whose sketch
+    has one), or the train loss goes non-finite.
     """
-    d = problem.d
-    config.validate_for_dimension(d)
+    echo = check_run(problem, config, sketch_config, batch_size, data_seed, rng_seed, extra_echo)
+    metrics = RunMetrics(config_echo={key: str(value) for key, value in echo.items()})
     # from here on, a sketch config means a sketched run
-    if (config.algorithm == "sketched") != (sketch_config is not None):
-        raise ValueError(f"{config.algorithm} runs {'need a' if sketch_config is None else 'take no'} sketch configuration")
-    if sketch_config is not None and sketch_config.d != d:
-        raise ValueError(f"sketch dimension {sketch_config.d} does not match problem dimension {d}")
-    if not 1 <= batch_size <= problem.n_train:
-        raise ValueError(f"batch size must be in [1, {problem.n_train}], got {batch_size}")
-    if batch_size < config.w_workers:
-        raise ValueError(f"batch of {batch_size} cannot cover {config.w_workers} workers")
-
     states = make_states(problem.initial_point(data_seed), config.w_workers)
     channel = MeteredChannel()
     order_rng = np.random.default_rng(data_seed)
@@ -265,13 +284,6 @@ def run_training(
     # looked up by name on every run, so rebinding a module-level round name takes effect
     round_fn = {"vanilla": vanilla_step, "true-topk": true_topk_step, "local-topk": local_topk_step,
                 "sketched": theory_round if config.mode == "theory" else empirical_round}[config.algorithm]
-
-    echo = _config_echo(problem, config, sketch_config, batch_size, data_seed, rng_seed)
-    for key, value in (extra_echo or {}).items():
-        if key in echo:
-            raise ValueError(f"extra_echo would overwrite the run's own {key}")
-        echo[key] = value
-    metrics = RunMetrics(config_echo={key: str(value) for key, value in echo.items()})
 
     loss0, metric0 = problem.evaluate(states[0].w)
     metrics.records.append(RoundRecord(t=0, train_loss=loss0, test_metric=metric0))
@@ -340,9 +352,9 @@ def run_training(
         # per worker and round, against d up and d down for dense SGD
         up = sum(rec.up_sketch_elems + rec.up_exact_elems for rec in past) / config.t_rounds
         down = sum(rec.down_update_elems for rec in past) / config.t_rounds
-        summary["compression_factor"] = 2.0 * d / (up + down)
+        summary["compression_factor"] = 2.0 * problem.d / (up + down)
         per_worker_moved = (bytes_up_total + bytes_down_total) / (config.w_workers * config.t_rounds)
-        summary["byte_compression_factor"] = 16.0 * d / per_worker_moved
+        summary["byte_compression_factor"] = 16.0 * problem.d / per_worker_moved
     else:
         summary["compression_factor"] = 1.0
         summary["byte_compression_factor"] = 1.0

@@ -94,7 +94,7 @@ def synth_data(n: int, d: int, class_separation: float, seed: int) -> Dataset:
     shuffled, all deterministically in ``seed``.  Separation 0 makes the
     classes indistinguishable.
     """
-    n, d = integer("n", n, 1), integer("d", d, 1)
+    n, d, seed = integer("n", n, 1), integer("d", d, 1), integer("seed", seed, 0, 2**64 - 1)
     class_separation = real("class_separation", class_separation, "[0, inf)")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
@@ -268,7 +268,7 @@ class QuadraticProblem:
         if self.spectrum.ndim != 1 or not self.spectrum.size or not np.all(np.isfinite(self.spectrum) & (self.spectrum > 0)):
             raise ValueError("spectrum must be a nonempty 1-d array of finite positive eigenvalues")
         noise_sigma, n_samples = real("noise_sigma", noise_sigma, "[0, inf)"), integer("n_samples", n_samples, 1)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(integer("seed", seed, 0, 2**64 - 1))
         self.b = rng.standard_normal(self.spectrum.size)
         self.noise = rng.normal(0.0, noise_sigma, size=(n_samples, self.spectrum.size)) if noise_sigma > 0 else np.zeros((n_samples, self.spectrum.size))
         self.noise_sigma = noise_sigma

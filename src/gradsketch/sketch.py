@@ -250,9 +250,6 @@ class CountSketch:
         else:
             self.table = _table
 
-    def copy(self) -> "CountSketch":
-        return CountSketch(self.config, _family=self._family, _table=self.table.copy())
-
     def update_dense(self, vec: np.ndarray) -> None:
         """Accumulate every nonzero coordinate of a dense length-d vector.
 
@@ -485,7 +482,8 @@ def merge_all(sketches) -> CountSketch:
     sketches = list(sketches)
     if not sketches:
         raise ValueError("cannot merge an empty collection of sketches")
-    out = sketches[0].copy()
+    first = sketches[0]
+    out = CountSketch(first.config, _family=first._family, _table=first.table.copy())
     for s in sketches[1:]:
         if s.config != out.config:
             raise ConfigMismatchError(

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 import gradsketch.cli as cli
 from gradsketch.cli import ExperimentConfigError, load_experiment, main
 from gradsketch.metrics import _COLUMNS, MetricsFormatError, RoundRecord, RunMetrics, read_metrics_csv, write_metrics_csv
-from gradsketch.optim import ALGORITHMS, _READ_BY
+from gradsketch.cluster import run_training
+from gradsketch.optim import ALGORITHMS, _READ_BY, OptimizerConfig
 from gradsketch.problems import DatasetFormatError, QuadraticProblem, _checksum, load_dataset
-from gradsketch.sketch import size_for
+from gradsketch.sketch import SketchConfig, size_for
 from gradsketch.wire import WireError
 
 SYNTH_LOGISTIC = """
@@ -542,28 +543,34 @@ rng = 3
         assert main(["run", write_config(tmp_path, QUADRATIC_THEORY.replace(old, new)), "--out", str(tmp_path / "x.csv")]) == 2
         assert f"config error: {named}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "old, new, overrides, key",
-        [
-            ("data = 5", "data = -1", [], "data"),
-            ("sketch = 6", "sketch = -1", [], "sketch"),
-            ("rng = 7", "rng = -1", [], "rng"),
-            ("rng = 7", "rng = 7", ["--seed-override", "rng=-1"], "rng"),
-        ],
-        ids=["data", "sketch", "rng", "rng-override"],
-    )
-    def test_negative_seed_exits_2(self, tmp_path, capsys, old, new, overrides, key):
-        cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(old, new))
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    @pytest.mark.parametrize("by_override", [False, True], ids=["config", "override"])
+    @pytest.mark.parametrize("key", ["data", "sketch", "rng"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, key, by_override, value):
+        # data goes to QuadraticProblem and run_training, sketch to SketchConfig, rng to run_training
+        text, overrides = QUADRATIC_THEORY, ["--seed-override", f"{key}={value}"]
+        if not by_override:
+            text, overrides = re.sub(rf"^{key} = \d+$", f"{key} = {value}", text, flags=re.MULTILINE), []
+        cfg = write_config(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv"), *overrides]) == 2
-        assert f"config error: [seeds] {key} = -1 must be a non-negative integer" in capsys.readouterr().err
+        expected = f"config error: [seeds] {key} must be an integer in [0, {2**64 - 1}], got {value}"
+        assert capsys.readouterr().err.splitlines() == [expected]
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_unsketched_runs_sketch_seed_is_checked(self, tmp_path, value):
+        # no API call takes it, so the CLI applies SketchConfig's rule itself
+        text = QUADRATIC_THEORY.replace("algorithm = sketched", "algorithm = vanilla").replace("[sketch]\nrows = 7\ncols = 32\n", "")
+        cfg = write_config(tmp_path, text.replace("sketch = 6", f"sketch = {value}"))
+        with pytest.raises(ExperimentConfigError, match=re.escape(f"[seeds] sketch must be an integer in [0, {2**64 - 1}], got {value}")):
+            load_experiment(cfg)
 
     @pytest.mark.parametrize(
         "old, new, named",
         [
-            ("batch_size = 16", "batch_size = 0", "[problem] batch_size = 0 must be in [1, 128]"),
-            ("batch_size = 16", "batch_size = 129", "[problem] batch_size = 129 must be in [1, 128]"),
-            ("batch_size = 16\n", "batch_size = 2\n", "[problem] batch_size = 2 cannot cover [optimizer] w = 3 workers"),
+            ("batch_size = 16", "batch_size = 0", "[problem] batch_size must be an integer in [1, 128], got 0"),
+            ("batch_size = 16", "batch_size = 129", "[problem] batch_size must be an integer in [1, 128], got 129"),
+            ("batch_size = 16\n", "batch_size = 2\n", "[problem] batch_size of 2 cannot cover 3 workers"),
         ],
         ids=["zero", "above-n-train", "below-workers"],
     )
@@ -1023,3 +1030,71 @@ class TestInputFuzz:
         except MetricsFormatError:
             pass
         assert _quiet_main(["report", str(path)]) in (0, 2)
+
+
+# The CLI passes each run value on to the API call that takes it and checks
+# none itself, so it must reject a config exactly when that call rejects the
+# value, naming the config key that set it in place of the parameter.
+_AGREEMENT_CONFIG = """
+[problem]
+kind = quadratic
+quad_d = 8
+quad_n_samples = 16
+batch_size = {batch_size}
+[optimizer]
+mode = empirical
+algorithm = sketched
+k = 2
+p = 2
+t = 1
+w = {w}
+lr = 0.5
+[sketch]
+rows = 3
+cols = 9
+[seeds]
+data = {data}
+sketch = {sketch}
+rng = {rng}
+"""
+# (API call, parameter) -> the config key that sets it
+_AGREEMENT_KEYS = {
+    ("QuadraticProblem", "seed"): "[seeds] data",
+    ("SketchConfig", "seed"): "[seeds] sketch",
+    ("run_training", "batch_size"): "[problem] batch_size",
+    ("run_training", "data_seed"): "[seeds] data",
+    ("run_training", "rng_seed"): "[seeds] rng",
+}
+_SEED_DRAWS = st.sampled_from([-1, 0, 2**64 - 1, 2**64])
+
+
+def _api_error(batch_size, w, data, sketch, rng):
+    """The config's run through the API: the first call that raises
+    ValueError, with its error, or None when the run completes."""
+    call = "QuadraticProblem"
+    try:
+        problem = QuadraticProblem(np.linspace(1.0, 5.0, 8), 0.0, 16, seed=data)
+        config = OptimizerConfig(mode="empirical", algorithm="sketched", k=2, p=2, t_rounds=1, w_workers=w, lr=0.5)
+        call = "SketchConfig"
+        sketch_config = SketchConfig(d=8, r=3, c=9, seed=sketch)
+        call = "run_training"
+        run_training(problem, config, sketch_config, batch_size=batch_size, data_seed=data, rng_seed=rng)
+    except ValueError as exc:
+        return call, exc
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_size=st.integers(-1, 17), w=st.sampled_from([1, 2, 3]), data=_SEED_DRAWS, sketch=_SEED_DRAWS, rng=_SEED_DRAWS)
+def test_cli_rejects_a_config_exactly_when_the_api_rejects_its_values(fuzz_dir, batch_size, w, data, sketch, rng):
+    path = fuzz_dir / "agreement.ini"
+    path.write_text(_AGREEMENT_CONFIG.format(batch_size=batch_size, w=w, data=data, sketch=sketch, rng=rng))
+    failure = _api_error(batch_size, w, data, sketch, rng)
+    if failure is None:
+        load_experiment(str(path))
+        return
+    call, exc = failure
+    name = re.match(r"\w*", str(exc)).group()
+    with pytest.raises(ExperimentConfigError) as cli_error:
+        load_experiment(str(path))
+    assert str(cli_error.value) == _AGREEMENT_KEYS[call, name] + str(exc)[len(name):]

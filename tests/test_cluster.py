@@ -674,6 +674,29 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="batch"):
             run_training(prob, vanilla, None, batch_size=1000, data_seed=1, rng_seed=1)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("batch_size", True, "must be an integer in [1, 128], got True"),
+        ("batch_size", 16.0, "must be an integer in [1, 128], got 16.0"),
+        ("batch_size", 0, "must be an integer in [1, 128], got 0"),
+        ("batch_size", 129, "must be an integer in [1, 128], got 129"),
+        ("batch_size", 3, "of 3 cannot cover 4 workers"),
+        *[(name, value, f"must be an integer in [0, {2**64 - 1}], got {value!r}")
+          for name in ("data_seed", "rng_seed") for value in (True, -1, 2**64)],
+    ], ids=repr)
+    def test_run_arguments_are_checked_before_the_run(self, name, value, message):
+        # batch_size=True used to fail in numpy after the t = 0 evaluation,
+        # and data_seed=True to run and echo "seeds.data = True"
+        prob = quadratic()
+
+        def no_evaluation(w):
+            raise AssertionError("the run evaluated its first point")
+
+        prob.evaluate = no_evaluation
+        cfg = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=1, w_workers=4)
+        arguments = {"batch_size": 16, "data_seed": 3, "rng_seed": 4} | {name: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+            run_training(prob, cfg, None, **arguments)
+
     def test_extra_echo_cannot_overwrite_the_runs_own_echo(self):
         prob = quadratic()
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradsketch._params import divide_by_count, integer, real
-from gradsketch.cluster import partition_batch
+from gradsketch.cluster import partition_batch, run_training
 from gradsketch.heavyhitters import heavymix, top_pk_candidates, topk_indices
 from gradsketch.optim import OptimizerConfig, lr_at, lr_theory, rho_for
 from gradsketch.problems import HingeSVMProblem, LogisticProblem, QuadraticProblem, split_dataset, synth_data
@@ -20,6 +20,9 @@ from gradsketch.sketch import SketchConfig, size_for, sketch_vector
 _SKETCH = sketch_vector(SketchConfig(d=16, r=3, c=5, seed=0), np.arange(16.0) - 7.5)
 _TRAIN, _TEST = split_dataset(synth_data(20, 3, 1.0, seed=0), 10)
 _EMPIRICAL = OptimizerConfig(mode="empirical")
+_QUADRATIC = QuadraticProblem(np.ones(3), 0.1, 4, 0)
+_VANILLA = OptimizerConfig(mode="empirical", algorithm="vanilla", t_rounds=0)
+_RUN = {"batch_size": 4, "data_seed": 0, "rng_seed": 0}
 
 # (where, parameter name, a call passing the value as that parameter, a value out of range)
 _INTEGERS = [
@@ -41,8 +44,12 @@ _INTEGERS = [
     ("lr_theory", "t", lambda v: lr_theory(v, 5.0), 0),
     ("lr_at", "t", lambda v: lr_at(v, _EMPIRICAL), 0),
     ("QuadraticProblem", "n_samples", lambda v: QuadraticProblem(np.ones(3), 0.1, v, 0), 0),
+    ("QuadraticProblem", "seed", lambda v: QuadraticProblem(np.ones(3), 0.1, 2, v), 2**64),
     ("synth_data", "n", lambda v: synth_data(v, 3, 1.0, 0), 0),
     ("synth_data", "d", lambda v: synth_data(5, v, 1.0, 0), 0),
+    ("synth_data", "seed", lambda v: synth_data(5, 3, 1.0, v), -1),
+    *[("run_training", name, lambda v, name=name: run_training(_QUADRATIC, _VANILLA, None, **_RUN | {name: v}), bad)
+      for name, bad in (("batch_size", 5), ("data_seed", -1), ("rng_seed", 2**64))],
     ("partition_batch", "w_workers", lambda v: partition_batch(np.arange(4), v), 0),
 ]
 _REALS = [

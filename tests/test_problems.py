@@ -211,6 +211,11 @@ class TestQuadratic:
         with pytest.raises(ValueError, match=re.escape(f"n_samples must be an integer in [1, inf], got {n!r}")):
             QuadraticProblem(np.ones(4), 0.1, n, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, -1, 2**64, 2.0], ids=repr)
+    def test_rejects_a_seed_outside_the_seed_range(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, {2**64 - 1}], got {seed!r}")):
+            QuadraticProblem(np.ones(4), 0.1, 4, seed=seed)
+
     @pytest.mark.parametrize("n", [1, np.int32(3), np.uint64(5)])
     def test_takes_any_positive_integer_sample_count(self, n):
         assert QuadraticProblem(np.ones(4), 0.1, n, seed=0).n_train == n
@@ -302,6 +307,11 @@ class TestSynthData:
         # a NaN separation fails `< 0` and used to surface only at the loss
         with pytest.raises(ValueError, match=f"class_separation must be a finite real in \\[0, inf\\), got {separation}"):
             synth_data(10, 3, separation, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, -1, 2**64, 2.0], ids=repr)
+    def test_rejects_a_seed_outside_the_seed_range(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, {2**64 - 1}], got {seed!r}")):
+            synth_data(10, 3, 1.0, seed=seed)
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError, match=re.escape("n must be an integer in [1, inf], got 0")):

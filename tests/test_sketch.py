@@ -483,7 +483,7 @@ class TestKernelOracles:
         if negate:
             # scale(-1) of an empty table leaves every cell at -0.0
             new = new.scale(-1.0)
-        old = new.copy()
+        old = merge_all([new])
         for vec in vectors:
             new.update_dense(vec)
             _flat_bincount_update(old, vec)
@@ -495,7 +495,7 @@ class TestKernelOracles:
         sparse = np.where(np.arange(cfg.d) % 17 == 0, dense, 0.0)
         for start in (CountSketch(cfg), sketch_vector(cfg, -dense).scale(-1.0), CountSketch(cfg).scale(-1.0)):
             for vec in (dense, sparse, np.zeros(cfg.d), -np.zeros(cfg.d)):
-                new, old = start.copy(), start.copy()
+                new, old = merge_all([start]), merge_all([start])
                 new.update_dense(vec)
                 _flat_bincount_update(old, vec)
                 assert _same_bits(new.table, old.table)
@@ -581,7 +581,7 @@ class TestKernelOracles:
                     sketches = sketch_many(cfg, vectors[:w])
                     assert all(_same_bits(s.table, e) for s, e in zip(sketches, expected))
                 for start in (CountSketch(cfg), CountSketch(cfg).scale(-1.0)):
-                    new, old = start.copy(), start.copy()
+                    new, old = merge_all([start]), merge_all([start])
                     for vec in vectors:
                         new.update_dense(vec)
                         if vec.any():
@@ -700,7 +700,7 @@ def _kernel_outputs(monkeypatch, family, seed):
         running = CountSketch(cfg)
         for vec in vectors:
             running.update_dense(vec)
-            sketches.append(running.copy())
+            sketches.append(merge_all([running]))
         out = []
         for s in sketches:
             reaching = s.coordinates_reaching(1.0)
