@@ -15,7 +15,6 @@ import argparse
 import configparser
 import csv
 import errno
-import math
 import os
 import re
 import sys
@@ -24,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from gradsketch._params import integer
+from gradsketch._params import integer, real
 from gradsketch.cluster import TrainingDivergedError, check_run, run_training
 from gradsketch.metrics import MetricsFormatError, RunMetrics, read_metrics_csv, write_metrics_csv
 from gradsketch.optim import OptimizerConfig
@@ -182,7 +181,7 @@ def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, 
     for key, (parse, default) in table.items():
         if key not in section:
             if default is REQUIRED:
-                raise ExperimentConfigError(f"[{name}] is missing required key {key!r}")
+                raise ExperimentConfigError(f"[{name}] {key} is required")
             values[key] = default
             continue
         raw = section[key]
@@ -194,8 +193,6 @@ def _read(parser: configparser.ConfigParser, name: str, user: str) -> dict[str, 
             raise ExperimentConfigError(f"[{name}] {exc}") from None
         except (ValueError, KeyError):
             raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not a valid {parse.__name__.strip('_')}") from None
-        if parse is float and not math.isfinite(values[key]):
-            raise ExperimentConfigError(f"[{name}] {key} = {raw!r} is not finite")
     for key in section:
         if key not in table:
             raise ExperimentConfigError(f"[{name}] {key} is not used by {user}")
@@ -218,7 +215,7 @@ def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str)
     labels = set(dataset.labels.tolist())
     if not labels <= {-1, 1}:
         raise ExperimentConfigError(
-            f"{role} labels are {sorted(labels)[:6]}; set positive_class to binarize"
+            f"[problem] positive_class is unset, but the {role} labels are {sorted(labels)[:6]}; set it to binarize"
         )
     return dataset
 
@@ -226,9 +223,8 @@ def _binarize_if_needed(dataset: Dataset, positive_class: int | None, role: str)
 def _build_problem(spec: dict[str, object], data_seed: int):
     kind = spec["kind"]
     if kind == "quadratic":
-        d, lo, hi = integer("quad_d", spec["quad_d"], 1), spec["quad_lambda_min"], spec["quad_lambda_max"]
-        if lo <= 0 or hi < lo:
-            raise ExperimentConfigError("[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max")
+        d, lo = integer("quad_d", spec["quad_d"], 1), real("quad_lambda_min", spec["quad_lambda_min"], "(0, inf)")
+        hi = real("quad_lambda_max", spec["quad_lambda_max"], f"[{lo!r}, inf)")
         sigma = spec["quad_noise_sigma"]
         problem = QuadraticProblem(np.linspace(lo, hi, d), sigma, spec["quad_n_samples"], seed=data_seed)
         return problem, {"problem.spectrum": f"linspace({lo},{hi},{d})", "problem.noise_sigma": sigma}
@@ -346,7 +342,7 @@ def cmd_run(args) -> int:
         return 2
     out = args.out or exp.output_path
     if out is None:
-        print("config error: no output path ([output] path or --out)", file=sys.stderr)
+        print("config error: [output] path is unset and no --out is given", file=sys.stderr)
         return 2
     # checked before training, so a run is not lost to a typo in the path
     if os.path.isdir(out):

@@ -125,35 +125,32 @@ class OptimizerConfig:
             real(f"lr_points[{i}] t", t_point, "[1, inf)")
             real(f"lr_points[{i}] lr", lr_value, "(0, inf)")
         if self.mode == "theory" and self.xi is None:
-            raise ValueError("theory mode requires xi (it defines the step-size schedule)")
+            raise ValueError("xi is required in theory mode (it defines the step-size schedule)")
         if len(set(bias)) != len(bias):
-            raise ValueError("bias indices must be unique")
+            raise ValueError("bias_indices must be unique")
         # kept sorted: the bias goes out as an index request, which must increase
         object.__setattr__(self, "bias_indices", tuple(sorted(bias)))
         object.__setattr__(self, "lr_points", tuple(map(tuple, self.lr_points)))  # [] is the default ()
         times = [t_point for t_point, _ in self.lr_points]
         if sorted(times) != times or len(set(times)) != len(times):
-            raise ValueError("lr schedule breakpoints must be strictly increasing in t")
+            raise ValueError("lr_points breakpoints must be strictly increasing in t")
         for name, (mode, algorithms) in _READ_BY.items():
             unread = self.mode != mode or self.algorithm not in algorithms
             if unread and getattr(self, name) != self.__dataclass_fields__[name].default:
-                raise ValueError(f"{self.mode} {self.algorithm} runs do not read {name}")
+                raise ValueError(f"{name} is not read by {self.mode} {self.algorithm} runs")
 
     def validate_for_dimension(self, d: int) -> None:
-        """Dimension-dependent checks deferred until the problem is known."""
-        if self.k > d:
-            raise ValueError(f"k={self.k} exceeds dimension {d}")
-        if any(b >= d for b in self.bias_indices):
-            raise ValueError(f"bias indices out of range for dimension {d}")
-        if self.bias_indices and min(self.p * self.k, d) - len(self.bias_indices) < self.k:
-            raise ValueError("candidate budget too small to exclude bias coordinates")
+        """Dimension-dependent checks deferred until the problem is known.
+        A bias index is named by its place in the sorted ``bias_indices``."""
+        integer("k", self.k, 1, d)
+        for i, b in enumerate(self.bias_indices):
+            integer(f"bias_indices[{i}]", b, 0, d - 1)
+        budget = min(self.p * self.k, d)
+        if self.bias_indices and budget - len(self.bias_indices) < self.k:
+            raise ValueError(f"p = {self.p} gives a candidate budget of min(p * k, d) = {budget}, "
+                             f"fewer than k + len(bias_indices) = {self.k + len(self.bias_indices)}")
         if self.mode == "theory" and self.algorithm == "sketched":
-            bound = min_xi(d, self.k, self.beta)
-            if self.xi <= bound:
-                raise ValueError(
-                    f"theory mode needs xi > {bound:.4f} for d={d}, k={self.k}, "
-                    f"beta={self.beta}; got xi={self.xi}"
-                )
+            real("xi", self.xi, f"({min_xi(d, self.k, self.beta)!r}, inf)")
 
 
 @dataclass

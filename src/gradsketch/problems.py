@@ -119,8 +119,7 @@ def synth_data(n: int, d: int, class_separation: float, seed: int) -> Dataset:
 
 def split_dataset(dataset: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
     """Split one draw into train/test halves that share the distribution."""
-    if not 0 < n_train < dataset.n:
-        raise ValueError(f"n_train must be in (0, {dataset.n}), got {n_train}")
+    n_train = integer("n_train", n_train, 1, dataset.n - 1)
     train = Dataset(dataset.features[:n_train], dataset.labels[:n_train], f"{dataset.name}|train")
     test = Dataset(dataset.features[n_train:], dataset.labels[n_train:], f"{dataset.name}|test")
     return train, test

@@ -310,7 +310,7 @@ class TestRunCommand:
             (FILE_HINGE, "positive_class = 0", "positive_class = 0\nnormalize = maybe",
              "[problem] normalize = 'maybe' is not a valid bool"),
             (QUADRATIC_THEORY, "quad_lambda_min = 1.0", "quad_lambda_min = 4.0",
-             "[problem] quadratic needs 0 < quad_lambda_min <= quad_lambda_max"),
+             "[problem] quad_lambda_max must be a finite real in [4.0, inf), got 3.0"),
             (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1", "[optimizer] lr_points entry '1' is not t:lr"),
             (SYNTH_LOGISTIC, "lr = 0.5", "lr_points = 1:x", "[optimizer] lr_points entry '1:x' is not numeric"),
             (SYNTH_LOGISTIC, "lr = 0.5", "bias_indices = x", "[optimizer] bias_indices 'x' must be comma-separated integers"),
@@ -333,7 +333,7 @@ class TestRunCommand:
         text = FILE_HINGE.format(train=data, test=data).replace("positive_class = 0\n", "")
         assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "config error: train labels are [0, 1, 2]; set positive_class to binarize"
+            "config error: [problem] positive_class is unset, but the train labels are [0, 1, 2]; set it to binarize"
         ]
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -391,13 +391,15 @@ class TestRunCommand:
     def test_missing_output_path_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUADRATIC_THEORY)
         assert main(["run", cfg]) == 2
-        assert "output" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: [output] path is unset and no --out is given"]
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         text = QUADRATIC_THEORY.replace("k = 4", "k = 400")
         cfg = write_config(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "k=400" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: [optimizer] k must be an integer in [1, 32], got 400"]
 
     @pytest.mark.parametrize("key, old", [("mode", "theory"), ("algorithm", "sketched")])
     def test_unknown_mode_or_algorithm_exits_2(self, tmp_path, capsys, key, old):
@@ -476,21 +478,22 @@ rng = 3
     @pytest.mark.parametrize(
         "old, new, named",
         [
-            ("xi = 40.0", "xi = nan", "[optimizer] xi = 'nan'"),
-            ("xi = 40.0", "xi = 40.0\nlr = inf", "[optimizer] lr = 'inf'"),
-            ("xi = 40.0", "xi = 40.0\nlr = -Infinity", "[optimizer] lr = '-Infinity'"),
-            ("xi = 40.0", "xi = 40.0\nbeta = NaN", "[optimizer] beta = 'NaN'"),
-            ("xi = 40.0", "xi = 40.0\nmu_scale = inf", "[optimizer] mu_scale = 'inf'"),
-            ("quad_lambda_max = 3.0", "quad_lambda_max = inf", "[problem] quad_lambda_max = 'inf'"),
-            ("quad_noise_sigma = 0.05", "quad_noise_sigma = nan", "[problem] quad_noise_sigma = 'nan'"),
+            ("xi = 40.0", "xi = nan", "[optimizer] xi must be a finite real in (0, inf), got nan"),
+            ("xi = 40.0", "xi = 40.0\nlr = inf", "[optimizer] lr must be a finite real in (0, inf), got inf"),
+            ("xi = 40.0", "xi = 40.0\nlr = -Infinity", "[optimizer] lr must be a finite real in (0, inf), got -inf"),
+            ("xi = 40.0", "xi = 40.0\nbeta = NaN", "[optimizer] beta must be a finite real in (4, inf), got nan"),
+            ("xi = 40.0", "xi = 40.0\nmu_scale = inf", "[optimizer] mu_scale must be a finite real in (0, inf), got inf"),
+            ("quad_lambda_max = 3.0", "quad_lambda_max = inf",
+             "[problem] quad_lambda_max must be a finite real in [1.0, inf), got inf"),
+            ("quad_noise_sigma = 0.05", "quad_noise_sigma = nan",
+             "[problem] quad_noise_sigma must be a finite real in [0, inf), got nan"),
         ],
         ids=["xi", "lr-inf", "lr-neg-inf", "beta", "mu_scale", "quad_lambda_max", "quad_noise_sigma"],
     )
     def test_non_finite_config_float_exits_2(self, tmp_path, capsys, old, new, named):
         cfg = write_config(tmp_path, QUADRATIC_THEORY.replace(old, new))
         assert main(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and named in err and "not finite" in err
+        assert capsys.readouterr().err.splitlines() == [f"config error: {named}"]
         assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_lr_point_exits_2(self, tmp_path, capsys):
@@ -705,6 +708,50 @@ _FOREIGN_PROBLEM_KEYS = [
 ]
 
 
+def _set_keys(text, settings):
+    """``text`` with each ``(section, key, value)`` in place of any earlier
+    setting of the key, or with the key removed for a value of None."""
+    for section, key, value in settings:
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.MULTILINE)
+        if value is not None:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
+    return text
+
+
+_SIZE_K_SIZING = [("sketch", "rows", None), ("sketch", "cols", None), ("sketch", "size_k", 4),
+                  ("sketch", "size_delta", 0.5)]
+# (data source, settings, the "[section] key" the error must start with): the
+# config errors about one key, and a non-finite value in each float key
+_KEYED_ERRORS = {
+    "momentum-unread": ("quadratic runs", [("optimizer", "mode", "empirical"), ("optimizer", "algorithm", "vanilla"),
+                                           ("optimizer", "xi", None), ("optimizer", "momentum", 0.9)],
+                        "[optimizer] momentum"),
+    "lr_points-order": ("synthetic-blob runs", [("optimizer", "lr", None), ("optimizer", "lr_points", "2:0.1, 1:0.1")],
+                        "[optimizer] lr_points"),
+    "bias-repeated": ("synthetic-blob runs", [("optimizer", "bias_indices", "0, 0")], "[optimizer] bias_indices"),
+    "bias-past-d": ("synthetic-blob runs", [("optimizer", "bias_indices", "40")], "[optimizer] bias_indices"),
+    "candidate-budget": ("synthetic-blob runs", [("optimizer", "p", 1), ("optimizer", "bias_indices", 0)],
+                         "[optimizer] p"),
+    "xi-unset": ("quadratic runs", [("optimizer", "xi", None)], "[optimizer] xi"),
+    "xi-below-bound": ("quadratic runs", [("optimizer", "xi", 1.0)], "[optimizer] xi"),
+    "lambda-order": ("quadratic runs", [("problem", "quad_lambda_min", 4.0)], "[problem] quad_lambda_max"),
+    "k-past-d": ("quadratic runs", [("optimizer", "k", 40)], "[optimizer] k"),
+    "lambda-min-zero": ("quadratic runs", [("problem", "quad_lambda_min", 0)], "[problem] quad_lambda_min"),
+    "positive_class-unset": ("dataset-file runs", [("problem", "positive_class", None)], "[problem] positive_class"),
+    "quad_d-unset": ("quadratic runs", [("problem", "quad_d", None)], "[problem] quad_d"),
+    "t-unset": ("synthetic-blob runs", [("optimizer", "t", None)], "[optimizer] t"),
+    **{
+        f"{key}-{value}" + (f"-{user.split()[0].split('-')[0]}" if name == "problem" else ""): (
+            user if name == "problem" else "quadratic runs",
+            (_SIZE_K_SIZING if name == "sketch" else []) + [(name, key, value)], f"[{name}] {key}")
+        for name, tables in cli._KEY_TABLES.items()
+        for user, table in tables.items()
+        for key, (parse, _) in table.items() if parse is float
+        for value in ("nan", "inf", "-inf")
+    },
+}
+
+
 class TestKeyTables:
     @pytest.mark.parametrize("source", list(_PROBLEM_TABLES))
     def test_each_source_config_runs(self, tmp_path, source):
@@ -735,7 +782,7 @@ class TestKeyTables:
         text = QUADRATIC_THEORY.replace("mode = theory", "mode = empirical").replace("xi = 40.0", "momentum = 0.9")
         text = text.replace("algorithm = sketched", "algorithm = vanilla").replace("[sketch]\nrows = 7\ncols = 32\n", "")
         assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "config error: [optimizer] empirical vanilla runs do not read momentum" in capsys.readouterr().err
+        assert "config error: [optimizer] momentum is not read by empirical vanilla runs" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_readme_run_list_matches_the_optimizer_rule(self):
@@ -768,6 +815,15 @@ class TestKeyTables:
         for name, tables in cli._KEY_TABLES.items():
             for table in tables.values():
                 assert set(table) <= set(_KEY_POOLS[name]), name
+
+    @pytest.mark.parametrize("source, settings, label", list(_KEYED_ERRORS.values()), ids=list(_KEYED_ERRORS))
+    def test_config_error_starts_with_its_section_and_key(self, tmp_path, capsys, source, settings, label):
+        text = _set_keys(_source_config(tmp_path, source), settings)
+        assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x.csv")]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        named = re.match(r"config error: (\[(\w+)\] (\w+))\b", err)
+        assert named and named[1] == label, err
+        assert any(named[3] in table for table in cli._KEY_TABLES[named[2]].values())
 
 
 class TestReportCommand:

@@ -114,8 +114,8 @@ class TestOptimizerConfig:
             ({"lr": -0.5}, "lr must be a finite real in (0, inf), got -0.5"),
             ({"lr_points": ((0.5, 0.1),)}, "lr_points[0] t must be a finite real in [1, inf), got 0.5"),
             ({"lr_points": ((1.0, 0.0),)}, "lr_points[0] lr must be a finite real in (0, inf), got 0.0"),
-            ({"lr_points": ((2.0, 0.1), (1.0, 0.1))}, "breakpoints must be strictly increasing in t"),
-            ({"lr_points": ((1.0, 0.1), (1.0, 0.2))}, "breakpoints must be strictly increasing in t"),
+            ({"lr_points": ((2.0, 0.1), (1.0, 0.1))}, "lr_points breakpoints must be strictly increasing in t"),
+            ({"lr_points": ((1.0, 0.1), (1.0, 0.2))}, "lr_points breakpoints must be strictly increasing in t"),
             ({"t_rounds": -1}, "t_rounds must be an integer in [0, inf], got -1"),
         ],
         ids=["mu_scale-zero", "mu_scale-negative", "lr-zero", "lr-negative", "lr_points-t",
@@ -173,7 +173,7 @@ class TestOptimizerConfig:
     )
     def test_rejects_a_field_the_run_does_not_read(self, mode, algorithm, fields, unread):
         step = {"xi": 100.0} if mode == "theory" else {}
-        with pytest.raises(ValueError, match=re.escape(f"{mode} {algorithm} runs do not read {unread}")):
+        with pytest.raises(ValueError, match=re.escape(f"{unread} is not read by {mode} {algorithm} runs")):
             OptimizerConfig(mode=mode, algorithm=algorithm, **step | fields)
 
     def test_sequence_fields_are_tuples_before_the_read_rule(self):
@@ -186,14 +186,15 @@ class TestOptimizerConfig:
 
     def test_dimension_checks(self):
         cfg = OptimizerConfig(mode="empirical", k=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("k must be an integer in [1, 4], got 5")):
             cfg.validate_for_dimension(4)
-        cfg = OptimizerConfig(mode="empirical", k=1, bias_indices=(9,))
-        with pytest.raises(ValueError):
+        cfg = OptimizerConfig(mode="empirical", k=1, bias_indices=(9, 0))  # kept sorted: (0, 9)
+        with pytest.raises(ValueError, match=re.escape("bias_indices[1] must be an integer in [0, 7], got 9")):
             cfg.validate_for_dimension(8)
         # candidate budget after excluding bias must still cover k
         cfg = OptimizerConfig(mode="empirical", k=1, p=1, bias_indices=(0,))
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=re.escape("p = 1 gives a candidate budget of min(p * k, d) = 1, "
+                                                       "fewer than k + len(bias_indices) = 2")):
             cfg.validate_for_dimension(8)
 
     def test_xi_lower_bound_applies_to_sketched_only(self):
@@ -204,6 +205,14 @@ class TestOptimizerConfig:
         ok.validate_for_dimension(784)
         baseline = OptimizerConfig(mode="theory", algorithm="vanilla", k=10, xi=300.0)
         baseline.validate_for_dimension(784)
+
+    @pytest.mark.parametrize("d, k, beta", [(784, 10, 5.0), (32, 4, 5.0), (4, 2, 6.5)])
+    def test_xi_lower_bound_is_exclusive(self, d, k, beta):
+        bound = min_xi(d, k, beta)
+        at_bound = OptimizerConfig(mode="theory", k=k, beta=beta, xi=bound)
+        with pytest.raises(ValueError, match=re.escape(f"xi must be a finite real in ({bound!r}, inf), got {bound!r}")):
+            at_bound.validate_for_dimension(d)
+        OptimizerConfig(mode="theory", k=k, beta=beta, xi=float(np.nextafter(bound, np.inf))).validate_for_dimension(d)
 
 
 class TestMakeStates:

@@ -319,8 +319,12 @@ class TestSynthData:
 
     def test_split_leaves_a_test_row(self):
         ds = synth_data(10, 3, 1.0, seed=0)
-        with pytest.raises(ValueError, match=re.escape("n_train must be in (0, 10), got 10")):
+        with pytest.raises(ValueError, match=re.escape("n_train must be an integer in [1, 9], got 10")):
             split_dataset(ds, ds.n)
+
+    def test_split_leaves_a_train_row(self):
+        with pytest.raises(ValueError, match=re.escape("n_train must be an integer in [1, 9], got 0")):
+            split_dataset(synth_data(10, 3, 1.0, seed=0), 0)
 
     @pytest.mark.parametrize(
         "features, labels",
